@@ -53,28 +53,18 @@ sim::SimOptions chain_opts() {
   return o;
 }
 
-backend::NativeRunOptions native_opts(const sim::SimOptions& o) {
-  backend::NativeRunOptions n;
-  n.end_time = o.end_time;
-  n.integrator_kind = static_cast<int>(o.integrator.kind);
-  n.max_step = o.integrator.max_step;
-  n.rel_tol = o.integrator.rel_tol;
-  n.abs_tol = o.integrator.abs_tol;
-  n.min_step = o.integrator.min_step;
-  n.seed = o.seed;
-  n.max_events = o.max_events;
-  n.reserve_queue = o.reserve_queue;
-  return n;
-}
-
-/// One timed module run; returns seconds (negative on failure).
+/// One timed module run under `obs` (may be null); returns seconds
+/// (negative on failure).
 double native_run_once(const backend::NativeModule& mod,
-                       backend::NativeRunOptions& n, sim::Trace& trace,
+                       const backend::NativeSource& src,
+                       const sim::SimOptions& o,
+                       const backend::NativeObsTable* obs, sim::Trace& trace,
                        std::size_t& events) {
-  char err[1024] = {0};
   const auto t0 = std::chrono::steady_clock::now();
-  if (mod.run(&n, &trace, &events, err, sizeof err) != 0) {
-    std::fprintf(stderr, "native run failed: %s\n", err);
+  try {
+    events = backend::run_native_module(mod, src.params, o, trace, obs);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "native run failed: %s\n", e.what());
     return -1.0;
   }
   return seconds_since(t0);
@@ -89,8 +79,8 @@ int experiment() {
   sim::Model m = blocks::examples::make_chains(200);
   const sim::SimOptions opts = chain_opts();
   const ir::Model irm = sim::build_ir(m, "chains_200");
-  const std::string source = backend::generate_native_source(irm);
-  const backend::NativeModule& mod = backend::load_native_module(irm, source);
+  const backend::NativeSource source = backend::generate_native_source(irm);
+  const backend::NativeModule& mod = backend::load_native_module(source);
 
   // ---- hard check: obs-enabled native == obs-enabled interpreter --------
   obs::Tracer interp_tr(1u << 16);
@@ -107,11 +97,12 @@ int experiment() {
   obs::MetricsRegistry native_reg;
   const backend::NativeObsTable check_table =
       backend::make_obs_table(&native_tr, &native_reg);
-  backend::NativeRunOptions ncheck = native_opts(opts);
-  ncheck.obs = &check_table;
   sim::Trace ntrace;
   std::size_t nevents = 0;
-  if (native_run_once(mod, ncheck, ntrace, nevents) < 0.0) return 1;
+  if (native_run_once(mod, source, opts, &check_table, ntrace, nevents) <
+      0.0) {
+    return 1;
+  }
   const bool traces_identical =
       nevents == s_obs.events_dispatched() && ntrace == s_obs.trace();
   const bool metrics_identical = native_reg.to_json() == interp_reg.to_json();
@@ -120,27 +111,24 @@ int experiment() {
   sim::Simulator s_interp(sim::CompiledModel(m), opts);
   s_interp.run();  // warm
 
-  backend::NativeRunOptions n_plain = native_opts(opts);
-
   obs::Tracer tr_off;  // attached, never enabled, no metrics (as bench_o1)
   const backend::NativeObsTable off_table =
       backend::make_obs_table(&tr_off, nullptr);
-  backend::NativeRunOptions n_off = native_opts(opts);
-  n_off.obs = &off_table;
 
   obs::Tracer tr_on(1u << 16);
   tr_on.set_enabled(true);
   obs::MetricsRegistry reg_on;
   const backend::NativeObsTable on_table =
       backend::make_obs_table(&tr_on, &reg_on);
-  backend::NativeRunOptions n_on = native_opts(opts);
-  n_on.obs = &on_table;
 
   sim::Trace scratch;
   std::size_t events = 0;
-  if (native_run_once(mod, n_plain, scratch, events) < 0.0) return 1;
-  if (native_run_once(mod, n_off, scratch, events) < 0.0) return 1;
-  if (native_run_once(mod, n_on, scratch, events) < 0.0) return 1;
+  const auto once = [&](const backend::NativeObsTable* table) {
+    return native_run_once(mod, source, opts, table, scratch, events);
+  };
+  if (once(nullptr) < 0.0) return 1;
+  if (once(&off_table) < 0.0) return 1;
+  if (once(&on_table) < 0.0) return 1;
 
   double t_interp = 1e300, t_plain = 1e300, t_off = 1e300, t_on = 1e300;
   for (int r = 0; r < kReps; ++r) {
@@ -149,13 +137,13 @@ int experiment() {
       s_interp.run();
       t_interp = std::min(t_interp, seconds_since(t0));
     }
-    double t = native_run_once(mod, n_plain, scratch, events);
+    double t = once(nullptr);
     if (t < 0.0) return 1;
     t_plain = std::min(t_plain, t);
-    t = native_run_once(mod, n_off, scratch, events);
+    t = once(&off_table);
     if (t < 0.0) return 1;
     t_off = std::min(t_off, t);
-    t = native_run_once(mod, n_on, scratch, events);
+    t = once(&on_table);
     if (t < 0.0) return 1;
     t_on = std::min(t_on, t);
   }
@@ -230,21 +218,20 @@ void BM_NativeObs(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   sim::Model m = blocks::examples::make_chains(16);
   const ir::Model irm = sim::build_ir(m, "chains_16");
-  const backend::NativeModule& mod =
-      backend::load_native_module(irm, backend::generate_native_source(irm));
+  const backend::NativeSource source = backend::generate_native_source(irm);
+  const backend::NativeModule& mod = backend::load_native_module(source);
   obs::Tracer tracer;
   tracer.set_enabled(mode == 2);
   obs::MetricsRegistry metrics;
   const backend::NativeObsTable table = backend::make_obs_table(
       mode >= 1 ? &tracer : nullptr, mode == 2 ? &metrics : nullptr);
-  backend::NativeRunOptions n;
-  n.end_time = 1.0;
-  if (mode >= 1) n.obs = &table;
+  sim::SimOptions opts;
+  opts.end_time = 1.0;
   sim::Trace trace;
   std::size_t events = 0;
-  char err[256];
   for (auto _ : state) {
-    if (mod.run(&n, &trace, &events, err, sizeof err) != 0) {
+    if (native_run_once(mod, source, opts, mode >= 1 ? &table : nullptr,
+                        trace, events) < 0.0) {
       state.SkipWithError("native run failed");
       return;
     }

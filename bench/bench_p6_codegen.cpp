@@ -1,7 +1,8 @@
 // EXP-P6: native code-generation backend (DESIGN.md §3.6). The compile
-// pipeline lowers the model to the canonical IR, specializes C++ for it
-// (literal arena offsets, constant-folded parameters, switch dispatch over
-// a constexpr schedule), builds it with the host toolchain into a .so and
+// pipeline lowers the model to the canonical IR, specializes C++ for its
+// shape (literal arena offsets, switch dispatch over a constexpr schedule,
+// block parameters loaded from a table), builds it with the host toolchain
+// into a .so and
 // runs it through the same statically-linked event queue / RNG / trace
 // runtime as the interpreter — so the trace must be bit-identical while the
 // per-event interpretation overhead (indirect block dispatch, port
@@ -63,50 +64,38 @@ Measured measure(Scenario& sc, int reps) {
   interp.run();  // warm capacities out of the measurement
 
   const auto build_t0 = std::chrono::steady_clock::now();
-  const std::string source = backend::generate_native_source(irm);
-  const backend::NativeModule& mod = backend::load_native_module(irm, source);
+  const backend::NativeSource source = backend::generate_native_source(irm);
+  const backend::NativeModule& mod = backend::load_native_module(source);
   out.build_secs = seconds_since(build_t0);
 
-  backend::NativeRunOptions nopts;
-  nopts.end_time = sc.opts.end_time;
-  nopts.integrator_kind = static_cast<int>(sc.opts.integrator.kind);
-  nopts.max_step = sc.opts.integrator.max_step;
-  nopts.rel_tol = sc.opts.integrator.rel_tol;
-  nopts.abs_tol = sc.opts.integrator.abs_tol;
-  nopts.min_step = sc.opts.integrator.min_step;
-  nopts.seed = sc.opts.seed;
-  nopts.max_events = sc.opts.max_events;
-  nopts.reserve_queue = sc.opts.reserve_queue;
+  try {
+    sim::Trace ntrace;
+    std::size_t nevents =
+        backend::run_native_module(mod, source.params, sc.opts, ntrace);
+    out.events = interp.events_dispatched();
+    out.identical = nevents == interp.events_dispatched() &&
+                    ntrace == interp.trace();
 
-  sim::Trace ntrace;
-  std::size_t nevents = 0;
-  char err[1024] = {0};
-  if (mod.run(&nopts, &ntrace, &nevents, err, sizeof err) != 0) {
-    std::fprintf(stderr, "native run failed: %s\n", err);
-    return out;
-  }
-  out.events = interp.events_dispatched();
-  out.identical = nevents == interp.events_dispatched() &&
-                  ntrace == interp.trace();
-
-  // Interleaved best-of-`reps` so thermal/frequency drift hits both equally.
-  for (int r = 0; r < reps; ++r) {
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      interp.run();
-      const double eps =
-          static_cast<double>(interp.events_dispatched()) / seconds_since(t0);
-      out.interp_best = std::max(out.interp_best, eps);
-    }
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      if (mod.run(&nopts, &ntrace, &nevents, err, sizeof err) != 0) {
-        std::fprintf(stderr, "native run failed: %s\n", err);
-        return out;
+    // Interleaved best-of-`reps` so thermal/frequency drift hits both
+    // equally.
+    for (int r = 0; r < reps; ++r) {
+      {
+        const auto t0 = std::chrono::steady_clock::now();
+        interp.run();
+        const double eps = static_cast<double>(interp.events_dispatched()) /
+                           seconds_since(t0);
+        out.interp_best = std::max(out.interp_best, eps);
       }
-      const double eps = static_cast<double>(nevents) / seconds_since(t0);
-      out.native_best = std::max(out.native_best, eps);
+      {
+        const auto t0 = std::chrono::steady_clock::now();
+        nevents =
+            backend::run_native_module(mod, source.params, sc.opts, ntrace);
+        const double eps = static_cast<double>(nevents) / seconds_since(t0);
+        out.native_best = std::max(out.native_best, eps);
+      }
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "native run failed: %s\n", e.what());
   }
   return out;
 }
@@ -196,17 +185,16 @@ void BM_BackendRun(benchmark::State& state) {
   std::size_t events = 0;
   if (native) {
     const ir::Model irm = sim::build_ir(m, "chains_" + std::to_string(n));
-    const backend::NativeModule& mod =
-        backend::load_native_module(irm, backend::generate_native_source(irm));
-    backend::NativeRunOptions nopts;
-    nopts.end_time = opts.end_time;
+    const backend::NativeSource source = backend::generate_native_source(irm);
+    const backend::NativeModule& mod = backend::load_native_module(source);
     sim::Trace trace;
-    char err[256];
-    for (auto _ : state) {
-      if (mod.run(&nopts, &trace, &events, err, sizeof err) != 0) {
-        state.SkipWithError("native run failed");
-        return;
+    try {
+      for (auto _ : state) {
+        events = backend::run_native_module(mod, source.params, opts, trace);
       }
+    } catch (const std::exception& e) {
+      state.SkipWithError(e.what());
+      return;
     }
   } else {
     sim::Simulator s(sim::CompiledModel(m), opts);

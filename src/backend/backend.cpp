@@ -32,38 +32,20 @@ RunResult run_interp(sim::Model& model, const RunOptions& o) {
   return r;
 }
 
-RunResult run_native_module(const NativeModule& mod, const RunOptions& o) {
-  NativeRunOptions n;
-  n.end_time = o.sim.end_time;
-  n.integrator_kind = static_cast<int>(o.sim.integrator.kind);
-  n.max_step = o.sim.integrator.max_step;
-  n.rel_tol = o.sim.integrator.rel_tol;
-  n.abs_tol = o.sim.integrator.abs_tol;
-  n.min_step = o.sim.integrator.min_step;
-  n.seed = o.sim.seed;
-  n.max_events = o.sim.max_events;
-  n.full_refresh = o.sim.full_refresh ? 1 : 0;
-  n.reserve_events = o.sim.reserve_events;
-  n.reserve_signals = o.sim.reserve_signals;
-  n.reserve_queue = o.sim.reserve_queue;
+RunResult run_native(const NativeModule& mod, const NativeSource& src,
+                     const RunOptions& o) {
   // ABI v2: attached observability rides into the module through the
   // callback table (stack-lifetime — the table only borrows the host's
   // tracer/registry for this one call). A run without obs passes no table
   // and the module's hooks cost one null test each.
   const NativeObsTable table = make_obs_table(o.sim.tracer, o.sim.metrics);
-  if (table.tracer != nullptr || table.metrics != nullptr) n.obs = &table;
+  const bool attached = table.tracer != nullptr || table.metrics != nullptr;
 
   RunResult r;
-  std::size_t events = 0;
-  char err[1024] = {0};
-  const int rc = mod.run(&n, &r.trace, &events, err, sizeof err);
-  if (rc != 0) {
-    // A loaded module failing is a model-semantic error (max_events, a
-    // sampler misbehaving, ...) that the interpreter would throw too.
-    throw std::runtime_error(err[0] != '\0' ? err
-                                            : "native model: run failed");
-  }
-  r.events_dispatched = events;
+  // A loaded module failing is a model-semantic error (max_events, a
+  // sampler misbehaving, ...) that the interpreter would throw too.
+  r.events_dispatched = run_native_module(mod, src.params, o.sim, r.trace,
+                                          attached ? &table : nullptr);
   r.used = Kind::kNative;
   count(o.metrics, "backend.native.runs");
   return r;
@@ -97,7 +79,7 @@ std::optional<RunResult> try_native(MakeIr&& make_ir, const RunOptions& o,
     reason = "opaque: model contains blocks the IR cannot regenerate";
     return std::nullopt;
   }
-  std::string source;
+  NativeSource source;
   try {
     source = generate_native_source(*irm);
   } catch (const std::exception& ex) {
@@ -106,12 +88,12 @@ std::optional<RunResult> try_native(MakeIr&& make_ir, const RunOptions& o,
   }
   const NativeModule* mod = nullptr;
   try {
-    mod = &load_native_module(*irm, source);
+    mod = &load_native_module(source);
   } catch (const std::exception& ex) {
     reason = std::string("toolchain: ") + ex.what();
     return std::nullopt;
   }
-  return run_native_module(*mod, o);
+  return run_native(*mod, source, o);
 }
 
 std::string category_of(const std::string& reason) {

@@ -11,6 +11,11 @@
 // histograms) into the host's obs::Tracer / obs::MetricsRegistry without the
 // module linking against the obs library. A null table pointer is the
 // zero-cost path; the bridge lives in backend/obs_abi.{hpp,cpp}.
+//
+// ABI v3 makes a module depend only on the model's *shape*: every value
+// private to a block travels in NativeRunOptions::params, and the cache key
+// is the shape hash, so re-parameterised models (a retuned controller, a
+// different bus load) reuse one compiled module.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +23,7 @@
 
 namespace ecsim::backend {
 
-inline constexpr int kNativeAbiVersion = 2;
+inline constexpr int kNativeAbiVersion = 3;
 
 /// Sentinel for "span/instant has no argument" (mirror of obs::kNoArg).
 inline constexpr std::uint32_t kNativeObsNoArg = 0xffffffffu;
@@ -84,6 +89,11 @@ struct NativeRunOptions {
   /// compiled to nothing — the guarded ≤2% attached-but-disabled overhead
   /// only concerns a non-null table whose tracer reports disabled.
   const NativeObsTable* obs = nullptr;
+  /// Parameter table (borrowed; ABI v3): the model's block-private values
+  /// in the order the module reads them (NativeSource::params). The module
+  /// fails the run with a message unless it consumes exactly n_params.
+  const double* params = nullptr;
+  std::size_t n_params = 0;
 };
 
 }  // namespace ecsim::backend
@@ -94,8 +104,10 @@ extern "C" {
 /// Symbol: resolved with dlsym; a missing symbol means "not an ecsim model".
 using EcsimNativeAbiFn = int (*)();
 
-/// Canonical IR hash (ir::hash_hex) of the model the module was generated
-/// from. The host refuses a module whose hash differs from the IR in hand.
+/// Shape hash ("0x%016llx", FNV-1a of the shape-only generated source) of
+/// the model the module was generated from. Models that differ only in
+/// block-private values share it; the host refuses a module whose shape
+/// hash differs from the source in hand.
 using EcsimNativeHashFn = const char* (*)();
 
 /// Run the model: `trace` is an ecsim::sim::Trace* the module clears,

@@ -1,18 +1,26 @@
 #include "backend/native_backend.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+extern char** environ;
 
 // Baked in by src/CMakeLists.txt so a generated module is always built by
 // the same toolchain, with the same flags, against the same headers as the
@@ -66,8 +74,8 @@ std::string tool_fingerprint(const std::string& cxx, const std::string& flags,
   // Key on size + mtime of everything a module's behaviour depends on beyond
   // its own source text — the runtime archive it links against and the
   // engine/ABI headers it includes — so a rebuilt tree never resurrects a
-  // stale .so. (The generated text itself is salted into the key by the
-  // caller.)
+  // stale .so. (The generated text itself enters the key as the shape
+  // hash.)
   h = stamp_file(archive, h);
   const fs::path inc = ECSIM_NATIVE_INCLUDE_DIR;
   h = stamp_file(inc / "backend" / "native_runtime.hpp", h);
@@ -98,23 +106,55 @@ std::string tail_of(const fs::path& log, std::size_t max_bytes = 2000) {
   throw std::runtime_error("native backend: " + why);
 }
 
+std::string tmp_suffix() { return ".tmp." + std::to_string(::getpid()); }
+
+/// Runs `argv` (argv[0] looked up on PATH) with stdout and stderr sent to
+/// `log`, without a shell: no path or flag is ever interpreted. Returns the
+/// waitpid status; throws when the process cannot be started.
+int spawn_and_wait(std::vector<std::string> argv, const fs::path& log) {
+  std::vector<char*> args;
+  for (std::string& a : argv) args.push_back(a.data());
+  args.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, log.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ::posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO, STDERR_FILENO);
+  pid_t pid = 0;
+  const int rc = ::posix_spawnp(&pid, args[0], &actions, nullptr, args.data(),
+                                environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0) {
+    fail("cannot run compiler '" + argv[0] + "': " + std::strerror(rc));
+  }
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) fail(std::string("waitpid: ") + std::strerror(errno));
+  }
+  return status;
+}
+
 /// Compile `src_path` into `so_path` (atomically, via a temp name). Throws
-/// with the tail of the compiler log on a nonzero exit.
+/// with the tail of the compiler log unless the compiler exits 0.
 void compile_module(const std::string& cxx, const std::string& flags,
                     const std::string& archive, const fs::path& src_path,
                     const fs::path& so_path) {
-  const fs::path tmp =
-      so_path.string() + ".tmp." + std::to_string(::getpid());
+  const fs::path tmp = so_path.string() + tmp_suffix();
   const fs::path log = so_path.string() + ".log";
-  std::string cmd = "\"" + cxx + "\" -std=c++20 " + flags +
-                    " -shared -fPIC -I\"" ECSIM_NATIVE_INCLUDE_DIR "\" \"" +
-                    src_path.string() + "\" \"" + archive + "\" -o \"" +
-                    tmp.string() + "\" > \"" + log.string() + "\" 2>&1";
-  const int rc = std::system(cmd.c_str());
-  if (rc != 0) {
+  std::vector<std::string> argv{cxx, "-std=c++20"};
+  std::istringstream words(flags);  // baked-in flags: whitespace-separated
+  for (std::string w; words >> w;) argv.push_back(w);
+  argv.insert(argv.end(),
+              {"-shared", "-fPIC", "-I" ECSIM_NATIVE_INCLUDE_DIR,
+               src_path.string(), archive, "-o", tmp.string()});
+  const int status = spawn_and_wait(std::move(argv), log);
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     std::error_code ec;
     fs::remove(tmp, ec);
-    std::string msg = "compile failed (exit " + std::to_string(rc) + ")";
+    std::string msg =
+        WIFEXITED(status)
+            ? "compile failed (exit " + std::to_string(WEXITSTATUS(status)) + ")"
+            : "compiler killed by signal " + std::to_string(WTERMSIG(status));
     const std::string t = tail_of(log);
     if (!t.empty()) msg += ":\n" + t;
     fail(msg);
@@ -147,10 +187,38 @@ NativeModule open_module(const fs::path& so_path,
          std::to_string(kNativeAbiVersion));
   }
   if (want_hash != mod.hash()) {
-    fail("IR hash mismatch: module " + std::string(mod.hash()) + ", host " +
-         want_hash);
+    fail("shape hash mismatch: module " + std::string(mod.hash()) +
+         ", host " + want_hash);
   }
   return mod;
+}
+
+/// Cache hit or compile, then dlopen: the work one registry entry latches.
+NativeModule build_module(const NativeSource& src, const std::string& cxx,
+                          const std::string& flags, const std::string& archive,
+                          const fs::path& so_path) {
+  if (archive.empty() || !fs::exists(archive)) {
+    fail("runtime archive not found: '" + archive + "'");
+  }
+  const fs::path dir = so_path.parent_path();
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) fail("cannot create cache dir " + dir.string() + ": " + ec.message());
+
+  if (!fs::exists(so_path)) {
+    fs::path src_path = so_path;
+    src_path.replace_extension(".cpp");
+    const fs::path src_tmp = src_path.string() + tmp_suffix();
+    {
+      std::ofstream out(src_tmp, std::ios::trunc);
+      out << src.text;
+      if (!out) fail("cannot write " + src_tmp.string());
+    }
+    fs::rename(src_tmp, src_path, ec);
+    if (ec) fail("cannot write " + src_path.string() + ": " + ec.message());
+    compile_module(cxx, flags, archive, src_path, so_path);
+  }
+  return open_module(so_path, src.shape_hash);
 }
 
 }  // namespace
@@ -160,55 +228,84 @@ bool native_disabled() {
   return v != nullptr && *v != '\0';
 }
 
-const NativeModule& load_native_module(const ir::Model& m,
-                                       const std::string& source) {
-  // Process-lifetime registry: one load per artifact, never unloaded.
+const NativeModule& load_native_module(const NativeSource& src) {
+  // Process-lifetime registry, one entry per artifact, never unloaded. An
+  // entry is the in-flight latch while its first caller compiles and the
+  // loaded module afterwards; the registry lock is only held to look it up.
+  struct Loaded {
+    NativeModule mod;   // mod.run == nullptr: the load failed
+    std::string error;  // ... with this message
+  };
   static std::mutex mu;
-  static std::map<std::string, NativeModule> loaded;
+  static std::map<std::string, std::shared_future<Loaded>> loaded;
 
   const std::string cxx = env_or("ECSIM_NATIVE_CXX", ECSIM_NATIVE_CXX_DEFAULT);
   const std::string flags = ECSIM_NATIVE_CXXFLAGS;
   const std::string archive = ECSIM_NATIVE_RT_ARCHIVE;
-  const std::string hash = ir::hash_hex(m);
-  std::string key = "m";
-  key += hash.substr(2);
-  key += "_abi";
-  key += std::to_string(kNativeAbiVersion);
-  key += "_t";
-  key += tool_fingerprint(cxx, flags, archive);
+  const std::string key = "s" + src.shape_hash.substr(2) + "_abi" +
+                          std::to_string(kNativeAbiVersion) + "_t" +
+                          tool_fingerprint(cxx, flags, archive);
+  const fs::path so_path = cache_dir() / (key + ".so");
+
+  std::promise<Loaded> promise;
+  std::shared_future<Loaded> entry;
+  bool owner = false;
   {
-    // The generator itself evolves: same IR, newer codegen → different
-    // module. Key on the generated text so a cache can never serve a .so
-    // built by an older generator.
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "_g%016llx",
-                  static_cast<unsigned long long>(fnv1a(source)));
-    key += buf;
-  }
-
-  std::lock_guard<std::mutex> lock(mu);
-  const auto it = loaded.find(key);
-  if (it != loaded.end()) return it->second;
-
-  if (archive.empty() || !fs::exists(archive)) {
-    fail("runtime archive not found: '" + archive + "'");
-  }
-  std::error_code ec;
-  const fs::path dir = cache_dir();
-  fs::create_directories(dir, ec);
-  if (ec) fail("cannot create cache dir " + dir.string() + ": " + ec.message());
-
-  const fs::path so_path = dir / (key + ".so");
-  if (!fs::exists(so_path)) {
-    const fs::path src_path = dir / (key + ".cpp");
-    {
-      std::ofstream out(src_path, std::ios::trunc);
-      if (!out) fail("cannot write " + src_path.string());
-      out << source;
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] = loaded.try_emplace(so_path.string());
+    if (inserted) {
+      it->second = promise.get_future().share();
+      owner = true;
     }
-    compile_module(cxx, flags, archive, src_path, so_path);
+    entry = it->second;
   }
-  return loaded.emplace(key, open_module(so_path, hash)).first->second;
+  if (owner) {
+    Loaded result;
+    try {
+      result.mod = build_module(src, cxx, flags, archive, so_path);
+    } catch (const std::exception& e) {
+      result.error = e.what();
+      // Drop the entry before waking the waiters: they all fail with this
+      // error, and the next call compiles afresh instead of finding it.
+      std::lock_guard<std::mutex> lock(mu);
+      loaded.erase(so_path.string());
+    }
+    promise.set_value(std::move(result));
+  }
+  const Loaded& result = entry.get();
+  // Every caller throws its own exception object. Sharing one across
+  // threads (std::promise::set_exception) leaves its release to
+  // libstdc++'s internal refcount, which ThreadSanitizer cannot see.
+  if (result.mod.run == nullptr) throw std::runtime_error(result.error);
+  return result.mod;
+}
+
+std::size_t run_native_module(const NativeModule& mod,
+                              const std::vector<double>& params,
+                              const sim::SimOptions& o, sim::Trace& trace,
+                              const NativeObsTable* obs) {
+  NativeRunOptions n;
+  n.end_time = o.end_time;
+  n.integrator_kind = static_cast<int>(o.integrator.kind);
+  n.max_step = o.integrator.max_step;
+  n.rel_tol = o.integrator.rel_tol;
+  n.abs_tol = o.integrator.abs_tol;
+  n.min_step = o.integrator.min_step;
+  n.seed = o.seed;
+  n.max_events = o.max_events;
+  n.full_refresh = o.full_refresh ? 1 : 0;
+  n.reserve_events = o.reserve_events;
+  n.reserve_signals = o.reserve_signals;
+  n.reserve_queue = o.reserve_queue;
+  n.obs = obs;
+  n.params = params.data();
+  n.n_params = params.size();
+  std::size_t events = 0;
+  char err[1024] = {0};
+  if (mod.run(&n, &trace, &events, err, sizeof err) != 0) {
+    throw std::runtime_error(err[0] != '\0' ? err : "native model: run failed");
+  }
+  return events;
 }
 
 }  // namespace ecsim::backend

@@ -1,10 +1,11 @@
 #include "backend/native_codegen.hpp"
 
 #include <cinttypes>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backend/native_abi.hpp"
@@ -19,19 +20,6 @@ using ir::BlockIr;
 using ir::SliceIr;
 
 // ---- literal emission ------------------------------------------------------
-
-/// Double -> C++ literal that reconstructs the exact bit pattern (hexfloat;
-/// infinities/NaN via <limits>/<cmath> expressions).
-std::string lit(double v) {
-  if (std::isnan(v)) return "std::nan(\"\")";
-  if (std::isinf(v)) {
-    return v > 0 ? "std::numeric_limits<double>::infinity()"
-                 : "(-std::numeric_limits<double>::infinity())";
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 std::string lit(std::size_t v) { return std::to_string(v); }
 
@@ -48,6 +36,21 @@ std::string cstr(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+std::string hex64(std::uint64_t h) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, h);
+  return buf;
+}
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 // ---- attribute access (same contract as blocks::to_model) ------------------
@@ -76,43 +79,21 @@ const std::vector<double>& vec_of(const BlockIr& b, const char* key) {
   return need(b, key, Attr::Kind::kRealVec).vec;
 }
 
-/// C++ expression rebuilding an EventDelay's DurationSpec through the same
-/// validated factories blocks::duration_from_attrs uses.
-std::string spec_expr(const BlockIr& b) {
-  const long long tag = int_of(b, "dist");
-  switch (static_cast<blocks::DurationSpec::Kind>(tag)) {
-    case blocks::DurationSpec::Kind::kConstant:
-      return "bl::constant_duration(" + lit(real_of(b, "value")) + ")";
-    case blocks::DurationSpec::Kind::kUniform:
-      return "bl::uniform_duration(" + lit(real_of(b, "bcet")) + ", " +
-             lit(real_of(b, "wcet")) + ")";
-    case blocks::DurationSpec::Kind::kTruncatedNormal:
-      return "bl::truncated_normal_duration(" + lit(real_of(b, "mean")) +
-             ", " + lit(real_of(b, "stddev")) + ", " + lit(real_of(b, "bcet")) +
-             ", " + lit(real_of(b, "wcet")) + ")";
-    case blocks::DurationSpec::Kind::kShiftedUniform:
-      return "bl::shifted_uniform_duration(" + lit(real_of(b, "base")) + ", " +
-             lit(real_of(b, "jitter")) + ")";
-    case blocks::DurationSpec::Kind::kBranches: {
-      const std::vector<double>& ws = vec_of(b, "branch_wcets");
-      std::string expr = "bl::branch_duration({";
-      for (std::size_t j = 0; j < ws.size(); ++j) {
-        if (j) expr += ", ";
-        expr += lit(ws[j]);
-      }
-      expr += "}, " + lit(real_of(b, "bcet_fraction")) + ", " +
-              (int_of(b, "random_branch") != 0 ? "true" : "false") + ")";
-      return expr;
-    }
-    case blocks::DurationSpec::Kind::kCustom:
-      break;
-  }
-  bad(b, "unregenerable duration distribution (tag " + std::to_string(tag) +
-             ")");
+/// A non-negative integer attribute that travels through the (double)
+/// parameter table exactly.
+std::size_t count_of(const BlockIr& b, const char* key) {
+  const long long v = int_of(b, key);
+  if (v < 0 || v >= (1LL << 53)) bad(b, "attr '" + std::string(key) + "' out of range");
+  return static_cast<std::size_t>(v);
 }
 
 // ---- emitter ---------------------------------------------------------------
 
+/// Walks the blocks once, emitting shape-only C++ and, in the same walk, the
+/// parameter table: every block-private value becomes a Program member that
+/// load() reads from the table, and the value is appended to params_ in
+/// that same order. Only what fixes the arena/state layout, the event wiring
+/// or the emitted control flow stays a literal in the source.
 class Emitter {
  public:
   explicit Emitter(const ir::Model& m) : m_(m), lay_(m.layout) {
@@ -123,7 +104,7 @@ class Emitter {
     }
   }
 
-  std::string generate(const std::string& hash_hex);
+  NativeSource generate();
 
  private:
   // Arena slices, folded to literals.
@@ -135,17 +116,34 @@ class Emitter {
   }
 
   void table(const char* name, const std::vector<std::size_t>& v);
-  void matrix_member(const std::string& id, const BlockIr& b, const char* key);
+
+  // ---- parameter members (declared, loaded, appended to the table) --------
+  /// `double <name>`: one slot.
+  std::string real_param(const std::string& name, double v);
+  /// `std::size_t <name>`: one integral slot.
+  std::string index_param(const std::string& name, std::size_t v);
+  /// `std::array<double, N> <name>`: N slots, N being part of the shape.
+  void fixed_param(const std::string& name, const BlockIr& b,
+                   const std::vector<double>& v, std::size_t n);
+  /// `std::vector<double> <name>`: length-prefixed (length is private).
+  void vec_param(const std::string& name, const std::vector<double>& v,
+                 std::size_t min_size = 0);
+  /// `ma::Matrix <name>`: rows, cols, then the row-major values.
+  void matrix_param(const std::string& name, const BlockIr& b,
+                    const char* key);
+  void push_vec(const std::vector<double>& v);
 
   void emit_block(std::size_t i);
 
-  // Per-kind emission appends into the four bodies (+ members).
+  // Per-kind emission appends into the bodies (+ members and loads).
   std::string members_;
+  std::string load_;
   std::string init_;
   std::string compute_;
   std::string event_;
   std::string deriv_;
   std::string out_;
+  std::vector<double> params_;
 
   const ir::Model& m_;
   const ir::LayoutIr& lay_;
@@ -161,18 +159,50 @@ void Emitter::table(const char* name, const std::vector<std::size_t>& v) {
   out_ += "};\n";
 }
 
-/// `ma::Matrix <id> = ...;` member from a matrix attribute.
-void Emitter::matrix_member(const std::string& id, const BlockIr& b,
-                            const char* key) {
+std::string Emitter::real_param(const std::string& name, double v) {
+  members_ += "  double " + name + " = 0.0;\n";
+  load_ += "    " + name + " = rd.real();\n";
+  params_.push_back(v);
+  return name;
+}
+
+std::string Emitter::index_param(const std::string& name, std::size_t v) {
+  members_ += "  std::size_t " + name + " = 0;\n";
+  load_ += "    " + name + " = rd.index();\n";
+  params_.push_back(static_cast<double>(v));
+  return name;
+}
+
+void Emitter::fixed_param(const std::string& name, const BlockIr& b,
+                          const std::vector<double>& v, std::size_t n) {
+  if (v.size() != n) bad(b, "'" + name + "' size mismatch");
+  members_ += "  std::array<double, " + lit(n) + "> " + name + "{};\n";
+  load_ += "    rd.fill(" + name + ");\n";
+  params_.insert(params_.end(), v.begin(), v.end());
+}
+
+void Emitter::push_vec(const std::vector<double>& v) {
+  params_.push_back(static_cast<double>(v.size()));
+  params_.insert(params_.end(), v.begin(), v.end());
+}
+
+void Emitter::vec_param(const std::string& name, const std::vector<double>& v,
+                        std::size_t min_size) {
+  members_ += "  std::vector<double> " + name + ";\n";
+  load_ += "    rd.vec(" + name +
+           (min_size > 0 ? ", " + lit(min_size) : std::string()) + ");\n";
+  push_vec(v);
+}
+
+void Emitter::matrix_param(const std::string& name, const BlockIr& b,
+                           const char* key) {
   const Attr& a = need(b, key, Attr::Kind::kMatrix);
   if (a.vec.size() != a.rows * a.cols) bad(b, "matrix attr size mismatch");
-  members_ += "  ma::Matrix " + id + " = make_matrix(" + lit(a.rows) + ", " +
-              lit(a.cols) + ", {";
-  for (std::size_t i = 0; i < a.vec.size(); ++i) {
-    if (i) members_ += ", ";
-    members_ += lit(a.vec[i]);
-  }
-  members_ += "});\n";
+  members_ += "  ma::Matrix " + name + ";\n";
+  load_ += "    rd.matrix(" + name + ");\n";
+  params_.push_back(static_cast<double>(a.rows));
+  params_.push_back(static_cast<double>(a.cols));
+  params_.insert(params_.end(), a.vec.begin(), a.vec.end());
 }
 
 void Emitter::emit_block(std::size_t i) {
@@ -190,24 +220,20 @@ void Emitter::emit_block(std::size_t i) {
   auto case_close = [&](std::string& body) { body += "      } break;\n"; };
 
   if (k == "Clock") {
-    init_ += "    e.schedule_self(" + B + ", 0, " + lit(real_of(b, "offset")) +
-             ");\n";
+    const std::string offset = real_param(id + "offset", real_of(b, "offset"));
+    const std::string period = real_param(id + "period", real_of(b, "period"));
+    init_ += "    e.schedule_self(" + B + ", 0, " + offset + ");\n";
     case_open(event_);
     event_ += "        e.emit(" + B + ", 0, 0.0);\n";
-    event_ += "        e.schedule_self(" + B + ", 0, " +
-              lit(real_of(b, "period")) + ");\n";
+    event_ += "        e.schedule_self(" + B + ", 0, " + period + ");\n";
     case_close(event_);
     return;
   }
   if (k == "TimetableClock") {
+    const std::string period = real_param(id + "period", real_of(b, "period"));
     const std::vector<double>& offs = vec_of(b, "offsets");
-    members_ += "  static constexpr std::array<double, " + lit(offs.size()) +
-                "> " + id + "offsets{";
-    for (std::size_t j = 0; j < offs.size(); ++j) {
-      if (j) members_ += ", ";
-      members_ += lit(offs[j]);
-    }
-    members_ += "};\n";
+    if (offs.empty()) bad(b, "empty timetable");
+    vec_param(id + "offsets", offs, 1);
     members_ += "  std::size_t " + id + "next = 0;\n";
     members_ += "  std::size_t " + id + "cycle = 0;\n";
     init_ += "    " + id + "next = 0; " + id + "cycle = 0;\n";
@@ -215,27 +241,19 @@ void Emitter::emit_block(std::size_t i) {
     case_open(event_);
     event_ += "        e.emit(" + B + ", 0, 0.0);\n";
     event_ += "        const double now = static_cast<double>(" + id +
-              "cycle) * " + lit(real_of(b, "period")) + " + " + id +
-              "offsets[" + id + "next];\n";
+              "cycle) * " + period + " + " + id + "offsets[" + id + "next];\n";
     event_ += "        ++" + id + "next;\n";
     event_ += "        if (" + id + "next == " + id + "offsets.size()) { " +
               id + "next = 0; ++" + id + "cycle; }\n";
     event_ += "        const double target = static_cast<double>(" + id +
-              "cycle) * " + lit(real_of(b, "period")) + " + " + id +
-              "offsets[" + id + "next];\n";
+              "cycle) * " + period + " + " + id + "offsets[" + id + "next];\n";
     event_ += "        e.schedule_self(" + B + ", 0, target - now);\n";
     case_close(event_);
     return;
   }
   if (k == "Constant") {
     const std::vector<double>& v = vec_of(b, "value");
-    members_ += "  static constexpr std::array<double, " + lit(v.size()) +
-                "> " + id + "value{";
-    for (std::size_t j = 0; j < v.size(); ++j) {
-      if (j) members_ += ", ";
-      members_ += lit(v[j]);
-    }
-    members_ += "};\n";
+    fixed_param(id + "value", b, v, v.size());
     case_open(compute_);
     compute_ += "        for (std::size_t j = 0; j < " + lit(v.size()) +
                 "; ++j) a[" + out_off(0) + " + j] = " + id + "value[j];\n";
@@ -243,48 +261,52 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "Step") {
+    const std::string t = real_param(id + "step_time", real_of(b, "step_time"));
+    const std::string y0 = real_param(id + "initial", real_of(b, "initial"));
+    const std::string y1 = real_param(id + "final", real_of(b, "final"));
     case_open(compute_);
-    compute_ += "        a[" + out_off(0) + "] = e.time() < " +
-                lit(real_of(b, "step_time")) + " ? " +
-                lit(real_of(b, "initial")) + " : " + lit(real_of(b, "final")) +
-                ";\n";
+    compute_ += "        a[" + out_off(0) + "] = e.time() < " + t + " ? " + y0 +
+                " : " + y1 + ";\n";
     case_close(compute_);
     return;
   }
   if (k == "Sine") {
+    const std::string f = real_param(id + "frequency", real_of(b, "frequency"));
+    const std::string amp = real_param(id + "amplitude", real_of(b, "amplitude"));
+    const std::string ph = real_param(id + "phase", real_of(b, "phase"));
+    const std::string bias = real_param(id + "bias", real_of(b, "bias"));
     case_open(compute_);
-    compute_ += "        const double w = 2.0 * std::numbers::pi * " +
-                lit(real_of(b, "frequency")) + ";\n";
-    compute_ += "        a[" + out_off(0) + "] = " +
-                lit(real_of(b, "amplitude")) + " * std::sin(w * e.time() + " +
-                lit(real_of(b, "phase")) + ") + " + lit(real_of(b, "bias")) +
-                ";\n";
+    compute_ += "        const double w = 2.0 * std::numbers::pi * " + f + ";\n";
+    compute_ += "        a[" + out_off(0) + "] = " + amp +
+                " * std::sin(w * e.time() + " + ph + ") + " + bias + ";\n";
     case_close(compute_);
     return;
   }
   if (k == "Pulse") {
+    const std::string period = real_param(id + "period", real_of(b, "period"));
+    const std::string duty = real_param(id + "duty", real_of(b, "duty"));
+    const std::string high = real_param(id + "high", real_of(b, "high"));
+    const std::string low = real_param(id + "low", real_of(b, "low"));
     case_open(compute_);
-    compute_ += "        const double ph = std::fmod(e.time(), " +
-                lit(real_of(b, "period")) + ");\n";
-    compute_ += "        a[" + out_off(0) + "] = ph < " +
-                lit(real_of(b, "duty")) + " * " + lit(real_of(b, "period")) +
-                " ? " + lit(real_of(b, "high")) + " : " +
-                lit(real_of(b, "low")) + ";\n";
+    compute_ += "        const double ph = std::fmod(e.time(), " + period + ");\n";
+    compute_ += "        a[" + out_off(0) + "] = ph < " + duty + " * " + period +
+                " ? " + high + " : " + low + ";\n";
     case_close(compute_);
     return;
   }
   if (k == "NoiseHold") {
-    init_ += "    a[" + out_off(0) + "] = " + lit(real_of(b, "mean")) + ";\n";
+    const std::string mean = real_param(id + "mean", real_of(b, "mean"));
+    const std::string sd = real_param(id + "stddev", real_of(b, "stddev"));
+    init_ += "    a[" + out_off(0) + "] = " + mean + ";\n";
     case_open(event_);
-    event_ += "        a[" + out_off(0) + "] = e.rng().normal(" +
-              lit(real_of(b, "mean")) + ", " + lit(real_of(b, "stddev")) +
-              ");\n";
+    event_ += "        a[" + out_off(0) + "] = e.rng().normal(" + mean + ", " +
+              sd + ");\n";
     event_ += "        e.emit(" + B + ", 0, 0.0);\n";
     case_close(event_);
     return;
   }
   if (k == "Gain") {
-    matrix_member(id + "k", b, "k");
+    matrix_param(id + "k", b, "k");
     case_open(compute_);
     compute_ += "        ma::multiply_into(std::span<double>(a + " +
                 out_off(0) + ", " + lit(out_slice(i, 0).width) + "), " + id +
@@ -295,7 +317,7 @@ void Emitter::emit_block(std::size_t i) {
   }
   if (k == "Sum") {
     const std::vector<double>& signs = vec_of(b, "signs");
-    if (signs.size() != b.in_widths.size()) bad(b, "signs/input count mismatch");
+    fixed_param(id + "signs", b, signs, b.in_widths.size());
     const std::size_t w = out_slice(i, 0).width;
     case_open(compute_);
     compute_ += "        double* y = a + " + out_off(0) + ";\n";
@@ -304,25 +326,26 @@ void Emitter::emit_block(std::size_t i) {
     for (std::size_t p = 0; p < signs.size(); ++p) {
       compute_ += "        { const double* u = a + " + in_off(p) +
                   "; for (std::size_t k = 0; k < " + lit(w) +
-                  "; ++k) y[k] += " + lit(signs[p]) + " * u[k]; }\n";
+                  "; ++k) y[k] += " + id + "signs[" + lit(p) + "] * u[k]; }\n";
     }
     case_close(compute_);
     return;
   }
   if (k == "Saturation") {
     const std::size_t w = in_slice(i, 0).width;
+    const std::string lo = real_param(id + "lo", real_of(b, "lo"));
+    const std::string hi = real_param(id + "hi", real_of(b, "hi"));
     case_open(compute_);
     compute_ += "        const double* u = a + " + in_off(0) +
                 "; double* y = a + " + out_off(0) + ";\n";
     compute_ += "        for (std::size_t k = 0; k < " + lit(w) +
-                "; ++k) y[k] = std::clamp(u[k], " + lit(real_of(b, "lo")) +
-                ", " + lit(real_of(b, "hi")) + ");\n";
+                "; ++k) y[k] = std::clamp(u[k], " + lo + ", " + hi + ");\n";
     case_close(compute_);
     return;
   }
   if (k == "Quantizer") {
     const std::size_t w = in_slice(i, 0).width;
-    const std::string step = lit(real_of(b, "step"));
+    const std::string step = real_param(id + "step", real_of(b, "step"));
     case_open(compute_);
     compute_ += "        const double* u = a + " + in_off(0) +
                 "; double* y = a + " + out_off(0) + ";\n";
@@ -359,13 +382,12 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "Integrator") {
-    const std::vector<double>& x0 = vec_of(b, "x0");
     const std::size_t n = b.state_size;
     const std::string S = lit(lay_.state_offset[i]);
+    fixed_param(id + "x0", b, vec_of(b, "x0"), n);
     init_ += "    { double* x = e.state_mut(" + S + ");\n";
-    for (std::size_t j = 0; j < n; ++j) {
-      init_ += "      x[" + lit(j) + "] = " + lit(x0[j]) + ";\n";
-    }
+    init_ += "      for (std::size_t k = 0; k < " + lit(n) + "; ++k) x[k] = " +
+             id + "x0[k];\n";
     init_ += "    }\n    compute(e, " + B + ");\n";
     case_open(compute_);
     compute_ += "        const double* x = e.state(" + S +
@@ -381,18 +403,16 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "StateSpaceCont") {
-    matrix_member(id + "a", b, "a");
-    matrix_member(id + "b", b, "b");
-    matrix_member(id + "c", b, "c");
-    matrix_member(id + "d", b, "d");
-    const std::vector<double>& x0 = vec_of(b, "x0");
+    matrix_param(id + "a", b, "a");
+    matrix_param(id + "b", b, "b");
+    matrix_param(id + "c", b, "c");
+    matrix_param(id + "d", b, "d");
     const std::size_t n = b.state_size;
     const std::string S = lit(lay_.state_offset[i]);
-    if (x0.size() != n) bad(b, "x0 size mismatch");
+    fixed_param(id + "x0", b, vec_of(b, "x0"), n);
     init_ += "    { double* x = e.state_mut(" + S + ");\n";
-    for (std::size_t j = 0; j < n; ++j) {
-      init_ += "      x[" + lit(j) + "] = " + lit(x0[j]) + ";\n";
-    }
+    init_ += "      for (std::size_t k = 0; k < " + lit(n) + "; ++k) x[k] = " +
+             id + "x0[k];\n";
     init_ += "    }\n    compute(e, " + B + ");\n";
     case_open(compute_);
     compute_ += "        std::span<double> y(a + " + out_off(0) + ", " +
@@ -416,20 +436,17 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "StateSpaceDisc") {
-    matrix_member(id + "a", b, "a");
-    matrix_member(id + "b", b, "b");
-    matrix_member(id + "c", b, "c");
-    matrix_member(id + "d", b, "d");
-    const std::vector<double>& x0 = vec_of(b, "x0");
+    // The discrete state lives outside the arena, so its size is private:
+    // matrices and x0 carry their dimensions in the parameter table.
+    matrix_param(id + "a", b, "a");
+    matrix_param(id + "b", b, "b");
+    matrix_param(id + "c", b, "c");
+    matrix_param(id + "d", b, "d");
+    vec_param(id + "x0", vec_of(b, "x0"));
     members_ += "  std::vector<double> " + id + "x;\n";
     members_ += "  std::vector<double> " + id + "next;\n";
-    init_ += "    " + id + "x = {";
-    for (std::size_t j = 0; j < x0.size(); ++j) {
-      if (j) init_ += ", ";
-      init_ += lit(x0[j]);
-    }
-    init_ += "};\n";
-    init_ += "    " + id + "next.assign(" + lit(x0.size()) + ", 0.0);\n";
+    init_ += "    " + id + "x = " + id + "x0;\n";
+    init_ += "    " + id + "next.assign(" + id + "x0.size(), 0.0);\n";
     init_ += "    { double* y = a + " + out_off(0) +
              "; for (std::size_t k = 0; k < " + lit(out_slice(i, 0).width) +
              "; ++k) y[k] = 0.0; }\n";
@@ -456,11 +473,13 @@ void Emitter::emit_block(std::size_t i) {
     init_ += "    " + id + "integral = 0.0; " + id + "deriv = 0.0; " + id +
              "prev = 0.0;\n";
     init_ += "    a[" + out_off(0) + "] = 0.0;\n";
-    const std::string kp = lit(real_of(b, "kp")), ki = lit(real_of(b, "ki")),
-                      kd = lit(real_of(b, "kd")), ts = lit(real_of(b, "ts")),
-                      nn = lit(real_of(b, "n")),
-                      umin = lit(real_of(b, "u_min")),
-                      umax = lit(real_of(b, "u_max"));
+    const std::string kp = real_param(id + "kp", real_of(b, "kp")),
+                      ki = real_param(id + "ki", real_of(b, "ki")),
+                      kd = real_param(id + "kd", real_of(b, "kd")),
+                      ts = real_param(id + "ts", real_of(b, "ts")),
+                      nn = real_param(id + "n", real_of(b, "n")),
+                      umin = real_param(id + "u_min", real_of(b, "u_min")),
+                      umax = real_param(id + "u_max", real_of(b, "u_max"));
     case_open(event_);
     event_ += "        const double err = a[" + in_off(0) + "];\n";
     event_ += "        " + id + "deriv = (" + kd + " * " + nn + " * (err - " +
@@ -484,13 +503,10 @@ void Emitter::emit_block(std::size_t i) {
   if (k == "UnitDelay") {
     const std::vector<double>& init = vec_of(b, "init");
     const std::size_t w = init.size();
+    fixed_param(id + "init", b, init, w);
     members_ += "  std::vector<double> " + id + "stored;\n";
-    init_ += "    " + id + "stored = {";
-    for (std::size_t j = 0; j < w; ++j) {
-      if (j) init_ += ", ";
-      init_ += lit(init[j]);
-    }
-    init_ += "};\n";
+    init_ += "    " + id + "stored.assign(" + id + "init.begin(), " + id +
+             "init.end());\n";
     init_ += "    { double* y = a + " + out_off(0) +
              "; for (std::size_t k = 0; k < " + lit(w) + "; ++k) y[k] = " + id +
              "stored[k]; }\n";
@@ -516,13 +532,10 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "SampleHold") {
-    const std::vector<double>& initial = vec_of(b, "initial");
     const std::size_t w = in_slice(i, 0).width;
-    if (initial.size() != w) bad(b, "initial size mismatch");
-    for (std::size_t j = 0; j < w; ++j) {
-      init_ += "    a[" + lit(out_slice(i, 0).offset + j) + "] = " +
-               lit(initial[j]) + ";\n";
-    }
+    fixed_param(id + "initial", b, vec_of(b, "initial"), w);
+    init_ += "    for (std::size_t k = 0; k < " + lit(w) + "; ++k) a[" +
+             out_off(0) + " + k] = " + id + "initial[k];\n";
     case_open(event_);
     event_ += "        const double* u = a + " + in_off(0) +
               "; double* y = a + " + out_off(0) + ";\n";
@@ -533,10 +546,13 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "Probe") {
+    // Periodic vs triggered recording is control flow (shape); the period
+    // itself is a parameter.
     const double period = real_of(b, "record_period");
     members_ += "  std::size_t " + id + "samples = 0;\n";
     init_ += "    " + id + "samples = 0;\n";
     if (period > 0.0) {
+      real_param(id + "period", period);
       init_ += "    e.schedule_self(" + B + ", 0, 0.0);\n";
     }
     case_open(event_);
@@ -545,7 +561,7 @@ void Emitter::emit_block(std::size_t i) {
               lit(in_slice(i, 0).width) + "));\n";
     event_ += "        ++" + id + "samples;\n";
     if (period > 0.0) {
-      event_ += "        e.schedule_self(" + B + ", 0, " + lit(period) + ");\n";
+      event_ += "        e.schedule_self(" + B + ", 0, " + id + "period);\n";
     }
     case_close(event_);
     return;
@@ -566,17 +582,48 @@ void Emitter::emit_block(std::size_t i) {
   if (k == "EventDelay") {
     members_ += "  double " + id + "busy = 0.0;\n";
     init_ += "    " + id + "busy = 0.0;\n";
-    const auto kind = static_cast<blocks::DurationSpec::Kind>(int_of(b, "dist"));
+    const long long tag = int_of(b, "dist");
+    using DK = blocks::DurationSpec::Kind;
     case_open(event_);
     event_ += "        const double now = e.time();\n";
     event_ += "        double start = now;\n";
     event_ += "        if (" + id + "busy > now) start = " + id + "busy;\n";
-    if (kind == blocks::DurationSpec::Kind::kConstant) {
+    if (static_cast<DK>(tag) == DK::kConstant) {
       // Constant samplers consume no RNG and were validated >= 0 at
-      // construction: fold to the literal.
-      event_ += "        const double d = " + lit(real_of(b, "value")) + ";\n";
+      // construction: a plain member, no sampler call.
+      real_param(id + "d", real_of(b, "value"));
+      event_ += "        const double d = " + id + "d;\n";
     } else {
-      members_ += "  bl::DurationSpec " + id + "spec = " + spec_expr(b) + ";\n";
+      // Which distribution, and its values, are parameters: the sampler is
+      // rebuilt at load through the same validated factories
+      // blocks::duration_from_attrs uses (rt::ParamReader::duration).
+      members_ += "  bl::DurationSpec " + id + "spec;\n";
+      load_ += "    " + id + "spec = rd.duration();\n";
+      params_.push_back(static_cast<double>(tag));
+      switch (static_cast<DK>(tag)) {
+        case DK::kUniform:
+          params_.push_back(real_of(b, "bcet"));
+          params_.push_back(real_of(b, "wcet"));
+          break;
+        case DK::kTruncatedNormal:
+          params_.push_back(real_of(b, "mean"));
+          params_.push_back(real_of(b, "stddev"));
+          params_.push_back(real_of(b, "bcet"));
+          params_.push_back(real_of(b, "wcet"));
+          break;
+        case DK::kShiftedUniform:
+          params_.push_back(real_of(b, "base"));
+          params_.push_back(real_of(b, "jitter"));
+          break;
+        case DK::kBranches:
+          push_vec(vec_of(b, "branch_wcets"));
+          params_.push_back(real_of(b, "bcet_fraction"));
+          params_.push_back(int_of(b, "random_branch") != 0 ? 1.0 : 0.0);
+          break;
+        default:
+          bad(b, "unregenerable duration distribution (tag " +
+                     std::to_string(tag) + ")");
+      }
       event_ += "        const double d = bl::sample_duration(" + id +
                 "spec, e.rng());\n";
       event_ +=
@@ -589,22 +636,22 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "TdmaGate") {
-    const std::string slot = lit(real_of(b, "slot"));
     // Owner slots (slots/owner attrs, omitted at the single-slot default):
-    // the grid becomes round = slots*slot offset by owner*slot. Folding the
-    // products here keeps the single-slot emission byte-identical to the
-    // pre-owner-slot generator.
+    // the grid becomes round = slots*slot offset by owner*slot. Whether an
+    // owner offset exists is control flow (shape); round and offset are
+    // parameters, folded here to the same doubles the interpreter computes.
     const double slot_v = real_of(b, "slot");
     const long long slots =
         b.find("slots") != nullptr ? int_of(b, "slots") : 1;
     const long long owner =
         b.find("owner") != nullptr ? int_of(b, "owner") : 0;
-    const std::string round =
-        slots > 1 ? lit(static_cast<double>(slots) * slot_v) : slot;
+    const std::string round = real_param(
+        id + "round", slots > 1 ? static_cast<double>(slots) * slot_v : slot_v);
     case_open(event_);
     event_ += "        const double now = e.time();\n";
     if (slots > 1) {
-      const std::string offset = lit(static_cast<double>(owner) * slot_v);
+      const std::string offset = real_param(
+          id + "offset", static_cast<double>(owner) * slot_v);
       event_ += "        const double kq = std::ceil((now - " + offset +
                 ") / " + round + " - 1e-9);\n";
       event_ += "        const double boundary = std::max(0.0, kq) * " +
@@ -630,37 +677,41 @@ void Emitter::emit_block(std::size_t i) {
     if (e.cols != 7 || e.vec.size() != e.rows * 7) {
       bad(b, "gate entries must be an n x 7 matrix");
     }
-    members_ += "  fa::CommGate " + id + "gate = [] {\n";
-    members_ += "    fa::CommGate g;\n";
-    members_ += "    g.seed = " +
-                std::to_string(static_cast<std::uint64_t>(int_of(b, "seed"))) +
-                "ULL;\n";
-    members_ += "    g.period = " + lit(real_of(b, "period")) + ";\n";
-    members_ += "    g.comm_index = " +
-                lit(static_cast<std::size_t>(int_of(b, "comm_index"))) + ";\n";
-    members_ += "    g.transfer_duration = " +
-                lit(real_of(b, "transfer_duration")) + ";\n";
-    members_ += "    g.entries.resize(" + lit(e.rows) + ");\n";
+    const auto seed = static_cast<std::uint64_t>(int_of(b, "seed"));
+    members_ += "  fa::CommGate " + id + "gate;\n";
+    load_ += "    " + id + "gate.seed = rd.u64();\n";
+    load_ += "    " + id + "gate.period = rd.real();\n";
+    load_ += "    " + id + "gate.comm_index = rd.index();\n";
+    load_ += "    " + id + "gate.transfer_duration = rd.real();\n";
+    load_ += "    " + id + "gate.entries.resize(rd.index());\n";
+    load_ += "    for (fa::CommGateEntry& g : " + id + "gate.entries) {\n";
+    load_ += "      g.fault = rd.index();\n";
+    load_ += "      g.kind = static_cast<fa::CommGateEntry::Kind>(rd.index(3));\n";
+    load_ += "      g.probability = rd.real();\n";
+    load_ += "      g.delay = rd.real();\n";
+    load_ += "      g.extra_copies = rd.index();\n";
+    load_ += "      g.t_start = rd.real();\n";
+    load_ += "      g.t_stop = rd.real();\n";
+    load_ += "    }\n";
+    params_.push_back(static_cast<double>(seed >> 32));
+    params_.push_back(static_cast<double>(seed & 0xffffffffULL));
+    params_.push_back(real_of(b, "period"));
+    params_.push_back(static_cast<double>(count_of(b, "comm_index")));
+    params_.push_back(real_of(b, "transfer_duration"));
+    params_.push_back(static_cast<double>(e.rows));
     for (std::size_t r = 0; r < e.rows; ++r) {
       const double* row = e.vec.data() + r * 7;
       const int kind_tag = static_cast<int>(row[1]);
       if (kind_tag < 0 || kind_tag > 2) bad(b, "gate entry has unknown kind");
-      const char* kind_name = kind_tag == 0   ? "kLoss"
-                              : kind_tag == 1 ? "kDelay"
-                                              : "kDuplicate";
-      const std::string ge = "    g.entries[" + lit(r) + "]";
-      members_ += ge + ".fault = " + lit(static_cast<std::size_t>(row[0])) +
-                  ";\n";
-      members_ += ge + ".kind = fa::CommGateEntry::Kind::" +
-                  std::string(kind_name) + ";\n";
-      members_ += ge + ".probability = " + lit(row[2]) + ";\n";
-      members_ += ge + ".delay = " + lit(row[3]) + ";\n";
-      members_ += ge + ".extra_copies = " +
-                  lit(static_cast<std::size_t>(row[4])) + ";\n";
-      members_ += ge + ".t_start = " + lit(row[5]) + ";\n";
-      members_ += ge + ".t_stop = " + lit(row[6]) + ";\n";
+      // Same conversions as blocks::comm_gate_from_attrs.
+      params_.push_back(static_cast<double>(static_cast<std::size_t>(row[0])));
+      params_.push_back(static_cast<double>(kind_tag));
+      params_.push_back(row[2]);
+      params_.push_back(row[3]);
+      params_.push_back(static_cast<double>(static_cast<std::size_t>(row[4])));
+      params_.push_back(row[5]);
+      params_.push_back(row[6]);
     }
-    members_ += "    return g;\n  }();\n";
     members_ += "  std::size_t " + id + "count = 0;\n";
     init_ += "    " + id + "count = 0;\n";
     case_open(event_);
@@ -671,13 +722,15 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "EventDivider") {
+    const std::size_t divisor = count_of(b, "divisor");
+    if (divisor == 0) bad(b, "divisor must be >= 1");
+    const std::string div = index_param(id + "divisor", divisor);
+    const std::string phase = index_param(id + "phase", count_of(b, "phase"));
     members_ += "  std::size_t " + id + "count = 0;\n";
     init_ += "    " + id + "count = 0;\n";
     case_open(event_);
-    event_ += "        if (" + id + "count % " +
-              lit(static_cast<std::size_t>(int_of(b, "divisor"))) + " == " +
-              lit(static_cast<std::size_t>(int_of(b, "phase"))) + ") e.emit(" +
-              B + ", 0, 0.0);\n";
+    event_ += "        if (" + id + "count % " + div + " == " + phase +
+              ") e.emit(" + B + ", 0, 0.0);\n";
     event_ += "        ++" + id + "count;\n";
     case_close(event_);
     return;
@@ -685,13 +738,12 @@ void Emitter::emit_block(std::size_t i) {
   bad(b, "unknown kind");
 }
 
-std::string Emitter::generate(const std::string& hash_hex) {
+NativeSource Emitter::generate() {
   out_.clear();
   out_ +=
       "// Generated by the ecsim native backend (DESIGN.md §3.6). DO NOT "
       "EDIT.\n";
   out_ += "// model: " + cstr(m_.name) + "\n";
-  out_ += "// ir hash: " + hash_hex + "\n";
   out_ += R"(#include <algorithm>
 #include <array>
 #include <cmath>
@@ -730,14 +782,7 @@ namespace bl = ecsim::blocks;
 namespace fa = ecsim::fault;
 namespace ma = ecsim::math;
 using ecsim::backend::rt::Engine;
-
-ma::Matrix make_matrix(std::size_t rows, std::size_t cols,
-                       std::initializer_list<double> row_major) {
-  ma::Matrix m(rows, cols);
-  std::size_t i = 0;
-  for (double v : row_major) m.data()[i++] = v;
-  return m;
-}
+using ecsim::backend::rt::ParamReader;
 
 struct Program {
 )";
@@ -779,7 +824,11 @@ struct Program {
   for (std::size_t i = 0; i < m_.blocks.size(); ++i) emit_block(i);
 
   out_ += members_;
-  out_ += "\n  void init(Engine<Program>& e) {\n";
+  out_ += "\n  void load(ParamReader& rd) {\n";
+  out_ += "    (void)rd;\n";
+  out_ += load_;
+  out_ += "  }\n\n";
+  out_ += "  void init(Engine<Program>& e) {\n";
   out_ += "    double* const a = e.arena();\n    (void)a;\n";
   out_ += init_;
   out_ += "  }\n\n";
@@ -805,8 +854,6 @@ struct Program {
   // ---- C ABI ---------------------------------------------------------------
   out_ += "extern \"C\" int ecsim_native_abi() { return " +
           std::to_string(kNativeAbiVersion) + "; }\n\n";
-  out_ += "extern \"C\" const char* ecsim_native_hash() { return " +
-          cstr(hash_hex) + "; }\n\n";
   out_ += R"(extern "C" int ecsim_native_run(
     const ecsim::backend::NativeRunOptions* o, void* trace,
     std::size_t* events_out, char* err, std::size_t errcap) {
@@ -837,14 +884,21 @@ struct Program {
   }
 }
 )";
-  return out_;
+  // The shape hash covers everything above — the whole module but its own
+  // hash symbol — so equal hashes mean byte-identical code.
+  NativeSource src;
+  src.shape_hash = hex64(fnv1a(out_));
+  out_ += "\nextern \"C\" const char* ecsim_native_hash() { return " +
+          cstr(src.shape_hash) + "; }\n";
+  src.text = std::move(out_);
+  src.params = std::move(params_);
+  return src;
 }
 
 }  // namespace
 
-std::string generate_native_source(const ir::Model& m) {
-  Emitter em(m);
-  return em.generate(ir::hash_hex(m));
+NativeSource generate_native_source(const ir::Model& m) {
+  return Emitter(m).generate();
 }
 
 }  // namespace ecsim::backend

@@ -1,8 +1,9 @@
 // Shared runtime for generated model modules (DESIGN.md §3.6). A generated
 // .cpp defines a `Program` — per-block parameters/state as members, the
-// layout tables from ir::LayoutIr as static constexpr arrays, and four
-// specialized entry points (init / compute / on_event / derivatives with
-// literal arena offsets) — and instantiates Engine<Program>.
+// layout tables from ir::LayoutIr as static constexpr arrays, a load() that
+// fills the parameter members from the host's parameter table (ABI v3), and
+// four specialized entry points (init / compute / on_event / derivatives
+// with literal arena offsets) — and instantiates Engine<Program>.
 //
 // Engine::run() is a line-by-line port of sim::Simulator::run() with the
 // legacy_* bench baselines removed (the dispatcher falls back to the
@@ -27,19 +28,138 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "backend/native_abi.hpp"
+#include "blocks/duration_spec.hpp"
+#include "mathlib/matrix.hpp"
 #include "mathlib/rng.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/integrator.hpp"
 #include "sim/trace.hpp"
 
 namespace ecsim::backend::rt {
+
+/// Cursor over the host's parameter table (ABI v3). A generated module's
+/// source depends only on the model's shape; every value private to a block
+/// (gains, periods, delays, matrices and their dimensions, initial discrete
+/// state, ...) arrives here, and Program::load() reads them back in the
+/// order the generator appended them (NativeSource::params). Every read is
+/// bounds-checked and run() requires the table to be consumed exactly, so a
+/// table built for another shape fails the run with a message instead of
+/// being misread.
+class ParamReader {
+ public:
+  ParamReader(const double* p, std::size_t n) : p_(p), n_(p != nullptr ? n : 0) {}
+
+  double real() {
+    if (pos_ >= n_) fail("read past its end");
+    return p_[pos_++];
+  }
+
+  /// A count, index or tag: integral, >= 0 and < `bound`.
+  std::size_t index(std::size_t bound = std::size_t{1} << 53) {
+    const double v = real();
+    if (!(v >= 0.0) || v >= static_cast<double>(bound) || v != std::floor(v)) {
+      fail("holds a bad index at slot " + std::to_string(pos_ - 1));
+    }
+    return static_cast<std::size_t>(v);
+  }
+
+  /// A 64-bit value stored as two exact 32-bit halves, high half first.
+  std::uint64_t u64() {
+    const std::uint64_t hi = index(std::size_t{1} << 32);
+    const std::uint64_t lo = index(std::size_t{1} << 32);
+    return (hi << 32) | lo;
+  }
+
+  /// Exactly N values (N is part of the shape).
+  template <std::size_t N>
+  void fill(std::array<double, N>& out) {
+    for (double& v : out) v = real();
+  }
+
+  /// A length-prefixed vector (the length is block-private).
+  void vec(std::vector<double>& out, std::size_t min_size = 0) {
+    const std::size_t n = index();
+    if (n < min_size || n > remaining()) fail("holds a bad vector length");
+    out.assign(p_ + pos_, p_ + pos_ + n);
+    pos_ += n;
+  }
+
+  /// A row-major matrix prefixed by its rows and columns.
+  void matrix(math::Matrix& out) {
+    const std::size_t rows = index();
+    const std::size_t cols = index();
+    if (cols != 0 && rows > remaining() / cols) {
+      fail("holds an oversized matrix");
+    }
+    out = math::Matrix(rows, cols);
+    std::copy(p_ + pos_, p_ + pos_ + rows * cols, out.data());
+    pos_ += rows * cols;
+  }
+
+  /// An EventDelay sampler: the DurationSpec::Kind tag, then the values of
+  /// the same validated factory blocks::duration_from_attrs calls.
+  blocks::DurationSpec duration() {
+    using K = blocks::DurationSpec::Kind;
+    switch (static_cast<K>(index())) {
+      case K::kConstant:
+        return blocks::constant_duration(real());
+      case K::kUniform: {
+        const double bcet = real();
+        return blocks::uniform_duration(bcet, real());
+      }
+      case K::kTruncatedNormal: {
+        const double mean = real();
+        const double stddev = real();
+        const double bcet = real();
+        return blocks::truncated_normal_duration(mean, stddev, bcet, real());
+      }
+      case K::kShiftedUniform: {
+        const double base = real();
+        return blocks::shifted_uniform_duration(base, real());
+      }
+      case K::kBranches: {
+        std::vector<double> wcets;
+        vec(wcets);
+        const double fraction = real();
+        return blocks::branch_duration(std::move(wcets), fraction,
+                                       index(2) != 0);
+      }
+      case K::kCustom:
+        break;
+    }
+    fail("holds an unknown duration distribution");
+  }
+
+  /// Called after Program::load(): the table must be consumed exactly.
+  void finish() const {
+    if (pos_ != n_) {
+      fail("has " + std::to_string(n_) + " values but the module reads " +
+           std::to_string(pos_));
+    }
+  }
+
+ private:
+  std::size_t remaining() const { return n_ - pos_; }
+
+  [[noreturn]] static void fail(const std::string& why) {
+    throw std::runtime_error(
+        "native model: parameter table does not fit the module: it " + why);
+  }
+
+  const double* p_;
+  std::size_t n_;
+  std::size_t pos_ = 0;
+};
 
 /// Event queue specialized for generated modules. Engine::emit/schedule_self
 /// compute an event's time as `eval_time_ + delay` where eval_time_ never
@@ -210,6 +330,12 @@ class Engine {
   void bind_trace(sim::Trace* t) { trace_ = t; }
 
   void run(const NativeRunOptions& o) {
+    // Block-private values first (ABI v3): a table that does not fit this
+    // module's shape fails the run before anything is simulated.
+    ParamReader params(o.params, o.n_params);
+    prog_.load(params);
+    params.finish();
+
     // Latch observability for this run: ids and instrument handles resolved
     // once (mirror of Simulator::init_obs + the per-run tracing latch), so
     // the hot paths below touch only cached ids and one-branch null tests.

@@ -3,7 +3,7 @@
 // or parsing an uploaded spec, running the adequation and generating the
 // executives — is done once per distinct model and kept hot across requests.
 // The native-backend module cache (PR 6) already persists compiled .so
-// modules on disk keyed by IR hash and memoizes dlopen handles per-process,
+// modules on disk keyed by shape and memoizes dlopen handles per-process,
 // so long-lived workers stay warm at that layer for free; this registry adds
 // the layers above it. Entries are identity-keyed (parameters / content
 // hash) and LRU-bounded at kMaxWarmEntries per kind: keys include the
