@@ -4,8 +4,10 @@
 #      in the CLI's usage text;
 #   2. every --flag used on a documented `ecsim_flow` command line exists
 #      in the usage text;
-#   3. every `SimOptions::member` / `VmOptions::member` referenced in the
-#      docs is still a member of the corresponding struct;
+#   3. every `SimOptions::member` / `VmOptions::member` /
+#      `AdequationOptions::member` referenced in the docs (plus DESIGN.md and
+#      EXPERIMENTS.md) is still a member of the corresponding struct, so
+#      deleted knobs cannot stay documented;
 #   4. contract flags (--batch, ...) exist in BOTH the usage text and at
 #      least one documented ecsim_flow command line — dropping either side
 #      fails, so flag docs cannot silently rot;
@@ -63,9 +65,10 @@ done
 declare -A HEADER=(
   [SimOptions]=src/sim/simulator.hpp
   [VmOptions]=src/exec/executive_vm.hpp
+  [AdequationOptions]=src/aaa/adequation.hpp
 )
-doc_refs=$(grep -rhoE "(SimOptions|VmOptions)::[a-zA-Z_]+" "${DOCS[@]}" |
-  sort -u || true)
+doc_refs=$(grep -rhoE "(SimOptions|VmOptions|AdequationOptions)::[a-zA-Z_]+" \
+  "${DOCS[@]}" DESIGN.md EXPERIMENTS.md | sort -u || true)
 for ref in $doc_refs; do
   struct="${ref%%::*}"
   member="${ref##*::}"

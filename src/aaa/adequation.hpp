@@ -12,7 +12,6 @@
 #include "aaa/schedule.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "par/task_pool.hpp"
 
 namespace ecsim::aaa {
 
@@ -39,17 +38,6 @@ struct AdequationOptions {
   /// aaa.comms_committed counters measuring how much work the heuristic did.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  /// Borrowed worker pool for the candidate-evaluation step (may be null =
-  /// serial). Per ready operation the best (processor, slot) placement is
-  /// scored against the *committed* timelines only, so the evaluations are
-  /// independent; the selection reduction stays serial in ascending
-  /// operation order, preserving the exact tie-break. The schedule is
-  /// bit-identical with and without a pool.
-  par::TaskPool* pool = nullptr;
-  /// Below this many simultaneously-ready operations the evaluation stays
-  /// serial even with a pool — fan-out overhead beats the win on small
-  /// frontiers.
-  std::size_t parallel_min_ready = 16;
 };
 
 /// Compute the static schedule. Throws std::runtime_error if some operation

@@ -59,10 +59,6 @@ template <class MakeIr>
 std::optional<RunResult> try_native(MakeIr&& make_ir, const RunOptions& o,
                                     std::string& reason,
                                     std::string& ir_hash_out) {
-  if (o.sim.legacy_integrator_alloc || o.sim.legacy_event_queue) {
-    reason = "legacy_baseline: legacy_* cost model requested";
-    return std::nullopt;
-  }
   const ir::Model* irm = nullptr;
   try {
     irm = make_ir();

@@ -5,7 +5,6 @@
 // why (also counted as backend.fallback.<category> in a MetricsRegistry).
 //
 // Fallback categories:
-//  - legacy_baseline: a legacy_* A/B cost model was requested;
 //  - disabled: ECSIM_NATIVE_DISABLE is set;
 //  - opaque: the model is not fully described (user closures in the IR);
 //  - codegen: the generator rejected the IR;

@@ -68,9 +68,7 @@ struct NativeObsTable {
 };
 
 /// POD mirror of the sim::SimOptions subset the native backend supports
-/// (the legacy_* bench baselines force interpreter fallback before this
-/// struct is ever built; observability rides along through `obs` since
-/// ABI v2).
+/// (observability rides along through `obs` since ABI v2).
 struct NativeRunOptions {
   double end_time = 1.0;
   int integrator_kind = 0;  // sim::IntegratorKind numeric value

@@ -760,10 +760,10 @@ NativeSource Emitter::generate() {
 #include "fault/comm_gate.hpp"
 #include "mathlib/matrix.hpp"
 
-// Unity-include the order-sensitive runtime kernels so -O3 inlines the event
-// queue, trace recording, RNG and integrator straight into the generated
-// engine loop — the main throughput win over the interpreter, whose calls to
-// the same kernels stay behind a TU boundary. The kernels are compiled from
+// Unity-include the order-sensitive runtime kernels so -O3 inlines trace
+// recording, RNG and integrator straight into the generated engine loop —
+// the main throughput win over the interpreter, whose calls to the same
+// kernels stay behind a TU boundary. The kernels are compiled from
 // the same sources with the same flags, and no FMA contraction is enabled,
 // so the arithmetic stays bit-identical to the interpreter's. The runtime
 // archive remains on the link line purely as a lazy fallback: every symbol
@@ -772,7 +772,6 @@ NativeSource Emitter::generate() {
 #include "fault/comm_gate.cpp"
 #include "mathlib/matrix.cpp"
 #include "mathlib/rng.cpp"
-#include "sim/event_queue.cpp"
 #include "sim/integrator.cpp"
 #include "sim/trace.cpp"
 

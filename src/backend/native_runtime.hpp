@@ -5,17 +5,16 @@
 // four specialized entry points (init / compute / on_event / derivatives
 // with literal arena offsets) — and instantiates Engine<Program>.
 //
-// Engine::run() is a line-by-line port of sim::Simulator::run() with the
-// legacy_* bench baselines removed (the dispatcher falls back to the
-// interpreter whenever those are requested). The observability hooks are
-// ported too (ABI v2): telemetry flows through the NativeRunOptions::obs
-// callback table at the exact points the interpreter instruments — per-run
-// span, integration segments, cone-refresh spans, per-event instants,
-// events/evals/queue-high-water/cone-size/evals-per-block metrics — so an
-// instrumented native run produces the same sim-domain trace records and
-// the same metrics values as an instrumented interpreter run. A null table
-// (or a disabled tracer) keeps the hot path at one pointer test per hook,
-// the same cost model as the interpreter's null/disabled instruments.
+// Engine::run() is a line-by-line port of sim::Simulator::run(). The
+// observability hooks are ported too (ABI v2): telemetry flows through the
+// NativeRunOptions::obs callback table at the exact points the interpreter
+// instruments — per-run span, integration segments, cone-refresh spans,
+// per-event instants, events/evals/queue-high-water/cone-size/
+// evals-per-block metrics — so an instrumented native run produces the same
+// sim-domain trace records and the same metrics values as an instrumented
+// interpreter run. A null table (or a disabled tracer) keeps the hot path at
+// one pointer test per hook, the same cost model as the interpreter's
+// null/disabled instruments.
 // Everything order-sensitive is either shared (the same same-instant lane,
 // the same sim::integrate() stepping the same workspace, the same math::Rng
 // and the same sim::Trace recording — unity-compiled into the module from

@@ -4,13 +4,18 @@
 // processed after the events already pending at that instant).
 //
 // Implementation: an explicit flat 4-ary min-heap over a contiguous vector
-// (DESIGN.md §3.4). Compared to the former std::priority_queue binary heap,
-// a 4-ary layout halves the sift depth, keeps each sift level inside one or
-// two cache lines of 32-byte elements, supports reserve() so steady-state
-// pushes never reallocate, clears in O(1), and drains same-instant ties in
-// one batched call instead of re-comparing the top per event. The pop order
-// is a total order on (time, seq), so any heap arity yields the identical
-// event sequence — property-tested against a std::priority_queue oracle.
+// (DESIGN.md §3.4). The 4-ary layout halves the sift depth of a binary heap,
+// keeps each sift level inside one or two cache lines, supports reserve() so
+// steady-state pushes never reallocate, clears in O(1), and drains
+// same-instant ties in one batched call instead of re-comparing the top per
+// event. The pop order is a total order on (time, seq), so any heap arity
+// yields the identical event sequence — property-tested against a
+// std::priority_queue oracle.
+//
+// The heap is a template over the event record so the scalar Simulator
+// (EventQueue = HeapQueue<ScheduledEvent>) and the SIMD BatchedSim
+// (HeapQueue<MaskedEvent>, one lane mask per entry) share one sift
+// implementation and therefore one tie order.
 #pragma once
 
 #include <algorithm>
@@ -30,39 +35,36 @@ struct ScheduledEvent {
   std::size_t event_in = 0;   // destination event input port
 };
 
-class EventQueue {
+/// 4-ary min-heap on (time, seq). `Ev` is an aggregate whose leading
+/// members are `Time time; std::uint64_t seq; std::size_t block;
+/// std::size_t event_in;`, optionally followed by payload members that
+/// push() forwards in declaration order.
+template <class Ev>
+class HeapQueue {
  public:
-  /// Heap discipline. kQuad is the production path; kLegacyBinary restores
-  /// the std::push_heap/std::pop_heap binary heap that std::priority_queue
-  /// used, kept only as the bench_p4 A/B baseline and the property-test
-  /// oracle. Both produce the same pop sequence.
-  enum class Impl { kQuad, kLegacyBinary };
-
-  // push/pop/pop_simultaneous are defined inline below: they run once (or
-  // once per tie) per dispatched event, and an out-of-line call per event is
-  // measurable at the tens-of-millions-events/s the engine sustains. The
-  // legacy binary mode deliberately routes through out-of-line *_legacy
-  // calls defined in event_queue.cpp — the former std::priority_queue
-  // implementation lived behind exactly such opaque per-event calls, and the
-  // A/B baseline has to reproduce that cost model, not just the heap shape.
-  void push(Time t, std::size_t block, std::size_t event_in) {
-    if (impl_ == Impl::kLegacyBinary) {
-      push_legacy(t, block, event_in);
-      return;
-    }
-    heap_.push_back(ScheduledEvent{t, next_seq_++, block, event_in});
+  // push/pop/pop_simultaneous are defined inline: they run once (or once
+  // per tie) per dispatched event, and an out-of-line call per event is
+  // measurable at the tens-of-millions-events/s the engine sustains.
+  template <class... Payload>
+  void push(Time t, std::size_t block, std::size_t event_in,
+            Payload... payload) {
+    heap_.push_back(Ev{t, next_seq_++, block, event_in, payload...});
     sift_up(heap_.size() - 1);
   }
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
+  /// Earliest pending event; queue must be non-empty.
+  const Ev& front() const {
+    if (heap_.empty()) throw std::logic_error("EventQueue::front: empty");
+    return heap_.front();
+  }
   /// Earliest pending event time; queue must be non-empty.
   Time next_time() const {
-    if (impl_ == Impl::kLegacyBinary) return next_time_legacy();
     if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
     return heap_.front().time;
   }
   /// Remove and return the earliest event (FIFO among ties).
-  ScheduledEvent pop() {
+  Ev pop() {
     if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
     return pop_top();
   }
@@ -74,7 +76,7 @@ class EventQueue {
   /// strict total order; events emitted with zero delay *during* dispatch of
   /// a batch get larger seq values and therefore land in a later batch —
   /// identical order to popping one event at a time.
-  std::size_t pop_simultaneous(std::vector<ScheduledEvent>& out) {
+  std::size_t pop_simultaneous(std::vector<Ev>& out) {
     if (heap_.empty())
       throw std::logic_error("EventQueue::pop_simultaneous: empty");
     const Time t = heap_.front().time;
@@ -93,31 +95,23 @@ class EventQueue {
   /// Drop all pending events and reset the FIFO sequence counter. O(1):
   /// keeps the backing capacity, so a cleared queue re-fills without
   /// allocating (regression-tested on a 1e6-event queue).
-  void clear();
+  void clear() {
+    heap_.clear();
+    next_seq_ = 0;
+  }
   /// Pre-size the backing vector so steady-state pushes never reallocate.
   void reserve(std::size_t n) { heap_.reserve(n); }
   std::size_t capacity() const { return heap_.capacity(); }
 
-  void set_impl(Impl impl);
-  Impl impl() const { return impl_; }
-
  private:
-  /// Orders the earliest (time, seq) to the top. Also the comparator
-  /// std::push_heap/std::pop_heap use in the legacy binary mode (they build
-  /// a max-heap, so "later" puts the minimum at the front) — exactly the
-  /// functor the former std::priority_queue used.
-  struct Later {
-    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  static bool later(const ScheduledEvent& a, const ScheduledEvent& b) {
-    return Later{}(a, b);
+  /// a should pop after b.
+  static bool later(const Ev& a, const Ev& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
   }
 
   void sift_up(std::size_t i) {
-    ScheduledEvent ev = heap_[i];
+    const Ev ev = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
       if (!later(heap_[parent], ev)) break;
@@ -129,7 +123,7 @@ class EventQueue {
 
   void sift_down(std::size_t i) {
     const std::size_t n = heap_.size();
-    ScheduledEvent ev = heap_[i];
+    const Ev ev = heap_[i];
     for (;;) {
       const std::size_t first_child = 4 * i + 1;
       if (first_child >= n) break;
@@ -145,25 +139,18 @@ class EventQueue {
     heap_[i] = ev;
   }
 
-  ScheduledEvent pop_top() {
-    if (impl_ == Impl::kLegacyBinary) return pop_legacy();
-    ScheduledEvent ev = heap_.front();
+  Ev pop_top() {
+    Ev ev = heap_.front();
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);
     return ev;
   }
 
-  // Out-of-line legacy-binary operations (event_queue.cpp): reproduce the
-  // opaque-call-per-event cost model of the former std::priority_queue
-  // implementation for the bench A/B baseline.
-  void push_legacy(Time t, std::size_t block, std::size_t event_in);
-  ScheduledEvent pop_legacy();
-  Time next_time_legacy() const;
-
-  std::vector<ScheduledEvent> heap_;
+  std::vector<Ev> heap_;
   std::uint64_t next_seq_ = 0;
-  Impl impl_ = Impl::kQuad;
 };
+
+using EventQueue = HeapQueue<ScheduledEvent>;
 
 }  // namespace ecsim::sim

@@ -8,13 +8,7 @@ namespace ecsim::sim {
 
 namespace {
 
-// The stage kernels are templated on the callable so each path keeps its
-// own dispatch cost: the hot path instantiates with DerivRef (bare indirect
-// call), the legacy bench baseline with const DerivFn& (std::function, as
-// the pre-workspace code had). The arithmetic is shared — one source of
-// truth keeps the two paths bit-identical.
-template <typename Fn>
-void rk4_step(const Fn& dxdt, Time t, double h, std::vector<double>& x,
+void rk4_step(DerivRef dxdt, Time t, double h, std::vector<double>& x,
               std::vector<double>& k1, std::vector<double>& k2,
               std::vector<double>& k3, std::vector<double>& k4,
               std::vector<double>& tmp) {
@@ -67,8 +61,7 @@ double step_factor(double err) {
 /// One RKF45 embedded step: six stages from state `x` at time `t` with step
 /// `h`. Writes the 5th-order solution into `x5` and returns the max scaled
 /// discrepancy between the embedded 4th and 5th order solutions.
-template <typename Fn>
-double rkf45_stages(const IntegratorOptions& opts, const Fn& dxdt, Time t,
+double rkf45_stages(const IntegratorOptions& opts, DerivRef dxdt, Time t,
                     double h, const std::vector<double>& x,
                     std::vector<double>& k1, std::vector<double>& k2,
                     std::vector<double>& k3, std::vector<double>& k4,
@@ -120,42 +113,9 @@ void integrate_rkf45(const IntegratorOptions& opts, DerivRef dxdt, Time t0,
     // alternative is retrying the same h forever). Tests pin this branch.
     if (err <= 1.0 || h <= opts.min_step) {
       t += h;
-      // The 5th-order solution becomes the state by swapping buffers — the
-      // legacy path copied x = x5 element-wise. Same values, no traffic.
+      // The 5th-order solution becomes the state by swapping buffers rather
+      // than copying x = x5 element-wise. Same values, no traffic.
       std::swap(x, ws.x5);
-    }
-    h *= std::clamp(step_factor(err), 0.2, 5.0);
-    h = std::clamp(h, opts.min_step, opts.max_step);
-  }
-}
-
-// ---- legacy allocating path (bench A/B baseline; see header) --------------
-
-void integrate_rk4_legacy(const IntegratorOptions& opts, const DerivFn& dxdt,
-                          Time t0, Time t1, std::vector<double>& x) {
-  const std::size_t n = x.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  Time t = t0;
-  while (t < t1) {
-    const double h = std::min(opts.max_step, t1 - t);
-    rk4_step(dxdt, t, h, x, k1, k2, k3, k4, tmp);
-    t += h;
-  }
-}
-
-void integrate_rkf45_legacy(const IntegratorOptions& opts, const DerivFn& dxdt,
-                            Time t0, Time t1, std::vector<double>& x) {
-  const std::size_t n = x.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), k5(n), k6(n), tmp(n), x5(n);
-  Time t = t0;
-  double h = std::min(opts.max_step, t1 - t0);
-  while (t < t1) {
-    h = std::min(h, t1 - t);
-    const double err =
-        rkf45_stages(opts, dxdt, t, h, x, k1, k2, k3, k4, k5, k6, tmp, x5);
-    if (err <= 1.0 || h <= opts.min_step) {
-      t += h;
-      x = x5;
     }
     h *= std::clamp(step_factor(err), 0.2, 5.0);
     h = std::clamp(h, opts.min_step, opts.max_step);
@@ -187,20 +147,6 @@ void integrate(const IntegratorOptions& opts, DerivRef dxdt, Time t0, Time t1,
                std::vector<double>& x) {
   IntegratorWorkspace ws;
   integrate(opts, dxdt, t0, t1, x, ws);
-}
-
-void integrate_legacy_alloc(const IntegratorOptions& opts, const DerivFn& dxdt,
-                            Time t0, Time t1, std::vector<double>& x) {
-  check_interval(t0, t1);
-  if (x.empty() || t1 == t0) return;
-  switch (opts.kind) {
-    case IntegratorKind::kRk4:
-      integrate_rk4_legacy(opts, dxdt, t0, t1, x);
-      break;
-    case IntegratorKind::kRkf45:
-      integrate_rkf45_legacy(opts, dxdt, t0, t1, x);
-      break;
-  }
 }
 
 }  // namespace ecsim::sim

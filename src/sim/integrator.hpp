@@ -81,13 +81,4 @@ void integrate(const IntegratorOptions& opts, DerivRef dxdt, Time t0, Time t1,
 void integrate(const IntegratorOptions& opts, DerivRef dxdt, Time t0, Time t1,
                std::vector<double>& x);
 
-/// Bench-only A/B baseline: the pre-workspace path that allocates every
-/// stage buffer per call, dispatches through std::function and copies
-/// x = x5 on each accepted RKF45 step. Kept so bench_p4_hotpath can measure
-/// the optimisation against the real legacy cost inside one binary
-/// (SimOptions::legacy_integrator_alloc routes here). Bit-identical results
-/// to integrate() — asserted by the hot-path equivalence property test.
-void integrate_legacy_alloc(const IntegratorOptions& opts, const DerivFn& dxdt,
-                            Time t0, Time t1, std::vector<double>& x);
-
 }  // namespace ecsim::sim

@@ -195,8 +195,6 @@ Trace& Simulator::run() {
   queue_.clear();
   lane_.clear();
   lane_active_ = false;
-  queue_.set_impl(opts_.legacy_event_queue ? EventQueue::Impl::kLegacyBinary
-                                           : EventQueue::Impl::kQuad);
   if (opts_.reserve_queue > 0) queue_.reserve(opts_.reserve_queue);
   iws_.resize(compiled_.total_state());
   trace_.clear();
@@ -220,7 +218,6 @@ Trace& Simulator::run() {
   // unchanged across the indirect on_event/compute_outputs calls.
   const bool tracing = obs_.tracing;
   const bool full_refresh = opts_.full_refresh;
-  const bool legacy_queue = opts_.legacy_event_queue;
   const std::size_t max_events = opts_.max_events;
   obs::Gauge* const queue_hwm = obs_.queue_hwm;
   obs::Counter* const ev_counter = obs_.events;
@@ -237,23 +234,11 @@ Trace& Simulator::run() {
         const double span_t0 =
             obs_.tracing ? opts_.tracer->now_us() : 0.0;
         in_integration_ = true;
-        if (opts_.legacy_integrator_alloc) {
-          // Bench baseline: std::function built per interval, per-call stage
-          // buffers inside — the pre-workspace cost model.
-          const DerivFn deriv = [this](Time t, const std::vector<double>& x,
-                                       std::vector<double>& dx) {
-            evaluate_derivatives(t, x, dx);
-          };
-          integrate_legacy_alloc(opts_.integrator, deriv, time_, t_next, x_);
-        } else {
-          integrate(
-              opts_.integrator,
-              [this](Time t, const std::vector<double>& x,
-                     std::vector<double>& dx) {
-                evaluate_derivatives(t, x, dx);
-              },
-              time_, t_next, x_, iws_);
-        }
+        integrate(
+            opts_.integrator,
+            [this](Time t, const std::vector<double>& x,
+                   std::vector<double>& dx) { evaluate_derivatives(t, x, dx); },
+            time_, t_next, x_, iws_);
         in_integration_ = false;
         active_x_ = x_.data();
         if (obs_.tracing) {
@@ -268,20 +253,13 @@ Trace& Simulator::run() {
     if (queue_hwm != nullptr) {
       queue_hwm->max_of(static_cast<double>(queue_.size()));
     }
+    // Drain every event tied at this instant in one batched pop instead of
+    // re-comparing the heap top per event. Dispatch order is unchanged: ties
+    // pop in FIFO seq order, and zero-delay emissions made *during* this
+    // batch go to the same-instant lane below, after the whole batch —
+    // exactly where one-at-a-time popping would have placed them.
     batch_.clear();
-    if (legacy_queue) {
-      // Pre-PR-4 cost model: one event per main-loop pass, re-comparing the
-      // heap top (and re-taking every branch above) for each tie. Dispatch
-      // order is identical — only the per-event overhead differs.
-      batch_.push_back(queue_.pop());
-    } else {
-      // Drain every event tied at this instant in one batched pop instead of
-      // re-comparing the heap top per event. Dispatch order is unchanged:
-      // ties pop in FIFO seq order, and zero-delay emissions made *during*
-      // this batch carry higher seq values, so they form the next batch —
-      // exactly where one-at-a-time popping would have placed them.
-      queue_.pop_simultaneous(batch_);
-    }
+    queue_.pop_simultaneous(batch_);
     const auto dispatch_one = [&](const ScheduledEvent& e) {
       trace_.record_event(e.time, e.block, e.event_in);
       if (tracing) {
@@ -303,11 +281,10 @@ Trace& Simulator::run() {
         opts_.tracer->span(obs_.n_cone, obs_.trk_runtime, span_t0,
                            opts_.tracer->now_us(), obs_.a_cone_size,
                            static_cast<double>(cone.size()));
-      } else if (!cone.empty() || legacy_queue) {
+      } else if (!cone.empty()) {
         // Empty cones (pure event-plumbing blocks) skip the call outright —
         // observably identical, and most events in delay-chain workloads
-        // have nothing to refresh. The legacy cost model keeps the seed's
-        // unconditional call.
+        // have nothing to refresh.
         refresh_blocks(cone, time_);
       }
       if (cone_sizes != nullptr) {
@@ -318,7 +295,7 @@ Trace& Simulator::run() {
             "Simulator: max_events exceeded (runaway loop?)");
       }
     };
-    lane_active_ = !legacy_queue;
+    lane_active_ = true;
     for (const ScheduledEvent& e : batch_) dispatch_one(e);
     // Zero-delay cascades landed in the lane instead of the heap (the
     // heap's ties at this instant are already drained, so append order is

@@ -59,19 +59,6 @@ struct SimOptions {
   /// events (typically the number of periodic sources x fan-out, not the
   /// total event count). 0 keeps whatever capacity the queue has.
   std::size_t reserve_queue = 0;
-  /// Bench-only A/B baselines (DESIGN.md §3.4). legacy_integrator_alloc
-  /// routes inter-event integration through integrate_legacy_alloc (per-call
-  /// stage buffers, std::function dispatch, x = x5 copies);
-  /// legacy_event_queue puts EventQueue in the std::priority_queue-equivalent
-  /// binary-heap mode (out-of-line call per operation, as the former
-  /// implementation was), pops one event per main-loop pass instead of
-  /// draining simultaneous ties in a batch, and keeps the seed's
-  /// unconditional cone refresh on empty cones. Both produce bit-identical
-  /// traces to the default hot path — asserted by the equivalence property
-  /// test — and exist so bench_p4_hotpath can measure the optimisation
-  /// inside one binary.
-  bool legacy_integrator_alloc = false;
-  bool legacy_event_queue = false;
   /// Observability (both borrowed, may be null; see DESIGN.md §3.2). The
   /// tracer receives wall-clock spans (compile, integration segments, cone
   /// refreshes) and sim-time instants (event dispatches, incl. S/H
@@ -153,8 +140,7 @@ class Simulator : private ExecHost {
   /// (lane_active_), zero-delay emissions are appended here instead of
   /// round-tripping through the heap — the heap's ties at this instant were
   /// already fully drained, so append order equals the seq order the heap
-  /// would have assigned. Drained to empty before sim time advances;
-  /// disabled in the legacy_event_queue cost model.
+  /// would have assigned. Drained to empty before sim time advances.
   std::vector<ScheduledEvent> lane_;
   bool lane_active_ = false;
 

@@ -8,67 +8,6 @@
 
 namespace ecsim::sim {
 
-// ---- MaskedQueue -------------------------------------------------------------
-// The scalar EventQueue's quad heap (sim/event_queue.hpp) with a lane mask
-// per entry. (time, seq) stays a strict total order: each lane's entries pop
-// in exactly the relative order its scalar run would pop them, because a
-// lane's pushes happen in the same per-lane order under the batched driver
-// and the shared seq counter is monotone over pushes.
-
-void BatchedSim::MaskedQueue::push(Time t, std::size_t block,
-                                   std::size_t event_in, std::uint64_t mask) {
-  heap_.push_back(MaskedEvent{t, next_seq_++, block, event_in, mask});
-  std::size_t i = heap_.size() - 1;
-  const MaskedEvent ev = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    const MaskedEvent& p = heap_[parent];
-    const bool p_later =
-        p.time != ev.time ? p.time > ev.time : p.seq > ev.seq;
-    if (!p_later) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = ev;
-}
-
-void BatchedSim::MaskedQueue::sift_down(std::size_t i) {
-  const auto is_later = [](const MaskedEvent& a, const MaskedEvent& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  };
-  const std::size_t n = heap_.size();
-  const MaskedEvent ev = heap_[i];
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (is_later(heap_[best], heap_[c])) best = c;
-    }
-    if (!is_later(ev, heap_[best])) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = ev;
-}
-
-BatchedSim::MaskedEvent BatchedSim::MaskedQueue::pop_top() {
-  MaskedEvent ev = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  return ev;
-}
-
-void BatchedSim::MaskedQueue::pop_simultaneous(std::vector<MaskedEvent>& out) {
-  const Time t = heap_.front().time;
-  do {
-    out.push_back(pop_top());
-  } while (!heap_.empty() && heap_.front().time == t);
-}
-
 // ---- Lane --------------------------------------------------------------------
 // One trial's run state plus its ExecHost face: Context calls made by Block
 // code during this lane's turn resolve against this lane's arena/state/rng/
@@ -135,13 +74,11 @@ BatchedSim::BatchedSim(const ModelFactory& factory, BatchedOptions opts)
   if (w == 0 || w > 64) {
     throw std::invalid_argument("BatchedSim: width must be in [1, 64]");
   }
-  // Obs hooks and bench cost models are scalar-driver concerns; the batched
-  // driver (and its spill reruns) run bare so lane traces depend on nothing
-  // but (model, base options, seed).
+  // Obs hooks are scalar-driver concerns; the batched driver (and its spill
+  // reruns) run bare so lane traces depend on nothing but (model, base
+  // options, seed).
   opts_.base.tracer = nullptr;
   opts_.base.metrics = nullptr;
-  opts_.base.legacy_integrator_alloc = false;
-  opts_.base.legacy_event_queue = false;
 
   lanes_.reserve(w);
   for (std::size_t l = 0; l < w; ++l) {
@@ -701,7 +638,7 @@ void BatchedSim::run(std::span<const std::uint64_t> seeds) {
     // Entries owned solely by evicted lanes are dead — drop them before
     // reading the next event time.
     while (!queue_.empty() && (queue_.front().mask & live_mask_) == 0) {
-      queue_.pop_top();
+      queue_.pop();
     }
     Time t_next = t_end;
     bool have_event = false;

@@ -40,12 +40,21 @@
 
 namespace ecsim::sim {
 
+/// A scheduled activation shared by every lane whose bit is set in `mask`.
+struct MaskedEvent {
+  Time time;
+  std::uint64_t seq;
+  std::size_t block;
+  std::size_t event_in;
+  std::uint64_t mask;
+};
+
 struct BatchedOptions {
   /// Per-trial options (horizon, integrator, refresh mode, reserves). The
   /// seed field is ignored — seeds are per-lane arguments to run(). The
-  /// obs hooks (tracer/metrics) and the legacy_* bench cost models are not
-  /// routed into the batched driver; spill-lane reruns drop them too so a
-  /// spilled trial stays bit-identical to its lockstep siblings.
+  /// obs hooks (tracer/metrics) are not routed into the batched driver;
+  /// spill-lane reruns drop them too so a spilled trial stays bit-identical
+  /// to its lockstep siblings.
   SimOptions base;
   /// Number of lanes; 0 picks simd::preferred_batch_width(). Capped at 64
   /// (masks are one uint64_t).
@@ -86,15 +95,6 @@ class BatchedSim {
  private:
   struct Lane;  // per-lane ExecHost: arena, state, rng, trace (in the .cpp)
 
-  /// A scheduled activation shared by every lane whose bit is set in `mask`.
-  struct MaskedEvent {
-    Time time;
-    std::uint64_t seq;
-    std::size_t block;
-    std::size_t event_in;
-    std::uint64_t mask;
-  };
-
   /// One pending emission collected from a lane during dispatch, already
   /// sink-expanded and in absolute time (future emissions and same-instant
   /// cascades both). Compared across lanes — streamed against the first
@@ -114,31 +114,6 @@ class BatchedSim {
     std::size_t block;
     std::size_t event_in;
     std::uint64_t mask;
-  };
-
-  /// The scalar EventQueue's flat 4-ary heap with a mask per entry; same
-  /// (time, seq) FIFO tie order, so each lane's subsequence pops in exactly
-  /// the order its scalar run would.
-  class MaskedQueue {
-   public:
-    bool empty() const { return heap_.empty(); }
-    Time next_time() const { return heap_.front().time; }
-    const MaskedEvent& front() const { return heap_.front(); }
-    void reserve(std::size_t n) { heap_.reserve(n); }
-    void clear() {
-      heap_.clear();
-      next_seq_ = 0;
-    }
-    void push(Time t, std::size_t block, std::size_t event_in,
-              std::uint64_t mask);
-    MaskedEvent pop_top();
-    /// Pop every entry tied at the front time, in (time, seq) order.
-    void pop_simultaneous(std::vector<MaskedEvent>& out);
-
-   private:
-    void sift_down(std::size_t i);
-    std::vector<MaskedEvent> heap_;
-    std::uint64_t next_seq_ = 0;
   };
 
   void lane_collect(std::size_t lane, Time at, std::size_t block,
@@ -178,7 +153,11 @@ class BatchedSim {
   std::size_t cmp_pos_ = 0;
   std::uint64_t matched_mask_ = 0;
   std::uint64_t diverged_mask_ = 0;
-  MaskedQueue queue_;
+  /// The scalar EventQueue's heap with a mask per entry. Each lane's entries
+  /// pop in exactly the relative order its scalar run would pop them: a
+  /// lane's pushes happen in the same per-lane order under the batched
+  /// driver, and the shared seq counter is monotone over pushes.
+  HeapQueue<MaskedEvent> queue_;
   std::vector<MaskedEvent> batch_;    // pop_simultaneous output, reused
   std::vector<InstEntry> instant_q_;  // current instant's work list, reused
   std::vector<EventRecord> run_records_;  // uniform run's records, reused

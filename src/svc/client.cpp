@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -65,21 +67,49 @@ bool Client::request(const Request& req, Fields& reply, ResponseMeta& meta) {
   return true;
 }
 
+bool Client::fail(std::string reason) {
+  err_ = std::move(reason);
+  return false;
+}
+
 namespace {
 
+/// Round-trip `req` and split the reply's units field into one payload per
+/// requested unit.
 bool unit_payloads(Client& client, const Request& req, ResponseMeta& meta,
-                   std::vector<std::string>& blobs, std::string& err) {
+                   std::vector<std::string>& blobs) {
   Fields reply;
-  if (!client.request(req, reply, meta)) {
-    err = client.last_error();
-    return false;
-  }
+  if (!client.request(req, reply, meta)) return false;
   const std::string* units = reply.get("units");
-  if (units == nullptr || !decode_blob_list(*units, blobs) ||
-      blobs.size() != req.units()) {
-    err = "malformed units payload";
-    return false;
+  if (units == nullptr) return client.fail("reply has no units field");
+  if (!decode_blob_list(*units, blobs)) {
+    return client.fail("malformed units payload");
   }
+  if (blobs.size() != req.units()) {
+    return client.fail("units payload has " + std::to_string(blobs.size()) +
+                       " units, expected " + std::to_string(req.units()));
+  }
+  return true;
+}
+
+bool bad_unit(Client& client, std::size_t i, std::size_t n) {
+  return client.fail("cannot decode unit " + std::to_string(i) + " of " +
+                     std::to_string(n));
+}
+
+/// Request + decode every unit as a Cell; `cells` is untouched on failure.
+template <class Cell>
+bool remote_cells(Client& client, const Request& req,
+                  std::vector<Cell>& cells, ResponseMeta& meta) {
+  std::vector<std::string> blobs;
+  if (!unit_payloads(client, req, meta, blobs)) return false;
+  std::vector<Cell> out(blobs.size());
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    if (!decode_cell(blobs[i], out[i])) {
+      return bad_unit(client, i, blobs.size());
+    }
+  }
+  cells = std::move(out);
   return true;
 }
 
@@ -87,55 +117,26 @@ bool unit_payloads(Client& client, const Request& req, ResponseMeta& meta,
 
 bool remote_sweep(Client& client, const Request& req,
                   std::vector<sweep::SweepCell>& cells, ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::SweepCell> out(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], out[i])) return false;
-  }
-  cells = std::move(out);
-  return true;
+  return remote_cells(client, req, cells, meta);
 }
 
 bool remote_fault_sweep(Client& client, const Request& req,
                         std::vector<sweep::FaultCell>& cells,
                         ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::FaultCell> out(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], out[i])) return false;
-  }
-  cells = std::move(out);
-  return true;
+  return remote_cells(client, req, cells, meta);
 }
 
 bool remote_network_sweep(Client& client, const Request& req,
                           std::vector<sweep::NetworkCell>& cells,
                           ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::NetworkCell> out(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], out[i])) return false;
-  }
-  cells = std::move(out);
-  return true;
+  return remote_cells(client, req, cells, meta);
 }
 
 bool remote_fault_mc(Client& client, const Request& req,
                      sweep::FaultMonteCarloResult& result,
                      ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::FaultCell> cells(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], cells[i])) return false;
-  }
+  std::vector<sweep::FaultCell> cells;
+  if (!remote_cells(client, req, cells, meta)) return false;
   result = sweep::summarize_fault_trials(std::move(cells), req.loss);
   return true;
 }
@@ -143,10 +144,11 @@ bool remote_fault_mc(Client& client, const Request& req,
 bool remote_vm_mc(Client& client, const Request& req,
                   sweep::MonteCarloResult& result, ResponseMeta& meta) {
   std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
+  if (!unit_payloads(client, req, meta, blobs)) return false;
   sweep::MonteCarloResult out;
-  if (blobs.size() != 1 || !decode_mc(blobs[0], out)) return false;
+  if (blobs.size() != 1 || !decode_mc(blobs[0], out)) {
+    return bad_unit(client, 0, blobs.size());
+  }
   result = std::move(out);
   return true;
 }

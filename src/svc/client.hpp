@@ -35,6 +35,9 @@ class Client {
   bool request(const Request& req, Fields& reply, ResponseMeta& meta);
 
   const std::string& last_error() const { return err_; }
+  /// Record a client-side failure (e.g. a reply that does not decode) as
+  /// last_error(). Always returns false, for `return client.fail(...)`.
+  bool fail(std::string reason);
 
  private:
   int fd_ = -1;

@@ -1,98 +1,193 @@
-// Properties of the PR-4 hot path (DESIGN.md §3.4).
+// Properties of the event queues (DESIGN.md §3.4, §3.6, §3.8).
 //
-// 1. The flat 4-ary EventQueue is a drop-in replacement for the original
-//    std::priority_queue: under random interleaved push/pop sequences it
-//    must yield the exact same (time, seq) order — in particular the FIFO
-//    tie-break among simultaneous events — in both the quaternary and the
-//    legacy-binary heap mode.
-// 2. The allocation-free steady state (workspace integrator + batched
-//    queue) is purely an implementation change: for random hybrid block
-//    diagrams the traces must be bit-identical to the legacy allocating
-//    paths (SimOptions::legacy_integrator_alloc / legacy_event_queue).
+// Every queue the engines pop from — the scalar EventQueue, the SIMD
+// driver's HeapQueue<MaskedEvent> and the native modules' LaneQueue — must
+// pop exactly what a std::priority_queue over (time, seq) pops, with seq
+// breaking ties first-in-first-out. Two traffic shapes:
+//  - scattered times under random interleaved push/pop, which keeps far
+//    more than LaneQueue::kMaxLanes decreasing runs open and so drives
+//    LaneQueue into its heap side channel;
+//  - monotone constant-delay traffic (each popped event re-pushed at its
+//    time plus its class's fixed delay), the shape an engine produces and
+//    the one LaneQueue serves from its FIFO lanes alone.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <queue>
-#include <utility>
 #include <vector>
 
+#include "backend/native_runtime.hpp"
 #include "mathlib/rng.hpp"
-#include "random_graphs.hpp"
-#include "sim/compiled_model.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
+#include "simd/batched_sim.hpp"
 
 namespace ecsim::sim {
 namespace {
 
-/// Reference semantics: the pre-PR-4 implementation, a std::priority_queue
-/// over (time, seq) with seq breaking ties first-in-first-out.
+/// Reference semantics: a std::priority_queue over (time, seq) with seq
+/// breaking ties first-in-first-out. Carries a mask so one oracle serves
+/// both event records; queues without a mask report 0.
 class OracleQueue {
  public:
-  void push(Time time, std::size_t block, std::size_t event_in) {
-    pq_.push(ScheduledEvent{time, next_seq_++, block, event_in});
+  void push(Time time, std::size_t block, std::size_t event_in,
+            std::uint64_t mask) {
+    pq_.push(MaskedEvent{time, next_seq_++, block, event_in, mask});
   }
   bool empty() const { return pq_.empty(); }
-  ScheduledEvent pop() {
-    ScheduledEvent e = pq_.top();
+  MaskedEvent pop() {
+    MaskedEvent e = pq_.top();
     pq_.pop();
     return e;
   }
 
  private:
   struct Later {
-    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
+    bool operator()(const MaskedEvent& a, const MaskedEvent& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
-  std::priority_queue<ScheduledEvent, std::vector<ScheduledEvent>, Later> pq_;
+  std::priority_queue<MaskedEvent, std::vector<MaskedEvent>, Later> pq_;
   std::uint64_t next_seq_ = 0;
 };
 
-bool same_event(const ScheduledEvent& a, const ScheduledEvent& b) {
+MaskedEvent with_mask(const ScheduledEvent& e, std::uint64_t mask) {
+  return MaskedEvent{e.time, e.seq, e.block, e.event_in, mask};
+}
+
+// Adapters giving every queue the oracle's push/pop face.
+struct ScalarHeap {
+  static constexpr const char* kName = "EventQueue";
+  EventQueue q;
+  void push(Time t, std::size_t b, std::size_t p, std::uint64_t) {
+    q.push(t, b, p);
+  }
+  bool empty() const { return q.empty(); }
+  MaskedEvent pop() { return with_mask(q.pop(), 0); }
+  static std::uint64_t mask(std::uint64_t) { return 0; }
+};
+
+struct MaskedHeap {
+  static constexpr const char* kName = "HeapQueue<MaskedEvent>";
+  HeapQueue<MaskedEvent> q;
+  void push(Time t, std::size_t b, std::size_t p, std::uint64_t mask) {
+    q.push(t, b, p, mask);
+  }
+  bool empty() const { return q.empty(); }
+  MaskedEvent pop() { return q.pop(); }
+  static std::uint64_t mask(std::uint64_t m) { return m; }
+};
+
+struct Lanes {
+  static constexpr const char* kName = "LaneQueue";
+  backend::rt::LaneQueue q;
+  void push(Time t, std::size_t b, std::size_t p, std::uint64_t) {
+    q.push(t, b, p);
+  }
+  bool empty() const { return q.empty(); }
+  MaskedEvent pop() {
+    ScheduledEvent e;
+    if (!q.pop_next_at(q.next_time(), e)) {
+      ADD_FAILURE() << "LaneQueue::pop_next_at missed its own next_time()";
+    }
+    return with_mask(e, 0);
+  }
+  static std::uint64_t mask(std::uint64_t) { return 0; }
+};
+
+bool same_event(const MaskedEvent& a, const MaskedEvent& b) {
   return a.time == b.time && a.seq == b.seq && a.block == b.block &&
-         a.event_in == b.event_in;
+         a.event_in == b.event_in && a.mask == b.mask;
+}
+
+::testing::AssertionResult agree(const char* queue, int op,
+                                 const MaskedEvent& got,
+                                 const MaskedEvent& want) {
+  if (same_event(got, want)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << queue << " op " << op << ": gave (t=" << got.time
+         << ", seq=" << got.seq << ", block=" << got.block
+         << ", mask=" << got.mask << ") oracle wanted (t=" << want.time
+         << ", seq=" << want.seq << ", block=" << want.block
+         << ", mask=" << want.mask << ")";
+}
+
+/// Random interleaving, biased toward pushes so the queues grow deep, with a
+/// coarse time grid so simultaneous events (the FIFO-sensitive case) are
+/// common.
+template <class Q>
+void check_scattered_traffic(std::uint64_t seed) {
+  math::Rng rng(seed);
+  Q q;
+  OracleQueue oracle;
+  for (int op = 0; op < 20'000; ++op) {
+    const bool do_push = q.empty() || rng.uniform() < 0.55;
+    if (do_push) {
+      const Time t = static_cast<Time>(rng.uniform_int(0, 63)) * 0.125;
+      const auto block = static_cast<std::size_t>(rng.uniform_int(0, 9));
+      const auto port = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const std::uint64_t mask = Q::mask(rng.next_u64());
+      q.push(t, block, port, mask);
+      oracle.push(t, block, port, mask);
+    } else {
+      ASSERT_FALSE(oracle.empty());
+      ASSERT_TRUE(agree(Q::kName, op, q.pop(), oracle.pop()));
+    }
+  }
+  // Drain: the tails must agree element for element too.
+  for (int op = 0; !oracle.empty(); ++op) {
+    ASSERT_FALSE(q.empty());
+    ASSERT_TRUE(agree(Q::kName, op, q.pop(), oracle.pop()));
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+/// Engine-shaped traffic: each block re-pushes its periodic event (port 0)
+/// at the popped time plus its class's fixed delay, and every fourth block
+/// also emits a zero-delay cascade event (port 1, a leaf) at the popped
+/// time. Every push is at or after the time last popped.
+template <class Q>
+void check_constant_delay_traffic(std::uint64_t seed) {
+  constexpr std::array<Time, 3> kDelays = {1e-4, 2.5e-4, 1e-3};
+  math::Rng rng(seed);
+  Q q;
+  OracleQueue oracle;
+  for (std::size_t b = 0; b < 64; ++b) {
+    const std::uint64_t mask = Q::mask(rng.next_u64());
+    q.push(0.0, b, 0, mask);
+    oracle.push(0.0, b, 0, mask);
+  }
+  for (int op = 0; op < 20'000; ++op) {
+    ASSERT_FALSE(oracle.empty());
+    const MaskedEvent want = oracle.pop();
+    ASSERT_TRUE(agree(Q::kName, op, q.pop(), want));
+    if (want.event_in == 1) continue;
+    const Time next = want.time + kDelays[want.block % kDelays.size()];
+    q.push(next, want.block, 0, want.mask);
+    oracle.push(next, want.block, 0, want.mask);
+    if (want.block % 4 == 0) {
+      q.push(want.time, want.block, 1, want.mask);
+      oracle.push(want.time, want.block, 1, want.mask);
+    }
+  }
 }
 
 class HotPathProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HotPathProperty, HeapMatchesPriorityQueueOracleUnderRandomTraffic) {
-  for (const EventQueue::Impl impl :
-       {EventQueue::Impl::kQuad, EventQueue::Impl::kLegacyBinary}) {
-    math::Rng rng(GetParam());
-    EventQueue q;
-    q.set_impl(impl);
-    OracleQueue oracle;
-    // Random interleaving, biased toward pushes so the heaps grow deep, with
-    // a coarse time grid so simultaneous events (the FIFO-sensitive case)
-    // are common.
-    for (int op = 0; op < 20'000; ++op) {
-      const bool do_push = q.empty() || rng.uniform() < 0.55;
-      if (do_push) {
-        const Time t = static_cast<Time>(rng.uniform_int(0, 63)) * 0.125;
-        const std::size_t block = static_cast<std::size_t>(rng.uniform_int(0, 9));
-        const std::size_t port = static_cast<std::size_t>(rng.uniform_int(0, 2));
-        q.push(t, block, port);
-        oracle.push(t, block, port);
-      } else {
-        ASSERT_FALSE(oracle.empty());
-        const ScheduledEvent got = q.pop();
-        const ScheduledEvent want = oracle.pop();
-        ASSERT_TRUE(same_event(got, want))
-            << "op " << op << ": heap gave (t=" << got.time
-            << ", seq=" << got.seq << ", block=" << got.block
-            << ") oracle wanted (t=" << want.time << ", seq=" << want.seq
-            << ", block=" << want.block << ")";
-      }
-    }
-    // Drain: the tails must agree element for element too.
-    while (!oracle.empty()) {
-      ASSERT_FALSE(q.empty());
-      ASSERT_TRUE(same_event(q.pop(), oracle.pop()));
-    }
-    EXPECT_TRUE(q.empty());
-  }
+  check_scattered_traffic<ScalarHeap>(GetParam());
+  check_scattered_traffic<MaskedHeap>(GetParam());
+}
+
+TEST_P(HotPathProperty, LaneQueueMatchesPriorityQueueOracleUnderRandomTraffic) {
+  check_scattered_traffic<Lanes>(GetParam());
+}
+
+TEST_P(HotPathProperty, EveryQueueMatchesOracleUnderConstantDelayTraffic) {
+  check_constant_delay_traffic<ScalarHeap>(GetParam());
+  check_constant_delay_traffic<MaskedHeap>(GetParam());
+  check_constant_delay_traffic<Lanes>(GetParam());
 }
 
 TEST_P(HotPathProperty, BatchedPopMatchesOneAtATimePopping) {
@@ -114,56 +209,13 @@ TEST_P(HotPathProperty, BatchedPopMatchesOneAtATimePopping) {
     ASSERT_FALSE(batch.empty());
     for (const ScheduledEvent& e : batch) {
       ASSERT_FALSE(single.empty());
-      ASSERT_TRUE(same_event(e, single.pop()));
+      ASSERT_TRUE(same_event(with_mask(e, 0), with_mask(single.pop(), 0)));
     }
     if (!single.empty() && !batch.empty()) {
       EXPECT_NE(single.next_time(), batch.front().time);
     }
   }
   EXPECT_TRUE(single.empty());
-}
-
-Trace run_variant(const CompiledModel& compiled, SimOptions opts,
-                  bool legacy_integrator, bool legacy_queue) {
-  opts.legacy_integrator_alloc = legacy_integrator;
-  opts.legacy_event_queue = legacy_queue;
-  Simulator s(compiled, opts);
-  return s.run();
-}
-
-TEST_P(HotPathProperty, HotPathTraceBitIdenticalToLegacyAllocatingPaths) {
-  // Same oracle harness as the PR-1 cone-refresh equivalence suite: random
-  // hybrid diagrams, both integrators, traces compared with operator== (ulp
-  // exact). The hot path may not change a single bit of observable output.
-  math::Rng rng(GetParam() * 17 + 5);
-  for (int trial = 0; trial < 3; ++trial) {
-    Model m = ecsim::testing::random_block_model(rng);
-    const CompiledModel compiled(m);
-
-    SimOptions opts;
-    opts.end_time = 0.8;
-    opts.seed = GetParam() * 131 + static_cast<std::uint64_t>(trial);
-    if (trial == 1) {
-      opts.integrator.kind = IntegratorKind::kRkf45;
-      opts.integrator.max_step = 5e-3;
-    }
-
-    const Trace hot = run_variant(compiled, opts, false, false);
-    ASSERT_FALSE(hot.events().empty());
-    const Trace legacy_integ = run_variant(compiled, opts, true, false);
-    const Trace legacy_queue = run_variant(compiled, opts, false, true);
-    const Trace legacy_both = run_variant(compiled, opts, true, true);
-
-    EXPECT_TRUE(hot == legacy_integ)
-        << "legacy_integrator_alloc diverged (seed " << GetParam()
-        << ", trial " << trial << ")";
-    EXPECT_TRUE(hot == legacy_queue)
-        << "legacy_event_queue diverged (seed " << GetParam() << ", trial "
-        << trial << ")";
-    EXPECT_TRUE(hot == legacy_both)
-        << "combined legacy paths diverged (seed " << GetParam() << ", trial "
-        << trial << ")";
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HotPathProperty,

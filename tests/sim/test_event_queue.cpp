@@ -42,6 +42,7 @@ TEST(EventQueue, InterleavedPushPopKeepsFifo) {
 TEST(EventQueue, EmptyAccessThrows) {
   EventQueue q;
   EXPECT_THROW(q.next_time(), std::logic_error);
+  EXPECT_THROW(q.front(), std::logic_error);
   EXPECT_THROW(q.pop(), std::logic_error);
 }
 
@@ -126,32 +127,6 @@ TEST(EventQueue, ClearOnMillionEventQueueIsNearInstant) {
   // Sequence numbers restart, so FIFO order is reproducible run-to-run.
   q.push(1.0, 42, 0);
   EXPECT_EQ(q.pop().seq, 0u);
-}
-
-TEST(EventQueue, SetImplRequiresEmptyQueue) {
-  EventQueue q;
-  EXPECT_EQ(q.impl(), EventQueue::Impl::kQuad);
-  q.push(1.0, 0, 0);
-  EXPECT_THROW(q.set_impl(EventQueue::Impl::kLegacyBinary), std::logic_error);
-  q.set_impl(EventQueue::Impl::kQuad);  // no-op on the current impl is fine
-  q.clear();
-  q.set_impl(EventQueue::Impl::kLegacyBinary);
-  EXPECT_EQ(q.impl(), EventQueue::Impl::kLegacyBinary);
-}
-
-TEST(EventQueue, LegacyBinaryModeKeepsOrderAndFifo) {
-  EventQueue q;
-  q.set_impl(EventQueue::Impl::kLegacyBinary);
-  q.push(2.0, 0, 0);
-  q.push(1.0, 1, 0);
-  q.push(1.0, 2, 0);
-  q.push(3.0, 3, 0);
-  EXPECT_EQ(q.pop().block, 1u);
-  EXPECT_EQ(q.pop().block, 2u);
-  std::vector<ScheduledEvent> out;
-  EXPECT_EQ(q.pop_simultaneous(out), 1u);
-  EXPECT_EQ(out[0].block, 0u);
-  EXPECT_EQ(q.pop().block, 3u);
 }
 
 }  // namespace

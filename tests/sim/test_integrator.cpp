@@ -98,8 +98,6 @@ TEST(Integrator, Rkf45BackwardIntervalThrows) {
   opts.kind = IntegratorKind::kRkf45;
   std::vector<double> x{1.0};
   EXPECT_THROW(integrate(opts, kDecay, 1.0, 0.0, x), std::invalid_argument);
-  EXPECT_THROW(integrate_legacy_alloc(opts, kDecay, 1.0, 0.0, x),
-               std::invalid_argument);
 }
 
 TEST(Integrator, Rkf45ForcedAcceptAtMinStepMakesProgress) {
@@ -161,36 +159,6 @@ TEST(IntegratorWorkspace, ResizeGrowsOnceAndIsIdempotent) {
   const double* k1 = ws.k1.data();
   ws.resize(3);  // same dimension: must not touch the buffers
   EXPECT_EQ(ws.k1.data(), k1);
-}
-
-TEST(Integrator, WorkspacePathMatchesLegacyBitExact) {
-  // The workspace/function_ref path and the legacy allocating path must
-  // produce byte-identical states: same stage kernels, same accumulation
-  // order, only the buffer ownership differs.
-  const DerivFn osc = [](Time, const std::vector<double>& x,
-                         std::vector<double>& dx) {
-    dx[0] = x[1];
-    dx[1] = -x[0] - 0.3 * x[1];
-  };
-  for (const IntegratorKind kind :
-       {IntegratorKind::kRk4, IntegratorKind::kRkf45}) {
-    IntegratorOptions opts;
-    opts.kind = kind;
-    opts.max_step = 7e-3;
-    std::vector<double> x_ws{1.0, 0.5};
-    std::vector<double> x_legacy = x_ws;
-    IntegratorWorkspace ws;
-    integrate(opts, osc, 0.0, 1.7, x_ws, ws);
-    integrate_legacy_alloc(opts, osc, 0.0, 1.7, x_legacy);
-    EXPECT_EQ(x_ws, x_legacy);  // bitwise, not approximate
-
-    // Reusing the warmed workspace for a second interval stays identical.
-    std::vector<double> x_ws2{1.0, 0.5};
-    std::vector<double> x_legacy2 = x_ws2;
-    integrate(opts, osc, 0.3, 2.0, x_ws2, ws);
-    integrate_legacy_alloc(opts, osc, 0.3, 2.0, x_legacy2);
-    EXPECT_EQ(x_ws2, x_legacy2);
-  }
 }
 
 }  // namespace

@@ -5,14 +5,17 @@
 // and SIGTERM drains to exit code 0 with the socket unlinked.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/ledger.hpp"
@@ -365,6 +368,81 @@ TEST(ServiceE2E, ConnectFailureReportsReasonForFallback) {
   EXPECT_FALSE(client.connect("/tmp/ecsim_svc_no_such_socket.sock"));
   EXPECT_FALSE(client.last_error().empty());
   EXPECT_FALSE(client.connected());
+}
+
+/// One-shot fake daemon on a fresh unix socket: accepts one connection,
+/// reads one request frame and answers it with `reply`.
+class FakeDaemon {
+ public:
+  explicit FakeDaemon(const Fields& reply)
+      : path_("/tmp/ecsim_svc_fake_" + std::to_string(::getpid()) + ".sock") {
+    ::unlink(path_.c_str());
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    listening_ =
+        fd_ >= 0 &&
+        ::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+            0 &&
+        ::listen(fd_, 1) == 0;
+    if (!listening_) return;
+    thread_ = std::thread([this, frame = reply.serialize()] {
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      std::string in;
+      if (read_frame(conn, in)) write_frame(conn, frame);
+      ::close(conn);
+    });
+  }
+  ~FakeDaemon() {
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) ::close(fd_);
+    ::unlink(path_.c_str());
+  }
+  bool listening() const { return listening_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  bool listening_ = false;
+  std::thread thread_;
+};
+
+Fields ok_reply_with_units(const std::string& units) {
+  Fields reply;
+  ResponseMeta meta;
+  meta.ok = true;
+  meta_to_fields(meta, reply);
+  reply.set("units", units);
+  return reply;
+}
+
+TEST(ServiceE2E, MalformedUnitsReplyReportsReasonForFallback) {
+  FakeDaemon daemon(ok_reply_with_units("not a blob list"));
+  ASSERT_TRUE(daemon.listening());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.path()));
+  std::vector<sweep::SweepCell> cells;
+  ResponseMeta meta;
+  EXPECT_FALSE(remote_sweep(client, small_timing_request(), cells, meta));
+  EXPECT_TRUE(cells.empty());
+  EXPECT_FALSE(client.last_error().empty());
+}
+
+TEST(ServiceE2E, UndecodableUnitIsNamedInLastError) {
+  const Request req = small_timing_request();
+  std::vector<std::string> blobs(req.units(), "garbage");
+  FakeDaemon daemon(ok_reply_with_units(encode_blob_list(blobs)));
+  ASSERT_TRUE(daemon.listening());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.path()));
+  std::vector<sweep::SweepCell> cells;
+  ResponseMeta meta;
+  EXPECT_FALSE(remote_sweep(client, req, cells, meta));
+  EXPECT_NE(client.last_error().find("unit 0 of 6"), std::string::npos)
+      << client.last_error();
 }
 
 }  // namespace

@@ -33,10 +33,10 @@
 //                                   fault injection; prints a control-cost
 //                                   heatmap plus loss accounting. Same seed
 //                                   => bit-identical for any --threads.
-//   ecsim_flow fault montecarlo     dropout study: --trials runs at
-//                                   --loss=RATE, each trial re-seeding the
-//                                   fault stream; prints the cost/IAE
-//                                   distribution.
+//   ecsim_flow fault montecarlo     dropout study: --trials runs (default
+//                                   32) at --loss=RATE, each trial
+//                                   re-seeding the fault stream; prints the
+//                                   cost/IAE distribution.
 // Extra flags: --threads=N (0 = hardware), sweep/fault: --csv-out=FILE,
 // montecarlo: --trials=N --iterations=N --seed=N, fault: --loss=RATE.
 //
@@ -85,6 +85,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -740,7 +741,8 @@ int main(int argc, char** argv) {
   bool show_cache = false;
   double threshold_pct = 10.0;
   backend::Kind bk = backend::Kind::kInterp;
-  std::size_t threads = 0, trials = 200, iterations = 50;
+  std::size_t threads = 0, iterations = 50;
+  std::optional<std::size_t> trials;  // unset: each verb's own default
   std::size_t batch_width = 0;  // trials per task; 0 = auto (SIMD width)
   std::uint64_t seed = 1;
   double loss = 0.1;
@@ -819,9 +821,8 @@ int main(int argc, char** argv) {
     try {
       // A full co-simulation per trial: default to 32 trials, not the VM
       // Monte Carlo's 200, unless the user asked explicitly.
-      return cmd_fault(spec_path, threads, csv_out, loss,
-                       trials == 200 ? 32 : trials, seed, batch_width, bk,
-                       connect);
+      return cmd_fault(spec_path, threads, csv_out, loss, trials.value_or(32),
+                       seed, batch_width, bk, connect);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
       return 1;
@@ -830,7 +831,8 @@ int main(int argc, char** argv) {
 
   if (command == "montecarlo" && !connect.empty()) {
     const int rc =
-        try_remote_montecarlo(spec_path, connect, trials, iterations, seed);
+        try_remote_montecarlo(spec_path, connect, trials.value_or(200),
+                              iterations, seed);
     if (rc >= 0) return rc;
   }
 
@@ -863,8 +865,8 @@ int main(int argc, char** argv) {
                             .c_str());
       rc = 0;
     } else if (command == "montecarlo") {
-      rc = cmd_montecarlo(flow, threads, trials, iterations, seed,
-                          batch_width);
+      rc = cmd_montecarlo(flow, threads, trials.value_or(200), iterations,
+                          seed, batch_width);
     } else {
       return usage();
     }
