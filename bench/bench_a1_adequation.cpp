@@ -3,13 +3,26 @@
 // speedup vs processor count on parallel workloads; (b) ablation of the
 // communication-aware selection metric on communication-heavy workloads.
 // Expected shape: speedup > 1 until comm-bound; comm-aware dominates
-// comm-blind.
+// comm-blind. (f) Cost of the heuristic itself: wall time and nanoseconds
+// per evaluated candidate (op, proc) on 100-800-op random DAGs over
+// immediate, CAN and TDMA buses.
+//
+// GUARD: on the immediate and CAN buses, ns per candidate at 800 ops is at
+// most 2x that at 100 ops (a candidate costs O(in-degree x route hops), not
+// O(|E|)), and every run of a graph gives the same makespan and candidate
+// count. Runs via `ctest -C bench` (bench_a1_adequation_guard); the
+// process exits nonzero on failure and writes BENCH_a1.json.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "aaa/adequation.hpp"
 #include "bench_common.hpp"
 #include "mathlib/rng.hpp"
+#include "obs/metrics.hpp"
+#include "properties/random_graphs.hpp"
 
 using namespace ecsim;
 
@@ -37,7 +50,130 @@ aaa::AlgorithmGraph fork_join(std::size_t width, std::size_t depth,
   return alg;
 }
 
-void experiment() {
+enum class Bus { kImmediate, kCan, kTdma };
+
+const char* bus_name(Bus b) {
+  return b == Bus::kImmediate ? "immediate" : b == Bus::kCan ? "can" : "tdma";
+}
+
+/// The buses of perfbench's schedule_large workload: 4 procs on a 1e5
+/// units/s bus (CAN: 0.5 ms blocking, 30 % background load), or 6 procs on
+/// a TDMA bus with 6 owner slots of 2^-10 s.
+aaa::ArchitectureGraph scaling_bus(Bus b) {
+  auto arch = aaa::ArchitectureGraph::bus_architecture(
+      b == Bus::kTdma ? 6 : 4, 1e5, 1e-5);
+  if (b == Bus::kCan) {
+    arch.set_can(0, 5e-4);
+    arch.set_background_load(0, 0.3);
+  }
+  if (b == Bus::kTdma) arch.set_tdma(0, 0.0009765625, 6);
+  return arch;
+}
+
+struct ScalingPoint {
+  double best_ms = std::numeric_limits<double>::infinity();
+  std::uint64_t candidates = 0;
+  double makespan = 0.0;
+  bool deterministic = true;  // every run gave the same makespan and count
+};
+
+/// Makespan and candidate count of `alg`, from two counted runs.
+ScalingPoint count_runs(const aaa::AlgorithmGraph& alg,
+                        const aaa::ArchitectureGraph& arch) {
+  ScalingPoint pt;
+  for (int r = 0; r < 2; ++r) {
+    obs::MetricsRegistry metrics;
+    aaa::AdequationOptions counted;
+    counted.metrics = &metrics;
+    const double makespan = aaa::adequate(alg, arch, counted).makespan();
+    const std::uint64_t n =
+        metrics.counter("aaa.candidates_evaluated").value();
+    if (r == 0) {
+      pt.makespan = makespan;
+      pt.candidates = n;
+    }
+    pt.deterministic = pt.deterministic && makespan == pt.makespan &&
+                       n == pt.candidates;
+  }
+  return pt;
+}
+
+/// One timed run without metrics, folded into `pt`.
+void time_run(const aaa::AlgorithmGraph& alg,
+              const aaa::ArchitectureGraph& arch, ScalingPoint& pt) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const double makespan = aaa::adequate(alg, arch).makespan();
+  pt.best_ms = std::min(pt.best_ms, std::chrono::duration<double, std::milli>(
+                                        std::chrono::steady_clock::now() - t0)
+                                        .count());
+  pt.deterministic = pt.deterministic && makespan == pt.makespan;
+}
+
+/// Section (f) and the guard. Returns 0 when the guard passes.
+int scaling() {
+  constexpr int kReps = 15;
+  constexpr double kMaxGrowth = 2.0;
+  const std::size_t sizes[] = {100, 200, 400, 800};
+  std::printf("(f) adequation cost vs graph size (random DAGs, best of %d)\n",
+              kReps);
+  std::printf("%10s %6s %12s %12s %14s %12s\n", "bus", "ops", "best [ms]",
+              "candidates", "ns/candidate", "makespan");
+  bench::JsonReport report("EXP-A1");
+  report.begin_array("scaling");
+  bool pass = true;
+  for (const Bus bus : {Bus::kImmediate, Bus::kCan, Bus::kTdma}) {
+    const aaa::ArchitectureGraph arch = scaling_bus(bus);
+    std::vector<aaa::AlgorithmGraph> graphs;
+    std::vector<ScalingPoint> points;
+    for (const std::size_t n : sizes) {
+      math::Rng rng(1000 + n);
+      graphs.push_back(testing::random_dag(rng, n));
+      points.push_back(count_runs(graphs.back(), arch));
+    }
+    // Sizes take turns within each repetition, so a burst of host noise
+    // lands on all of them rather than on one point of the ratio.
+    for (int r = 0; r < kReps; ++r) {
+      for (std::size_t k = 0; k < graphs.size(); ++k) {
+        time_run(graphs[k], arch, points[k]);
+      }
+    }
+    std::vector<double> ns(graphs.size());
+    for (std::size_t k = 0; k < graphs.size(); ++k) {
+      const ScalingPoint& pt = points[k];
+      ns[k] = 1e6 * pt.best_ms / static_cast<double>(pt.candidates);
+      pass = pass && pt.deterministic;
+      std::printf("%10s %6zu %12.3f %12llu %14.1f %12.6f%s\n", bus_name(bus),
+                  sizes[k], pt.best_ms,
+                  static_cast<unsigned long long>(pt.candidates), ns[k],
+                  pt.makespan, pt.deterministic ? "" : "  DIVERGED");
+      report.begin_object();
+      report.field("bus", std::string(bus_name(bus)));
+      report.field("ops", sizes[k]);
+      report.field("best_ms", pt.best_ms);
+      report.field("candidates", static_cast<std::size_t>(pt.candidates));
+      report.field("ns_per_candidate", ns[k]);
+      report.field("makespan", pt.makespan);
+      report.field("deterministic",
+                   std::string(pt.deterministic ? "yes" : "NO"));
+      report.end_object();
+    }
+    const double growth = ns.back() / ns.front();
+    const bool gated = bus != Bus::kTdma;
+    const bool ok = !gated || growth <= kMaxGrowth;
+    pass = pass && ok;
+    std::printf("%10s ns/candidate %zu ops / %zu ops = %.2fx%s\n",
+                bus_name(bus), sizes[3], sizes[0], growth,
+                gated ? (ok ? " (<= 2x: ok)" : " (> 2x: FAIL)") : "");
+  }
+  report.end_array();
+  std::printf("\nguard: ns/candidate growth <= %.0fx on immediate and CAN, "
+              "identical makespans and counts across runs — %s\n\n",
+              kMaxGrowth, pass ? "PASS" : "FAIL");
+  report.write("BENCH_a1.json");
+  return pass ? 0 : 1;
+}
+
+int experiment() {
   bench::banner("EXP-A1", "Section 1 (adequation)",
                 "Adequation quality: speedup vs processor count and the "
                 "comm-aware vs comm-blind ablation.");
@@ -138,6 +274,7 @@ void experiment() {
               "greedy placement to a different (even slightly better) "
               "mapping, which is itself an argument for exploring "
               "arbitration policies during the adequation.\n\n");
+  return scaling();
 }
 
 void BM_Adequation(benchmark::State& state) {
@@ -155,6 +292,7 @@ BENCHMARK(BM_Adequation)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Complexity();
 }  // namespace
 
 int main(int argc, char** argv) {
-  experiment();
-  return bench::run_benchmarks(argc, argv);
+  const int guard = experiment();
+  const int bench_rc = bench::run_benchmarks(argc, argv);
+  return guard != 0 ? guard : bench_rc;
 }

@@ -116,10 +116,43 @@ std::vector<OpId> AlgorithmGraph::actuators() const {
   return out;
 }
 
+namespace {
+
+/// Counting sort of dependency indices by `op_of(dep)`; stable, so each row
+/// keeps ascending dependency order.
+template <typename OpOf>
+DepRows group_deps(std::size_t n_ops, const std::vector<DataDep>& deps,
+                   OpOf&& op_of) {
+  DepRows rows;
+  rows.offsets.assign(n_ops + 1, 0);
+  for (const DataDep& d : deps) ++rows.offsets[op_of(d) + 1];
+  for (std::size_t i = 0; i < n_ops; ++i) {
+    rows.offsets[i + 1] += rows.offsets[i];
+  }
+  rows.dep.resize(deps.size());
+  std::vector<std::size_t> fill(rows.offsets.begin(), rows.offsets.end() - 1);
+  for (std::size_t di = 0; di < deps.size(); ++di) {
+    rows.dep[fill[op_of(deps[di])]++] = di;
+  }
+  return rows;
+}
+
+}  // namespace
+
+DepRows AlgorithmGraph::in_rows() const {
+  return group_deps(ops_.size(), deps_, [](const DataDep& d) { return d.to; });
+}
+
+DepRows AlgorithmGraph::out_rows() const {
+  return group_deps(ops_.size(), deps_,
+                    [](const DataDep& d) { return d.from; });
+}
+
 std::vector<OpId> AlgorithmGraph::topological_order() const {
   const std::size_t n = ops_.size();
   std::vector<std::size_t> indeg(n, 0);
   for (const DataDep& d : deps_) ++indeg[d.to];
+  const DepRows out = out_rows();
   std::vector<OpId> order;
   order.reserve(n);
   std::vector<OpId> ready;
@@ -130,8 +163,8 @@ std::vector<OpId> AlgorithmGraph::topological_order() const {
     const OpId id = ready.back();
     ready.pop_back();
     order.push_back(id);
-    for (const DataDep& d : deps_) {
-      if (d.from == id && --indeg[d.to] == 0) ready.push_back(d.to);
+    for (const std::size_t di : out.row(id)) {
+      if (--indeg[deps_[di].to] == 0) ready.push_back(deps_[di].to);
     }
   }
   if (order.size() != n) {
@@ -161,14 +194,14 @@ std::vector<Time> AlgorithmGraph::tail_levels(double comm_weight) const {
     return best;
   };
   const std::vector<OpId> order = topological_order();
+  const DepRows out = out_rows();
   std::vector<Time> level(ops_.size(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const OpId id = *it;
     Time tail = 0.0;
-    for (const DataDep& d : deps_) {
-      if (d.from == id) {
-        tail = std::max(tail, level[d.to] + comm_weight * d.size);
-      }
+    for (const std::size_t di : out.row(id)) {
+      const DataDep& d = deps_[di];
+      tail = std::max(tail, level[d.to] + comm_weight * d.size);
     }
     level[id] = max_wcet(ops_[id]) + tail;
   }

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,18 @@ struct DataDep {
   std::size_t priority = kNone;
 };
 
+/// Dependency indices grouped per operation in compressed sparse rows, each
+/// row in ascending dependency-index order: row `op` is
+/// dep[offsets[op], offsets[op + 1]).
+struct DepRows {
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> dep;
+
+  std::span<const std::size_t> row(std::size_t op) const {
+    return {dep.data() + offsets[op], dep.data() + offsets[op + 1]};
+  }
+};
+
 class AlgorithmGraph {
  public:
   explicit AlgorithmGraph(std::string name = "algorithm", Time period = 0.0)
@@ -91,6 +104,12 @@ class AlgorithmGraph {
   const std::string& name() const { return name_; }
   Time period() const { return period_; }
   void set_period(Time t) { period_ = t; }
+
+  /// Dependencies consumed (in_rows) / produced (out_rows) by each op, as
+  /// one O(|V| + |E|) index for loops that would otherwise rescan the
+  /// dependency list per op.
+  DepRows in_rows() const;
+  DepRows out_rows() const;
 
   std::vector<OpId> predecessors(OpId id) const;
   std::vector<OpId> successors(OpId id) const;

@@ -50,16 +50,10 @@ GeneratedCode generate_executives(const AlgorithmGraph& alg,
   // right after the producing compute — NOT at the transfer's start time,
   // which can be later due to medium contention (an unrelated long compute
   // scheduled in between would otherwise block the signal).
+  const HopLinks hops = link_hops(sched);
   for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
     const ScheduledComm& sc = sched.comms()[ci];
-    bool is_last_hop = true;
-    for (const ScheduledComm& other : sched.comms()) {
-      if (other.dep_index == sc.dep_index &&
-          other.hop_index == sc.hop_index + 1) {
-        is_last_hop = false;
-        break;
-      }
-    }
+    const bool is_last_hop = hops.next[ci] == kNone;
     if (sc.hop_index == 0) {
       const Time data_ready =
           sched.of_op(alg.dependencies()[sc.dep_index].from).end;

@@ -19,13 +19,9 @@ namespace {
 template <typename Items>
 void insert_by_start(std::vector<std::size_t>& order, const Items& items,
                      std::size_t index, double start) {
-  auto pos = order.end();
-  for (auto it = order.begin(); it != order.end(); ++it) {
-    if (items[*it].start > start) {
-      pos = it;
-      break;
-    }
-  }
+  const auto pos = std::upper_bound(
+      order.begin(), order.end(), start,
+      [&items](double t, std::size_t i) { return t < items[i].start; });
   order.insert(pos, index);
 }
 
@@ -36,6 +32,11 @@ std::size_t Schedule::add_op(ScheduledOp so) {
   if (so.proc >= proc_order_.size()) {
     throw std::out_of_range("add_op: processor out of range");
   }
+  if (so.op == kNone) {
+    throw std::out_of_range("add_op: operation id out of range");
+  }
+  if (so.op >= first_of_op_.size()) first_of_op_.resize(so.op + 1, kNone);
+  if (first_of_op_[so.op] == kNone) first_of_op_[so.op] = ops_.size();
   ops_.push_back(so);
   insert_by_start(proc_order_[so.proc], ops_, ops_.size() - 1, so.start);
   return ops_.size() - 1;
@@ -53,15 +54,42 @@ std::size_t Schedule::add_comm(ScheduledComm sc) {
 }
 
 const ScheduledOp& Schedule::of_op(OpId id) const {
-  for (const ScheduledOp& so : ops_) {
-    if (so.op == id) return so;
+  if (!has_op(id)) {
+    throw std::out_of_range("Schedule::of_op: operation not scheduled");
   }
-  throw std::out_of_range("Schedule::of_op: operation not scheduled");
+  return ops_[first_of_op_[id]];
 }
 
 bool Schedule::has_op(OpId id) const {
-  return std::any_of(ops_.begin(), ops_.end(),
-                     [id](const ScheduledOp& so) { return so.op == id; });
+  return id < first_of_op_.size() && first_of_op_[id] != kNone;
+}
+
+HopLinks link_hops(const Schedule& sched) {
+  const auto& comms = sched.comms();
+  using Key = std::pair<std::size_t, std::size_t>;  // (dependency, hop)
+  const auto key = [&comms](std::size_t ci) {
+    return Key{comms[ci].dep_index, comms[ci].hop_index};
+  };
+  // Comm indices sorted by key, lowest comm index first within a key.
+  std::vector<std::size_t> by_key(comms.size());
+  for (std::size_t ci = 0; ci < comms.size(); ++ci) by_key[ci] = ci;
+  std::sort(by_key.begin(), by_key.end(), [&key](std::size_t a, std::size_t b) {
+    return std::pair{key(a), a} < std::pair{key(b), b};
+  });
+  const auto first_with = [&](Key k) {
+    const auto it = std::lower_bound(
+        by_key.begin(), by_key.end(), k,
+        [&key](std::size_t ci, const Key& x) { return key(ci) < x; });
+    return it != by_key.end() && key(*it) == k ? *it : kNone;
+  };
+  HopLinks links{std::vector<std::size_t>(comms.size(), kNone),
+                 std::vector<std::size_t>(comms.size(), kNone)};
+  for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+    const auto [dep, hop] = key(ci);
+    if (hop > 0) links.prev[ci] = first_with({dep, hop - 1});
+    links.next[ci] = first_with({dep, hop + 1});
+  }
+  return links;
 }
 
 Time Schedule::makespan() const {

@@ -48,7 +48,8 @@ class Schedule {
     return medium_order_.at(m);
   }
 
-  /// Scheduled entry of a given algorithm operation; throws if absent.
+  /// Scheduled entry of a given algorithm operation (the first one added
+  /// for it); throws if absent. O(1).
   const ScheduledOp& of_op(OpId id) const;
   bool has_op(OpId id) const;
 
@@ -72,8 +73,21 @@ class Schedule {
  private:
   std::vector<ScheduledOp> ops_;
   std::vector<ScheduledComm> comms_;
+  std::vector<std::size_t> first_of_op_;  // op id -> index into ops_, or kNone
   std::vector<std::vector<std::size_t>> proc_order_;
   std::vector<std::vector<std::size_t>> medium_order_;
 };
+
+/// Neighbouring hops of each communication along its dependency's route:
+/// prev[ci] / next[ci] index the comm of the same dependency with hop_index
+/// one lower / one higher (the lowest such index when several match), or
+/// kNone. next[ci] == kNone marks the hop that delivers to the consumer.
+struct HopLinks {
+  std::vector<std::size_t> prev;
+  std::vector<std::size_t> next;
+};
+
+/// O(C log C) over sched.comms(): one sort, one binary search per link.
+HopLinks link_hops(const Schedule& sched);
 
 }  // namespace ecsim::aaa

@@ -19,6 +19,7 @@ ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
     rep.ok = false;
     bad << "deadlock: " << vm.deadlock_info << "; ";
   }
+  std::size_t mismatches = 0;
   for (const OpInstance& oi : vm.ops) {
     const aaa::ScheduledOp& so = sched.of_op(oi.op);
     const Time expect_start =
@@ -30,10 +31,15 @@ ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
     ++rep.checked_instances;
     if (err > tol) {
       rep.ok = false;
-      bad << "op '" << alg.op(oi.op).name << "' iter " << oi.iteration
-          << " at [" << oi.start << "," << oi.end << ") expected ["
-          << expect_start << "," << expect_end << "); ";
+      if (++mismatches <= kMaxListedViolations) {
+        bad << "op '" << alg.op(oi.op).name << "' iter " << oi.iteration
+            << " at [" << oi.start << "," << oi.end << ") expected ["
+            << expect_start << "," << expect_end << "); ";
+      }
     }
+  }
+  if (mismatches > kMaxListedViolations) {
+    bad << "… and " << mismatches - kMaxListedViolations << " more";
   }
   rep.violations = bad.str();
   return rep;

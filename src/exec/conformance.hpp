@@ -12,12 +12,20 @@ namespace ecsim::exec {
 
 struct ConformanceReport {
   bool ok = true;
-  std::string violations;  // empty when ok
+  /// Empty when ok. check_wcet_conformance lists the first
+  /// kMaxListedViolations mismatching instances and ends with
+  /// "… and K more" when there are more.
+  std::string violations;
 
   std::size_t checked_instances = 0;
   /// Max |VM instant - (schedule instant + k*period)| under WCET execution.
   Time max_time_error = 0.0;
 };
+
+/// Mismatching op instances check_wcet_conformance spells out in
+/// ConformanceReport::violations; ok, max_time_error and checked_instances
+/// always cover every instance.
+inline constexpr std::size_t kMaxListedViolations = 8;
 
 /// With exec_time == WCET and period >= makespan and all algorithm sources
 /// being sensors, every op instance of iteration k must start/end exactly at

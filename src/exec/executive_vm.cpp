@@ -296,19 +296,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
   // For multi-hop routes the communicators forward autonomously: hop k > 0
   // becomes ready when hop k-1 delivered, without the intermediate
   // processor's sequencer in the path.
-  std::vector<std::size_t> prev_hop(sched.comms().size(), kNone);
-  for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
-    const aaa::ScheduledComm& sc = sched.comms()[ci];
-    if (sc.hop_index == 0) continue;
-    for (std::size_t cj = 0; cj < sched.comms().size(); ++cj) {
-      const aaa::ScheduledComm& other = sched.comms()[cj];
-      if (other.dep_index == sc.dep_index &&
-          other.hop_index + 1 == sc.hop_index) {
-        prev_hop[ci] = cj;
-        break;
-      }
-    }
-  }
+  const std::vector<std::size_t> prev_hop = aaa::link_hops(sched).prev;
 
   // Occupy medium `mi` with comm `ci`, whose send signal is known at time
   // `signal`: resolves the start instant under the medium's arbitration

@@ -33,6 +33,41 @@ TEST(Schedule, AddOpValidation) {
   EXPECT_THROW(sched.of_op(3), std::out_of_range);
 }
 
+TEST(Schedule, OfOpReturnsFirstEntryAndThrowsWhenAbsent) {
+  Schedule sched(2, 1);
+  sched.add_op(ScheduledOp{2, 0, 0.0, 1.0});
+  sched.add_op(ScheduledOp{0, 1, 0.5, 1.0});
+  sched.add_op(ScheduledOp{2, 1, 1.0, 2.0});  // a second entry for op 2
+  EXPECT_EQ(sched.of_op(2).proc, 0u);
+  EXPECT_DOUBLE_EQ(sched.of_op(2).end, 1.0);
+  EXPECT_EQ(sched.of_op(0).proc, 1u);
+  EXPECT_FALSE(sched.has_op(1));
+  EXPECT_FALSE(sched.has_op(1000));
+  EXPECT_THROW(sched.of_op(1), std::out_of_range);
+  EXPECT_THROW(sched.of_op(1000), std::out_of_range);
+  EXPECT_THROW(sched.add_op(ScheduledOp{kNone, 0, 0.0, 1.0}),
+               std::out_of_range);
+}
+
+TEST(Schedule, LinkHopsPairsConsecutiveHopsFirstMatch) {
+  Schedule sched(3, 1);
+  const Hop h{0, 0, 1};
+  // (dep, hop) per comm index, deliberately out of order, with a duplicate
+  // (1, 1) and a route gap for dep 0 (no hop 2).
+  const std::pair<std::size_t, std::size_t> keys[] = {
+      {1, 1}, {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 3}, {2, 0}};
+  for (const auto& [dep, hop] : keys) {
+    sched.add_comm(ScheduledComm{dep, h, hop, 0.0, 1.0});
+  }
+  const HopLinks links = link_hops(sched);
+  const std::vector<std::size_t> prev = {2, kNone, kNone, 1, 2, kNone, kNone};
+  const std::vector<std::size_t> next = {kNone, 3, 0, kNone, kNone, kNone,
+                                         kNone};
+  EXPECT_EQ(links.prev, prev);
+  EXPECT_EQ(links.next, next);
+  EXPECT_TRUE(link_hops(Schedule(1, 1)).prev.empty());
+}
+
 TEST(Schedule, MakespanOverOpsAndComms) {
   Schedule sched(1, 1);
   sched.add_op(ScheduledOp{0, 0, 0.0, 1.0});

@@ -84,5 +84,54 @@ TEST(Conformance, FlagsTimeMismatchWhenFasterThanWcet) {
   EXPECT_GT(rep.max_time_error, 0.0);
 }
 
+TEST(Conformance, ViolationTextIsBoundedButCountsCoverEveryInstance) {
+  DistributedChain f;
+  VmOptions opts;
+  opts.iterations = 20;
+  opts.period = f.alg.period();
+  VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+  ASSERT_EQ(vm.ops.size(), 60u);
+  // Shift every third instance late by a growing amount: 20 mismatches,
+  // the worst one last.
+  std::size_t shifted = 0;
+  for (std::size_t i = 0; i < vm.ops.size(); i += 3) {
+    ++shifted;
+    vm.ops[i].start += 1e-6 * static_cast<double>(shifted);
+    vm.ops[i].end += 1e-6 * static_cast<double>(shifted);
+  }
+  ASSERT_EQ(shifted, 20u);
+  const ConformanceReport rep =
+      check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.checked_instances, 60u);
+  EXPECT_NEAR(rep.max_time_error, 20e-6, 1e-12);
+  std::size_t listed = 0;
+  for (std::size_t pos = rep.violations.find("op '");
+       pos != std::string::npos; pos = rep.violations.find("op '", pos + 1)) {
+    ++listed;
+  }
+  EXPECT_EQ(listed, kMaxListedViolations);
+  const std::string tail = "… and 12 more";
+  ASSERT_GE(rep.violations.size(), tail.size());
+  EXPECT_EQ(rep.violations.substr(rep.violations.size() - tail.size()), tail)
+      << rep.violations;
+}
+
+TEST(Conformance, ViolationTextListsEverythingUpToTheCap) {
+  DistributedChain f;
+  VmOptions opts;
+  opts.iterations = 20;
+  opts.period = f.alg.period();
+  VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+  for (std::size_t i = 0; i < kMaxListedViolations; ++i) {
+    vm.ops[i].end += 1e-6;
+  }
+  const ConformanceReport rep =
+      check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.violations.find("more"), std::string::npos) << rep.violations;
+  EXPECT_NE(rep.violations.find("iter"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace ecsim::exec

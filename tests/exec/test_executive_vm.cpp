@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aaa/adequation.hpp"
+#include "mathlib/rng.hpp"
+#include "properties/random_graphs.hpp"
+#include "support/fnv.hpp"
 
 namespace ecsim::exec {
 namespace {
@@ -24,6 +29,55 @@ struct DistributedChain {
     code = aaa::generate_executives(alg, arch, sched);
   }
 };
+
+// Digests of the generated executives and of a WCET VM run over multi-hop
+// routes (store-and-forward through P1 and P3, CAN arbitration on the last
+// link), captured before the hop links became one indexed pass. Pins the
+// last-hop recv placement in generate_executives and the previous-hop
+// wiring of the VM's communicators.
+TEST(ExecutiveVm, MultiHopExecutivesAndRunMatchCapturedDigests) {
+  math::Rng rng(9);
+  const AlgorithmGraph alg = testing::random_dag(rng, 120);
+  ArchitectureGraph arch("chain");
+  for (int p = 0; p < 5; ++p) arch.add_processor("P" + std::to_string(p));
+  const aaa::MediumId a = arch.add_medium("a", 1e5, 1e-5);
+  const aaa::MediumId b = arch.add_medium("b", 5e4, 2e-5);
+  const aaa::MediumId c = arch.add_medium("c", 2e5, 1e-5);
+  arch.set_can(c, 1e-4);
+  arch.attach(0, a);
+  arch.attach(1, a);
+  arch.attach(1, b);
+  arch.attach(2, b);
+  arch.attach(3, b);
+  arch.attach(3, c);
+  arch.attach(4, c);
+  const Schedule sched = aaa::adequate(alg, arch);
+  ASSERT_TRUE(std::any_of(
+      sched.comms().begin(), sched.comms().end(),
+      [](const aaa::ScheduledComm& sc) { return sc.hop_index >= 2; }));
+  const GeneratedCode code = aaa::generate_executives(alg, arch, sched);
+  testing::Fnv1a src;
+  src.add(code.source);
+
+  VmOptions opts;
+  opts.iterations = 4;
+  opts.period = 4.0 * sched.makespan();
+  const VmResult vm = run_executives(alg, arch, sched, code, opts);
+  ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
+  testing::Fnv1a run;
+  for (const OpInstance& oi : vm.ops) {
+    run.add(static_cast<std::uint64_t>(oi.op));
+    run.add(oi.start);
+    run.add(oi.end);
+  }
+  for (const CommInstance& ci : vm.comms) {
+    run.add(static_cast<std::uint64_t>(ci.comm));
+    run.add(ci.start);
+    run.add(ci.end);
+  }
+  EXPECT_EQ(src.value(), 0x7751b75af70d17cfull);
+  EXPECT_EQ(run.value(), 0xc5ce6d5d8397b5b2ull);
+}
 
 TEST(ExecutiveVm, SingleIterationMatchesScheduleUnderWcet) {
   DistributedChain f;
