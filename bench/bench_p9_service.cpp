@@ -103,8 +103,8 @@ svc::Request pool_request(std::size_t k) {
     req.verb = svc::Verb::kSweepArch;
     const std::size_t i = k / 10 * 10 + klass;
     // Stay in the schedulable region: too little bandwidth with inflated
-    // WCETs pushes the makespan past the period and the cell (correctly)
-    // errors instead of producing a result.
+    // WCETs pushes the makespan past the period and the cell comes back
+    // unschedulable instead of measuring a loop.
     req.rows = {2e4 + frac(i % 89, 89, 0.0, 8e4)};
     req.cols = {frac(i / 89, kUniqueKeys / 89 + 1, 0.5, 1.5)};
   } else {
@@ -155,10 +155,10 @@ WorkloadResult run_workload(svc::Client& client) {
     bool ok = false;
     if (req.verb == svc::Verb::kFaultSweep) {
       std::vector<sweep::FaultCell> cells;
-      ok = remote_fault_sweep(client, req, cells, meta);
+      ok = remote_result(client, req, cells, meta);
     } else {
       std::vector<sweep::SweepCell> cells;
-      ok = remote_sweep(client, req, cells, meta);
+      ok = remote_result(client, req, cells, meta);
     }
     const double us =
         std::chrono::duration<double, std::micro>(clock::now() - t0).count();
@@ -186,12 +186,10 @@ std::vector<std::string> reference_payloads(const svc::Request& req,
   return payloads;
 }
 
+/// The CLI's `sweep timing` grid on the short horizon.
 svc::Request canonical_grid() {
-  svc::Request req;
-  req.verb = svc::Verb::kSweepTiming;
+  svc::Request req = svc::canonical_request(svc::Verb::kSweepTiming);
   req.t_end = kTEnd;
-  req.rows = {0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95};
-  req.cols = {0.0, 0.1, 0.2, 0.3, 0.5};
   return req;
 }
 
@@ -336,10 +334,10 @@ void BM_WarmRequestRoundTrip(benchmark::State& state) {
   const svc::Request req = pool_request(0);
   std::vector<sweep::SweepCell> cells;
   svc::ResponseMeta meta;
-  remote_sweep(client, req, cells, meta);  // prime the cache
+  remote_result(client, req, cells, meta);  // prime the cache
   for (auto _ : state) {
     cells.clear();
-    if (!remote_sweep(client, req, cells, meta)) {
+    if (!remote_result(client, req, cells, meta)) {
       state.SkipWithError("request failed");
       return;
     }

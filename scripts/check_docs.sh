@@ -13,7 +13,10 @@
 #      fails, so flag docs cannot silently rot;
 #   5. the network-medium vocabulary documented in docs/networks.md (spec
 #      directives, Arbitration enum values, sweep scenario names) still
-#      exists in the spec parser / architecture-graph / sweep headers.
+#      exists in the spec parser / architecture-graph / sweep headers;
+#   6. no prose names a removed feature (REMOVED_FEATURES below) as if it
+#      still existed — a line may name one only to say it was deleted or
+#      removed.
 # Usage: scripts/check_docs.sh [path/to/ecsim_flow]
 # Falls back to parsing tools/ecsim_flow.cpp when the binary isn't built.
 set -euo pipefail
@@ -131,8 +134,23 @@ for scenario in can tdma; do
   fi
 done
 
+# --- 6. removed features ---------------------------------------------------
+# Features deleted from the code base. Prose that still names one describes
+# code that is gone; a line that says the feature was deleted/removed is
+# history and passes.
+REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode")
+for feature in "${REMOVED_FEATURES[@]}"; do
+  stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
+    grep -viE "deleted|removed" || true)
+  if [[ -n "$stale" ]]; then
+    echo "FAIL: prose names the removed feature '${feature}':"
+    echo "$stale"
+    fail=1
+  fi
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (subcommands, flags, contract flags, option members and network vocabulary all exist)"
+echo "check_docs: OK (subcommands, flags, contract flags, option members and network vocabulary all exist; no removed feature named)"

@@ -12,8 +12,8 @@
 #      networked-control guard (monotone stability-margin degradation as bus
 #      load rises, 1-vs-4-thread grid bit-equality, svc codec round-trip)
 #      via `ctest -C bench` — BENCH_p9.json and BENCH_n1.json land in the
-#      build dir, and the daemon-served `sweep network` grid must be
-#      byte-identical to the in-process one;
+#      build dir, and the daemon-served `sweep timing|arch|network` and
+#      `fault sweep` grids must be byte-identical to the in-process ones;
 #   4. pass the svc suites again under ASan+UBSan (fork/socket lifecycle,
 #      frame codecs and the LRU splice paths are pointer-heavy).
 #
@@ -64,14 +64,19 @@ for i in $(seq 1 100); do
   esac
 done
 
-# EXP-N1 daemon fidelity: the daemon-served network grid must be
-# byte-identical to the in-process serial one.
-"${flow}" sweep network --threads=1 --csv-out="${build_dir}/n1_local.csv" \
-  >/dev/null
-"${flow}" sweep network --connect="${sock}" \
-  --csv-out="${build_dir}/n1_daemon.csv" >/dev/null
-cmp "${build_dir}/n1_local.csv" "${build_dir}/n1_daemon.csv" ||
-  { echo "FAIL: daemon-served network grid differs from in-process"; exit 1; }
+# Daemon fidelity: every daemon-served grid verb must be byte-identical to
+# the in-process serial one (EXP-N1's network grid included).
+for verb in "sweep timing" "sweep arch" "sweep network" "fault sweep"; do
+  name="${verb/ /_}"
+  # shellcheck disable=SC2086  # "sweep timing" is two arguments
+  "${flow}" ${verb} --threads=1 --csv-out="${build_dir}/${name}_local.csv" \
+    >/dev/null
+  # shellcheck disable=SC2086
+  "${flow}" ${verb} --connect="${sock}" \
+    --csv-out="${build_dir}/${name}_daemon.csv" >/dev/null
+  cmp "${build_dir}/${name}_local.csv" "${build_dir}/${name}_daemon.csv" ||
+    { echo "FAIL: daemon-served ${verb} grid differs from in-process"; exit 1; }
+done
 
 records=$(wc -l < "${ledger}")
 if [[ "${records}" -lt 100 ]]; then

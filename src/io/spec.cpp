@@ -336,12 +336,16 @@ ParsedSpec parse_spec(const std::string& text) {
   return result;
 }
 
-ParsedSpec load_spec(const std::string& path) {
+std::string read_spec_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_spec: cannot read '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return parse_spec(buffer.str());
+  return buffer.str();
+}
+
+ParsedSpec load_spec(const std::string& path) {
+  return parse_spec(read_spec_file(path));
 }
 
 }  // namespace ecsim::io

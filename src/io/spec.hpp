@@ -53,8 +53,11 @@ struct ParsedSpec {
 /// line number on malformed input.
 ParsedSpec parse_spec(const std::string& text);
 
-/// Convenience: read the file and parse. Throws std::runtime_error when the
-/// file cannot be read.
+/// Read a spec file's text. Throws std::runtime_error when the file cannot
+/// be read.
+std::string read_spec_file(const std::string& path);
+
+/// Convenience: read the file and parse (read_spec_file + parse_spec).
 ParsedSpec load_spec(const std::string& path);
 
 }  // namespace ecsim::io

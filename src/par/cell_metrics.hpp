@@ -11,6 +11,7 @@
 #pragma once
 
 #include <chrono>
+#include <exception>
 
 #include "obs/metrics.hpp"
 
@@ -44,5 +45,19 @@ class CellMetrics {
   obs::Counter* done_ = nullptr;
   obs::Histogram* wall_us_ = nullptr;
 };
+
+/// `fill(cell)` for a cell run through the AAA flow. When the schedule no
+/// longer fits the period (or the design breaks down) the cell is returned
+/// schedulable = stable = false instead of throwing, so the grid computes.
+template <class Cell, class Fill>
+Cell unless_unschedulable(Cell cell, Fill&& fill) {
+  try {
+    fill(cell);
+  } catch (const std::exception&) {
+    cell.schedulable = false;
+    cell.stable = false;
+  }
+  return cell;
+}
 
 }  // namespace ecsim::sweep

@@ -41,20 +41,19 @@ NetworkCell evaluate_cell(const NetworkGrid& grid, double load,
   cell.scenario = scenario_code(scenario);
   translate::DistributedSpec dist = grid.dist;
   dist.arch = network_arch(grid, scenario, load);
-  try {
+  return unless_unschedulable(cell, [&](NetworkCell& c) {
     // Nominal pass: the as-designed controller on the real network, to
     // measure the actuation-latency distribution the bus actually delivers.
     const translate::CosimOutcome nominal =
         translate::run_distributed_loop(grid.loop, dist);
-    cell.act_latency_mean = nominal.act_latency.summary.mean;
-    cell.act_jitter = nominal.act_latency.jitter;
-    cell.nominal_iae = nominal.iae;
-    cell.nominal_cost = nominal.cost;
+    c.act_latency_mean = nominal.act_latency.summary.mean;
+    c.act_jitter = nominal.act_latency.jitter;
+    c.nominal_iae = nominal.iae;
+    c.nominal_cost = nominal.cost;
     // Retune pass: delay-aware LQR against the *measured* mean latency
     // (clamped to one period, the augmentation's validity range), then the
     // same network again with the retuned gains.
-    const double tau =
-        std::clamp(cell.act_latency_mean, 0.0, grid.loop.ts);
+    const double tau = std::clamp(c.act_latency_mean, 0.0, grid.loop.ts);
     const control::DelayLqrResult aware = control::dlqr_with_input_delay(
         grid.design_plant, grid.loop.ts, tau,
         control::augment_q(grid.q, grid.r.rows()), grid.r);
@@ -65,20 +64,13 @@ NetworkCell evaluate_cell(const NetworkGrid& grid, double load,
     retuned.input = translate::ControllerInput::kStateRef;
     const translate::CosimOutcome out =
         translate::run_distributed_loop(retuned, dist);
-    cell.retuned_iae = out.iae;
-    cell.retuned_cost = out.cost;
-    cell.stability_margin =
+    c.retuned_iae = out.iae;
+    c.retuned_cost = out.cost;
+    c.stability_margin =
         1.0 - math::spectral_radius(aware.augmented.a -
                                     aware.augmented.b * aware.k);
-    cell.stable = out.iae < kUnstableIae;
-  } catch (const std::exception&) {
-    // The adequation no longer fits the period at this load (or the design
-    // broke down): outside the feasible region, reported rather than thrown
-    // so the rest of the frontier still computes.
-    cell.schedulable = false;
-    cell.stable = false;
-  }
-  return cell;
+    c.stable = out.iae < kUnstableIae;
+  });
 }
 
 }  // namespace

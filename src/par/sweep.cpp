@@ -17,8 +17,7 @@ namespace {
 /// the closed loop ran away and the raw number is meaningless.
 constexpr double kUnstableIae = 1e3;
 
-SweepCell measure(const translate::CosimOutcome& out) {
-  SweepCell cell;
+void measure(const translate::CosimOutcome& out, SweepCell& cell) {
   cell.iae = out.iae;
   cell.ise = out.ise;
   cell.itae = out.itae;
@@ -27,31 +26,27 @@ SweepCell measure(const translate::CosimOutcome& out) {
   cell.act_latency_mean = out.act_latency.summary.mean;
   cell.act_jitter = out.act_latency.jitter;
   cell.stable = out.iae < kUnstableIae;
-  return cell;
 }
 
 }  // namespace
 
-SweepRunner::SweepRunner(par::BatchOptions opts) : opts_(opts) {
-  threads_ = par::BatchRunner(opts_).threads();
-}
-
 std::vector<SweepCell> SweepRunner::run(const TimingGrid& grid) const {
   const std::size_t cols = grid.jitter_fracs.size();
   const std::size_t n = grid.latency_fracs.size() * cols;
-  translate::LoopSpec loop = grid.loop;
-  loop.threads = static_cast<unsigned>(threads_);  // ledger annotation
   par::BatchRunner runner(opts_);
+  translate::LoopSpec loop = grid.loop;
+  loop.threads = static_cast<unsigned>(runner.threads());  // ledger note
   CellMetrics cm(opts_.metrics);
   return runner.map<SweepCell>(n, [&](par::TaskContext& ctx) {
     return cm.cell([&] {
       const double la_frac = grid.latency_fracs[ctx.index / cols];
       const double jitter_frac = grid.jitter_fracs[ctx.index % cols];
-      const translate::CosimOutcome out = translate::run_latency_loop(
-          loop, 0.0, la_frac * loop.ts, jitter_frac * loop.ts);
-      SweepCell cell = measure(out);
+      SweepCell cell;
       cell.la_frac = la_frac;
       cell.jitter_frac = jitter_frac;
+      measure(translate::run_latency_loop(loop, 0.0, la_frac * loop.ts,
+                                          jitter_frac * loop.ts),
+              cell);
       return cell;
     });
   });
@@ -60,25 +55,23 @@ std::vector<SweepCell> SweepRunner::run(const TimingGrid& grid) const {
 std::vector<SweepCell> SweepRunner::run(const ArchitectureGrid& grid) const {
   const std::size_t cols = grid.wcet_scales.size();
   const std::size_t n = grid.bus_bandwidths.size() * cols;
-  translate::LoopSpec loop = grid.loop;
-  loop.threads = static_cast<unsigned>(threads_);  // ledger annotation
   par::BatchRunner runner(opts_);
+  translate::LoopSpec loop = grid.loop;
+  loop.threads = static_cast<unsigned>(runner.threads());  // ledger note
   CellMetrics cm(opts_.metrics);
   return runner.map<SweepCell>(n, [&](par::TaskContext& ctx) {
     return cm.cell([&] {
-      const double bandwidth = grid.bus_bandwidths[ctx.index / cols];
-      const double scale = grid.wcet_scales[ctx.index % cols];
+      SweepCell cell;
+      cell.bus_bandwidth = grid.bus_bandwidths[ctx.index / cols];
+      cell.wcet_scale = grid.wcet_scales[ctx.index % cols];
       translate::DistributedSpec dist = grid.dist;
-      dist.arch =
-          aaa::ArchitectureGraph::bus_architecture(grid.processors, bandwidth);
-      dist.wcet_ctrl *= scale;
-      for (double& w : dist.ctrl_branch_wcets) w *= scale;
-      const translate::CosimOutcome out =
-          translate::run_distributed_loop(loop, dist);
-      SweepCell cell = measure(out);
-      cell.bus_bandwidth = bandwidth;
-      cell.wcet_scale = scale;
-      return cell;
+      dist.arch = aaa::ArchitectureGraph::bus_architecture(grid.processors,
+                                                           cell.bus_bandwidth);
+      dist.wcet_ctrl *= cell.wcet_scale;
+      for (double& w : dist.ctrl_branch_wcets) w *= cell.wcet_scale;
+      return unless_unschedulable(cell, [&](SweepCell& c) {
+        measure(translate::run_distributed_loop(loop, dist), c);
+      });
     });
   });
 }
@@ -86,15 +79,16 @@ std::vector<SweepCell> SweepRunner::run(const ArchitectureGrid& grid) const {
 std::string to_csv(const std::vector<SweepCell>& cells) {
   std::string out =
       "la_frac,jitter_frac,bus_bandwidth,wcet_scale,iae,ise,itae,cost,"
-      "overshoot_pct,act_latency_mean,act_jitter,stable\n";
+      "overshoot_pct,act_latency_mean,act_jitter,schedulable,stable\n";
   char buf[320];
   for (const SweepCell& c : cells) {
     std::snprintf(buf, sizeof buf,
                   "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
-                  "%.17g,%.17g,%d\n",
+                  "%.17g,%.17g,%d,%d\n",
                   c.la_frac, c.jitter_frac, c.bus_bandwidth, c.wcet_scale,
                   c.iae, c.ise, c.itae, c.cost, c.overshoot_pct,
-                  c.act_latency_mean, c.act_jitter, c.stable ? 1 : 0);
+                  c.act_latency_mean, c.act_jitter, c.schedulable ? 1 : 0,
+                  c.stable ? 1 : 0);
     out += buf;
   }
   return out;

@@ -30,6 +30,7 @@ struct SweepCell {
   double overshoot_pct = 0.0;
   double act_latency_mean = 0.0;  // measured La mean (eq. 2)
   double act_jitter = 0.0;        // measured La peak-to-peak
+  bool schedulable = true;  // arch cells: the schedule fits the period
   bool stable = true;             // closed loop did not diverge
 };
 
@@ -54,19 +55,17 @@ struct ArchitectureGrid {
 
 class SweepRunner {
  public:
-  explicit SweepRunner(par::BatchOptions opts = {});
-
-  std::size_t threads() const { return threads_; }
+  explicit SweepRunner(par::BatchOptions opts = {}) : opts_(opts) {}
 
   /// Row-major over latency_fracs × jitter_fracs, bit-identical for any
   /// thread count.
   std::vector<SweepCell> run(const TimingGrid& grid) const;
-  /// Row-major over bus_bandwidths × wcet_scales.
+  /// Row-major over bus_bandwidths × wcet_scales; a cell that does not fit
+  /// the period comes back schedulable = false instead of throwing.
   std::vector<SweepCell> run(const ArchitectureGrid& grid) const;
 
  private:
   par::BatchOptions opts_;
-  std::size_t threads_ = 1;
 };
 
 /// Machine-readable dump, one row per cell, header included.
@@ -75,7 +74,8 @@ std::string to_csv(const std::vector<SweepCell>& cells);
 /// Text heatmap of one metric over a 2-D grid: `cells` must be row-major
 /// rows × cols. Works for any cell type with a `bool stable` member
 /// (SweepCell, fault sweeps' FaultCell, ...); diverged cells print
-/// "unstable". Throws std::invalid_argument when cells != rows × cols.
+/// "unstable", unschedulable ones (`schedulable == false`, where the type
+/// has it) "unsched". Throws std::invalid_argument when cells != rows × cols.
 template <typename Cell>
 std::string heatmap(const std::vector<Cell>& cells,
                     const std::vector<double>& rows,
@@ -104,10 +104,14 @@ std::string heatmap(const std::vector<Cell>& cells,
     out += buf;
     for (std::size_t c = 0; c < cols.size(); ++c) {
       const Cell& cell = cells[r * cols.size() + c];
-      if (cell.stable) {
+      const char* label = cell.stable ? nullptr : "unstable";
+      if constexpr (requires { cell.schedulable; }) {
+        if (!cell.schedulable) label = "unsched";
+      }
+      if (label == nullptr) {
         std::snprintf(buf, sizeof buf, " %10.4g", cell.*metric);
       } else {
-        std::snprintf(buf, sizeof buf, " %10s", "unstable");
+        std::snprintf(buf, sizeof buf, " %10s", label);
       }
       out += buf;
     }

@@ -97,10 +97,11 @@ bool bad_unit(Client& client, std::size_t i, std::size_t n) {
                      std::to_string(n));
 }
 
-/// Request + decode every unit as a Cell; `cells` is untouched on failure.
+}  // namespace
+
 template <class Cell>
-bool remote_cells(Client& client, const Request& req,
-                  std::vector<Cell>& cells, ResponseMeta& meta) {
+bool remote_result(Client& client, const Request& req,
+                   std::vector<Cell>& cells, ResponseMeta& meta) {
   std::vector<std::string> blobs;
   if (!unit_payloads(client, req, meta, blobs)) return false;
   std::vector<Cell> out(blobs.size());
@@ -113,36 +114,16 @@ bool remote_cells(Client& client, const Request& req,
   return true;
 }
 
-}  // namespace
-
-bool remote_sweep(Client& client, const Request& req,
-                  std::vector<sweep::SweepCell>& cells, ResponseMeta& meta) {
-  return remote_cells(client, req, cells, meta);
-}
-
-bool remote_fault_sweep(Client& client, const Request& req,
-                        std::vector<sweep::FaultCell>& cells,
-                        ResponseMeta& meta) {
-  return remote_cells(client, req, cells, meta);
-}
-
-bool remote_network_sweep(Client& client, const Request& req,
-                          std::vector<sweep::NetworkCell>& cells,
-                          ResponseMeta& meta) {
-  return remote_cells(client, req, cells, meta);
-}
-
-bool remote_fault_mc(Client& client, const Request& req,
-                     sweep::FaultMonteCarloResult& result,
-                     ResponseMeta& meta) {
+bool remote_result(Client& client, const Request& req,
+                   sweep::FaultMonteCarloResult& result, ResponseMeta& meta) {
   std::vector<sweep::FaultCell> cells;
-  if (!remote_cells(client, req, cells, meta)) return false;
+  if (!remote_result(client, req, cells, meta)) return false;
   result = sweep::summarize_fault_trials(std::move(cells), req.loss);
   return true;
 }
 
-bool remote_vm_mc(Client& client, const Request& req,
-                  sweep::MonteCarloResult& result, ResponseMeta& meta) {
+bool remote_result(Client& client, const Request& req,
+                   sweep::MonteCarloResult& result, ResponseMeta& meta) {
   std::vector<std::string> blobs;
   if (!unit_payloads(client, req, meta, blobs)) return false;
   sweep::MonteCarloResult out;
@@ -152,5 +133,12 @@ bool remote_vm_mc(Client& client, const Request& req,
   result = std::move(out);
   return true;
 }
+
+template bool remote_result(Client&, const Request&,
+                            std::vector<sweep::SweepCell>&, ResponseMeta&);
+template bool remote_result(Client&, const Request&,
+                            std::vector<sweep::NetworkCell>&, ResponseMeta&);
+template bool remote_result(Client&, const Request&,
+                            std::vector<sweep::FaultCell>&, ResponseMeta&);
 
 }  // namespace ecsim::svc

@@ -1,12 +1,13 @@
 // Client side of the sweep service (DESIGN.md §3.9): connect to the daemon's
 // unix socket, round-trip framed requests and decode the bit-exact unit
 // payloads back into the in-process result types (sweep::SweepCell,
-// sweep::FaultCell, sweep::MonteCarloResult). `ecsim_flow --connect=PATH`
-// routes through this; a failed connect or a daemon error falls back to the
-// in-process computation with a recorded reason — the CLI never fails a
-// sweep just because the daemon is away.
+// sweep::NetworkCell, sweep::FaultCell, sweep::MonteCarloResult).
+// svc::execute is the one request path of `ecsim_flow`'s sweep verbs: the
+// CLI never fails a sweep just because the daemon is away.
 #pragma once
 
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "par/monte_carlo.hpp"
 #include "par/sweep.hpp"
 #include "svc/protocol.hpp"
+#include "svc/server.hpp"
 
 namespace ecsim::svc {
 
@@ -49,24 +51,42 @@ class Client {
 // daemon's unit payloads. False leaves the output untouched; the reason is
 // in client.last_error().
 
-bool remote_sweep(Client& client, const Request& req,
-                  std::vector<sweep::SweepCell>& cells, ResponseMeta& meta);
-
-bool remote_fault_sweep(Client& client, const Request& req,
-                        std::vector<sweep::FaultCell>& cells,
-                        ResponseMeta& meta);
-
-bool remote_network_sweep(Client& client, const Request& req,
-                          std::vector<sweep::NetworkCell>& cells,
-                          ResponseMeta& meta);
+/// Grid verbs: one cell per unit, in unit order (SweepCell, NetworkCell,
+/// FaultCell).
+template <class Cell>
+bool remote_result(Client& client, const Request& req,
+                   std::vector<Cell>& cells, ResponseMeta& meta);
 
 /// Fault Monte Carlo: per-trial cells come back in trial order and reduce
 /// through sweep::summarize_fault_trials — the same reduction the in-process
 /// run uses, so the statistics match bit-for-bit. Timing fields stay 0.
-bool remote_fault_mc(Client& client, const Request& req,
-                     sweep::FaultMonteCarloResult& result, ResponseMeta& meta);
+bool remote_result(Client& client, const Request& req,
+                   sweep::FaultMonteCarloResult& result, ResponseMeta& meta);
 
-bool remote_vm_mc(Client& client, const Request& req,
-                  sweep::MonteCarloResult& result, ResponseMeta& meta);
+/// VM Monte Carlo: the request's single unit is the whole result.
+bool remote_result(Client& client, const Request& req,
+                   sweep::MonteCarloResult& result, ResponseMeta& meta);
+
+/// Serve `req` into `out` through the daemon at `connect` when it is set,
+/// else — or when the daemon cannot, after printing the reason once to
+/// stderr — through run_in_process. nullopt means it ran in-process.
+template <class Result>
+std::optional<ResponseMeta> execute(const Request& req,
+                                    const std::string& connect,
+                                    const par::BatchOptions& batch,
+                                    std::size_t batch_width, WarmCache& warm,
+                                    Result& out) {
+  if (!connect.empty()) {
+    Client client;
+    ResponseMeta meta;
+    if (client.connect(connect) && remote_result(client, req, out, meta)) {
+      return meta;
+    }
+    std::fprintf(stderr, "svc: falling back in-process: %s\n",
+                 client.last_error().c_str());
+  }
+  run_in_process(req, batch, batch_width, warm, out);
+  return std::nullopt;
+}
 
 }  // namespace ecsim::svc

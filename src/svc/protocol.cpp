@@ -492,13 +492,14 @@ std::string encode_cell(const sweep::SweepCell& c) {
     out += ' ';
     out += bits_of(v);
   }
+  out += c.schedulable ? " 1" : " 0";
   out += c.stable ? " 1" : " 0";
   return out;
 }
 
 bool decode_cell(const std::string& s, sweep::SweepCell& c) {
   const std::vector<std::string> toks = split(s);
-  if (toks.size() != 13 || toks[0] != "S") return false;
+  if (toks.size() != 14 || toks[0] != "S") return false;
   sweep::SweepCell out;
   double* fields[] = {&out.la_frac,       &out.jitter_frac,
                       &out.bus_bandwidth, &out.wcet_scale,
@@ -509,7 +510,8 @@ bool decode_cell(const std::string& s, sweep::SweepCell& c) {
   for (std::size_t i = 0; i < 11; ++i) {
     if (!double_of(toks[i + 1], *fields[i])) return false;
   }
-  out.stable = toks[12] == "1";
+  out.schedulable = toks[12] == "1";
+  out.stable = toks[13] == "1";
   c = out;
   return true;
 }

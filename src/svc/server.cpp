@@ -39,83 +39,189 @@ constexpr std::size_t kWindow = 64;
 
 }  // namespace
 
-// ---- unit evaluation (workers, fallback path and tests) --------------------
+// ---- request evaluation ----------------------------------------------------
+
+namespace {
+
+/// Fault grids compare against the same plant noise: loop seed 1.
+std::uint64_t loop_seed(const Request& req) {
+  return req.verb == Verb::kFaultSweep || req.verb == Verb::kFaultMc
+             ? 1
+             : req.seed;
+}
+
+translate::LoopSpec request_loop(const Request& req, WarmCache& warm) {
+  translate::LoopSpec loop = warm.loop(req.ts, req.t_end, loop_seed(req)).loop;
+  loop.backend = backend::parse_kind(req.backend);
+  return loop;
+}
+
+void expect_verb(const Request& req, bool produces) {
+  if (produces) return;
+  throw std::invalid_argument(std::string("svc: verb ") + to_string(req.verb) +
+                              " does not produce this result type");
+}
+
+/// The sub-request whose whole run is unit `unit` of `req`.
+Request unit_request(const Request& req, std::size_t unit) {
+  Request sub = req;
+  if (req.verb == Verb::kFaultMc) {
+    // Trial `unit` of base seed b is trial 0 of base seed b+unit — the
+    // identity the cache key relies on (svc/cache_key.cpp).
+    sub.trials = 1;
+    sub.seed = req.seed + static_cast<std::uint64_t>(unit);
+  } else if (req.verb != Verb::kVmMc) {
+    sub.rows = {req.rows[unit / req.cols.size()]};
+    sub.cols = {req.cols[unit % req.cols.size()]};
+  }
+  return sub;
+}
+
+/// threads=1 short-circuits BatchRunner to the serial path.
+template <class Result>
+Result run_serial(const Request& req, WarmCache& warm) {
+  par::BatchOptions serial;
+  serial.threads = 1;
+  Result out;
+  run_in_process(req, serial, /*batch_width=*/0, warm, out);
+  return out;
+}
+
+}  // namespace
+
+Request canonical_request(Verb verb) {
+  Request req;
+  req.verb = verb;
+  switch (verb) {
+    case Verb::kSweepTiming:
+      req.rows = {0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95};
+      req.cols = {0.0, 0.1, 0.2, 0.3, 0.5};
+      break;
+    case Verb::kSweepArch:
+      req.rows = {1e5, 1e4, 4e3, 2e3, 1e3};
+      req.cols = {0.5, 1.0, 2.0, 4.0};
+      break;
+    case Verb::kSweepNetwork: {
+      const sweep::NetworkGrid grid = sweep::network_servo_grid();
+      req.rows = grid.bus_loads;
+      for (const sweep::NetworkScenario s : grid.scenarios) {
+        req.cols.push_back(sweep::scenario_code(s));
+      }
+      break;
+    }
+    case Verb::kFaultSweep:
+      req.rows = {0.0, 0.05, 0.1, 0.2, 0.4};
+      req.cols = {0.0, 0.001, 0.002, 0.004};
+      break;
+    default:
+      throw std::invalid_argument("canonical_request: verb has no grid");
+  }
+  return req;
+}
+
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t, WarmCache& warm,
+                    std::vector<sweep::SweepCell>& out) {
+  const sweep::SweepRunner runner(batch);
+  if (req.verb == Verb::kSweepTiming) {
+    sweep::TimingGrid grid;
+    grid.loop = request_loop(req, warm);
+    grid.latency_fracs = req.rows;
+    grid.jitter_fracs = req.cols;
+    out = runner.run(grid);
+    return;
+  }
+  expect_verb(req, req.verb == Verb::kSweepArch);
+  sweep::ArchitectureGrid grid;
+  grid.loop = request_loop(req, warm);
+  grid.dist.bind_ctrl = "P1";
+  grid.bus_bandwidths = req.rows;
+  grid.wcet_scales = req.cols;
+  out = runner.run(grid);
+}
+
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t, WarmCache& warm,
+                    std::vector<sweep::NetworkCell>& out) {
+  expect_verb(req, req.verb == Verb::kSweepNetwork);
+  // The warm loop replaces the grid's own: IR hash and seed match `req`.
+  sweep::NetworkGrid grid = sweep::network_servo_grid(req.ts, req.t_end);
+  grid.loop = request_loop(req, warm);
+  grid.bus_loads = req.rows;
+  grid.scenarios.clear();
+  for (const double code : req.cols) {
+    grid.scenarios.push_back(sweep::scenario_of_code(code));
+  }
+  out = sweep::run_network_sweep(grid, batch);
+}
+
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t, WarmCache& warm,
+                    std::vector<sweep::FaultCell>& out) {
+  expect_verb(req, req.verb == Verb::kFaultSweep);
+  sweep::FaultGrid grid;
+  grid.loop = request_loop(req, warm);
+  grid.dist.bind_ctrl = "P1";
+  grid.loss_rates = req.rows;
+  grid.delays = req.cols;
+  grid.fault_seed = req.seed;
+  out = sweep::run_fault_sweep(grid, batch);
+}
+
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    sweep::FaultMonteCarloResult& out) {
+  expect_verb(req, req.verb == Verb::kFaultMc);
+  sweep::FaultMonteCarloSpec spec;
+  spec.loop = request_loop(req, warm);
+  spec.dist.bind_ctrl = "P1";
+  spec.loss_rate = req.loss;
+  spec.trials = req.trials;
+  spec.base_seed = req.seed;
+  spec.batch_width = batch_width;
+  out = sweep::run_fault_monte_carlo(spec, batch);
+}
+
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    sweep::MonteCarloResult& out) {
+  expect_verb(req, req.verb == Verb::kVmMc);
+  aaa::AdequationOptions adequation;
+  adequation.tracer = batch.tracer;
+  adequation.metrics = batch.metrics;
+  const WarmSpec& w = warm.spec(req.spec_text, adequation);
+  sweep::MonteCarloSpec spec;
+  spec.trials = req.trials;
+  spec.iterations = req.iterations;
+  spec.batch_width = batch_width;
+  par::BatchOptions seeded = batch;
+  seeded.seed = req.seed;
+  out = sweep::run_monte_carlo(w.spec.algorithm, w.spec.architecture, w.sched,
+                               w.code, spec, seeded);
+}
 
 std::string evaluate_unit(const Request& req, std::size_t unit,
                           WarmCache& warm) {
   if (unit >= req.units()) {
     throw std::out_of_range("evaluate_unit: unit beyond request");
   }
-  // threads=1 short-circuits BatchRunner to the serial path, so a worker's
-  // unit is computed by the exact code a serial in-process run uses.
-  par::BatchOptions batch;
-  batch.threads = 1;
-  const backend::Kind bk = backend::parse_kind(req.backend);
+  const Request sub = unit_request(req, unit);
   switch (req.verb) {
-    case Verb::kSweepTiming: {
-      sweep::TimingGrid grid;
-      grid.loop = warm.loop(req.ts, req.t_end, req.seed).loop;
-      grid.loop.backend = bk;
-      grid.latency_fracs = {req.rows[unit / req.cols.size()]};
-      grid.jitter_fracs = {req.cols[unit % req.cols.size()]};
-      return encode_cell(sweep::SweepRunner(batch).run(grid)[0]);
-    }
-    case Verb::kSweepArch: {
-      sweep::ArchitectureGrid grid;
-      grid.loop = warm.loop(req.ts, req.t_end, req.seed).loop;
-      grid.loop.backend = bk;
-      grid.dist.bind_ctrl = "P1";  // controller across the bus (CLI contract)
-      grid.bus_bandwidths = {req.rows[unit / req.cols.size()]};
-      grid.wcet_scales = {req.cols[unit % req.cols.size()]};
-      return encode_cell(sweep::SweepRunner(batch).run(grid)[0]);
-    }
-    case Verb::kSweepNetwork: {
-      // The canonical EXP-N1 grid shape (network_servo_grid) restricted to
-      // this unit's (bus load, scenario) coordinate; the warm loop replaces
-      // the grid's own so the IR hash and seed match the request.
-      sweep::NetworkGrid grid = sweep::network_servo_grid(req.ts, req.t_end);
-      grid.loop = warm.loop(req.ts, req.t_end, req.seed).loop;
-      grid.loop.backend = bk;
-      grid.bus_loads = {req.rows[unit / req.cols.size()]};
-      grid.scenarios = {
-          sweep::scenario_of_code(req.cols[unit % req.cols.size()])};
-      return encode_cell(sweep::run_network_sweep(grid, batch)[0]);
-    }
-    case Verb::kFaultSweep: {
-      sweep::FaultGrid grid;
-      // CLI convention: --seed seeds the FAULT stream; the loop keeps its
-      // default seed so fault grids compare against the same plant noise.
-      grid.loop = warm.loop(req.ts, req.t_end, 1).loop;
-      grid.loop.backend = bk;
-      grid.dist.bind_ctrl = "P1";
-      grid.loss_rates = {req.rows[unit / req.cols.size()]};
-      grid.delays = {req.cols[unit % req.cols.size()]};
-      grid.fault_seed = req.seed;
-      return encode_cell(sweep::run_fault_sweep(grid, batch)[0]);
-    }
-    case Verb::kFaultMc: {
-      sweep::FaultMonteCarloSpec spec;
-      spec.loop = warm.loop(req.ts, req.t_end, 1).loop;
-      spec.loop.backend = bk;
-      spec.dist.bind_ctrl = "P1";
-      spec.loss_rate = req.loss;
-      spec.trials = 1;
-      // Trial `unit` of base seed b is trial 0 of base seed b+unit — the
-      // identity the cache key relies on (svc/cache_key.cpp).
-      spec.base_seed = req.seed + static_cast<std::uint64_t>(unit);
-      spec.batch_width = 1;
-      return encode_cell(sweep::run_fault_monte_carlo(spec, batch).cells[0]);
-    }
-    case Verb::kVmMc: {
-      const WarmSpec& w = warm.spec(req.spec_text);
-      sweep::MonteCarloSpec spec;
-      spec.trials = req.trials;
-      spec.iterations = req.iterations;
-      batch.seed = req.seed;
-      return encode_mc(sweep::run_monte_carlo(w.spec.algorithm,
-                                              w.spec.architecture, w.sched,
-                                              w.code, spec, batch));
-    }
+    case Verb::kSweepTiming:
+    case Verb::kSweepArch:
+      return encode_cell(
+          run_serial<std::vector<sweep::SweepCell>>(sub, warm)[0]);
+    case Verb::kSweepNetwork:
+      return encode_cell(
+          run_serial<std::vector<sweep::NetworkCell>>(sub, warm)[0]);
+    case Verb::kFaultSweep:
+      return encode_cell(
+          run_serial<std::vector<sweep::FaultCell>>(sub, warm)[0]);
+    case Verb::kFaultMc:
+      return encode_cell(
+          run_serial<sweep::FaultMonteCarloResult>(sub, warm).cells[0]);
+    case Verb::kVmMc:
+      return encode_mc(run_serial<sweep::MonteCarloResult>(sub, warm));
     default:
       throw std::invalid_argument("evaluate_unit: verb has no work units");
   }
@@ -446,15 +552,10 @@ void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
   const auto t0 = std::chrono::steady_clock::now();
   ++ctx.requests;
   try {
-    meta.model_hash = req.verb == Verb::kVmMc
-                          ? spec_content_hash(req.spec_text)
-                          : ctx.warm
-                                ->loop(req.ts, req.t_end,
-                                       req.verb == Verb::kFaultSweep ||
-                                               req.verb == Verb::kFaultMc
-                                           ? 1
-                                           : req.seed)
-                                .ir_hash;
+    meta.model_hash =
+        req.verb == Verb::kVmMc
+            ? spec_content_hash(req.spec_text)
+            : ctx.warm->loop(req.ts, req.t_end, loop_seed(req)).ir_hash;
     const std::size_t n = req.units();
     std::vector<std::string> keys(n), payloads(n);
     std::vector<std::size_t> misses;

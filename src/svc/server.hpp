@@ -21,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "par/batch_runner.hpp"
 #include "svc/protocol.hpp"
 #include "svc/warm_cache.hpp"
 
@@ -39,10 +41,40 @@ struct ServeOptions {
 /// (0 on a clean drain). Not re-entrant: installs signal handlers.
 int run_server(const ServeOptions& opts);
 
-/// Compute one work unit of `req` in-process and return its encoded payload
-/// (the exact bytes the result cache stores). Shared by the workers, the
-/// fallback path and the tests — there is exactly one evaluation routine, so
-/// cached, daemon-computed and in-process results cannot diverge.
+// ---- request evaluation ----------------------------------------------------
+// run_in_process is the one Request -> grid/spec mapping, and it holds the
+// conventions every path shares: the servo loop of (ts, t_end) from
+// WarmCache, the controller bound to P1, fault verbs on loop seed 1 with
+// `seed` seeding the fault stream, the EXP-N1 shape of
+// sweep::network_servo_grid, and prepare_spec for uploaded specs.
+
+/// The `ecsim_flow sweep` / `fault sweep` grid of `verb`: the CLI's axes,
+/// every other field at its default, so repeated runs hit the daemon's
+/// cache. Throws std::invalid_argument for a verb without a grid.
+Request canonical_request(Verb verb);
+
+/// Run all of `req` on `batch` (threads, metrics, tracer); `batch_width`
+/// is the Monte Carlo trials per task (0 = auto). Throws
+/// std::invalid_argument when the verb does not produce `out`'s type.
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    std::vector<sweep::SweepCell>& out);
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    std::vector<sweep::NetworkCell>& out);
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    std::vector<sweep::FaultCell>& out);
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    sweep::FaultMonteCarloResult& out);
+void run_in_process(const Request& req, const par::BatchOptions& batch,
+                    std::size_t batch_width, WarmCache& warm,
+                    sweep::MonteCarloResult& out);
+
+/// One work unit's encoded payload (the bytes the result cache stores):
+/// run_in_process of the unit's sub-request — one grid cell, one fault
+/// trial, or the whole VM Monte Carlo — on one thread.
 std::string evaluate_unit(const Request& req, std::size_t unit,
                           WarmCache& warm);
 

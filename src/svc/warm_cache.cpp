@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "aaa/adequation.hpp"
 #include "ir/ir.hpp"
 #include "par/sweep.hpp"
 #include "svc/cache_key.hpp"
@@ -37,7 +36,26 @@ const WarmLoop& WarmCache::loop(double ts, double t_end, std::uint64_t seed) {
   return loops_.insert(std::move(key), std::move(entry));
 }
 
-const WarmSpec& WarmCache::spec(const std::string& spec_text) {
+WarmSpec prepare_spec(const std::string& spec_text,
+                      const aaa::AdequationOptions& opts) {
+  WarmSpec out;
+  out.spec = io::parse_spec(spec_text);
+  if (!out.spec.has_algorithm) {
+    throw std::runtime_error("spec has no [algorithm] section");
+  }
+  if (!out.spec.has_architecture) {
+    throw std::runtime_error("spec has no [architecture] section");
+  }
+  out.sched = aaa::adequate(out.spec.algorithm, out.spec.architecture, opts);
+  out.sched.validate(out.spec.algorithm, out.spec.architecture);
+  out.code = aaa::generate_executives(out.spec.algorithm,
+                                      out.spec.architecture, out.sched);
+  out.content_hash = spec_content_hash(spec_text);
+  return out;
+}
+
+const WarmSpec& WarmCache::spec(const std::string& spec_text,
+                                const aaa::AdequationOptions& opts) {
   std::string key = spec_content_hash(spec_text);
   if (const WarmSpec* hit = specs_.find(key)) {
     ++hits_;
@@ -46,18 +64,7 @@ const WarmSpec& WarmCache::spec(const std::string& spec_text) {
   }
   ++misses_;
   if (miss_ctr_ != nullptr) miss_ctr_->add();
-  WarmSpec entry;
-  entry.spec = io::parse_spec(spec_text);
-  if (!entry.spec.has_algorithm || !entry.spec.has_architecture) {
-    throw std::runtime_error(
-        "svc: spec needs [algorithm] and [architecture] sections");
-  }
-  entry.sched = aaa::adequate(entry.spec.algorithm, entry.spec.architecture);
-  entry.sched.validate(entry.spec.algorithm, entry.spec.architecture);
-  entry.code = aaa::generate_executives(entry.spec.algorithm,
-                                        entry.spec.architecture, entry.sched);
-  entry.content_hash = key;
-  return specs_.insert(std::move(key), std::move(entry));
+  return specs_.insert(std::move(key), prepare_spec(spec_text, opts));
 }
 
 }  // namespace ecsim::svc

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "aaa/adequation.hpp"
 #include "aaa/codegen.hpp"
 #include "io/spec.hpp"
 #include "obs/metrics.hpp"
@@ -33,14 +34,20 @@ struct WarmLoop {
   std::string ir_hash;  // ir::hash_hex(translate::loop_ir(loop))
 };
 
-/// One uploaded VM Monte Carlo spec taken through parse -> adequation ->
-/// codegen, keyed by its content hash ("spec:0x…").
+/// One spec taken through parse -> adequation -> codegen, keyed by its
+/// content hash ("spec:0x…").
 struct WarmSpec {
   io::ParsedSpec spec;
   aaa::Schedule sched{0, 0};
   aaa::GeneratedCode code;
   std::string content_hash;
 };
+
+/// The one spec pipeline, behind WarmCache::spec and `ecsim_flow <command>
+/// spec.txt`: parse, require both sections, adequate with `opts`, validate,
+/// generate the executives. Throws io::SpecParseError / std::runtime_error.
+WarmSpec prepare_spec(const std::string& spec_text,
+                      const aaa::AdequationOptions& opts = {});
 
 /// Per-kind entry cap. A daemon serves a handful of hot models; 64 keeps
 /// every realistic working set resident while bounding a hostile or
@@ -91,10 +98,10 @@ class WarmCache {
   /// need. Throws what loop assembly throws on first build.
   const WarmLoop& loop(double ts, double t_end, std::uint64_t seed);
 
-  /// Find-or-build from spec text; same reference lifetime as loop().
-  /// Throws io::SpecParseError / std::runtime_error on malformed or
-  /// incomplete specs (first build only).
-  const WarmSpec& spec(const std::string& spec_text);
+  /// Find-or-build through prepare_spec (`opts` applies to a first build);
+  /// same reference lifetime as loop().
+  const WarmSpec& spec(const std::string& spec_text,
+                       const aaa::AdequationOptions& opts = {});
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }

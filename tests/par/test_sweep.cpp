@@ -35,7 +35,8 @@ bool bit_identical(const std::vector<SweepCell>& a,
         x.iae != y.iae || x.ise != y.ise || x.itae != y.itae ||
         x.cost != y.cost || x.overshoot_pct != y.overshoot_pct ||
         x.act_latency_mean != y.act_latency_mean ||
-        x.act_jitter != y.act_jitter || x.stable != y.stable) {
+        x.act_jitter != y.act_jitter || x.schedulable != y.schedulable ||
+        x.stable != y.stable) {
       return false;
     }
   }
@@ -89,6 +90,40 @@ TEST(Sweep, ArchitectureGridThroughFullFlow) {
   // Heavier controller on a slower bus cannot beat the light/fast corner.
   EXPECT_GE(cells[3].act_latency_mean, cells[0].act_latency_mean);
   for (const SweepCell& c : cells) EXPECT_GT(c.bus_bandwidth, 0.0);
+}
+
+// A cell whose adequation no longer fits the period (slow bus, controller
+// across it at 4x WCET) is reported unschedulable — not thrown — so the rest
+// of the grid still computes; the heatmap and CSV say so.
+TEST(Sweep, InfeasibleArchitectureCellIsReportedUnschedulable) {
+  ArchitectureGrid grid;
+  grid.loop = servo_loop(0.01, 0.12);
+  grid.dist.bind_ctrl = "P1";
+  grid.bus_bandwidths = {1e5, 1e3};
+  grid.wcet_scales = {1.0, 4.0};
+  par::BatchOptions batch;
+  batch.threads = 2;
+  std::vector<SweepCell> cells;
+  ASSERT_NO_THROW(cells = SweepRunner(batch).run(grid));
+  ASSERT_EQ(cells.size(), 4u);
+  EXPECT_TRUE(cells[0].schedulable);
+  EXPECT_TRUE(cells[0].stable);
+  EXPECT_GT(cells[0].iae, 0.0);
+  const SweepCell& bad = cells[3];
+  EXPECT_FALSE(bad.schedulable);
+  EXPECT_FALSE(bad.stable);
+  EXPECT_EQ(bad.bus_bandwidth, 1e3);
+  EXPECT_EQ(bad.wcet_scale, 4.0);
+  EXPECT_EQ(bad.cost, 0.0);
+  const std::string map =
+      heatmap(cells, grid.bus_bandwidths, grid.wcet_scales, "bus bw",
+              "WCET scale", &SweepCell::cost, "control cost");
+  EXPECT_NE(map.find("unsched"), std::string::npos) << map;
+  const std::string csv = to_csv(cells);
+  EXPECT_NE(csv.find("act_jitter,schedulable,stable\n"), std::string::npos);
+  EXPECT_EQ(csv.substr(csv.size() - 4), "0,0\n") << csv;
+  // Serial and parallel runs agree on the infeasible cell too.
+  EXPECT_TRUE(bit_identical(cells, SweepRunner(par::BatchOptions{}).run(grid)));
 }
 
 TEST(Sweep, CsvAndHeatmapRender) {

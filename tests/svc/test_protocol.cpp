@@ -135,6 +135,7 @@ TEST(ProtocolCodec, SweepCellBitExactRoundTrip) {
                         &c.itae,          &c.cost,        &c.overshoot_pct,
                         &c.act_latency_mean, &c.act_jitter};
     for (std::size_t i = 0; i < 11; ++i) *fields[i] = xs[t * 11 + i];
+    c.schedulable = (t % 3) != 0;
     c.stable = (t % 2) == 0;
     sweep::SweepCell d;
     ASSERT_TRUE(decode_cell(encode_cell(c), d));
@@ -144,6 +145,7 @@ TEST(ProtocolCodec, SweepCellBitExactRoundTrip) {
     EXPECT_TRUE(same_bits(d.cost, c.cost));
     EXPECT_TRUE(same_bits(d.iae, c.iae));
     EXPECT_TRUE(same_bits(d.act_jitter, c.act_jitter));
+    EXPECT_EQ(d.schedulable, c.schedulable);
     EXPECT_EQ(d.stable, c.stable);
   }
 }

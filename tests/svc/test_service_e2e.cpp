@@ -145,7 +145,7 @@ TEST(ServiceE2E, ShardedSweepIsBitIdenticalToInProcessReference) {
   ASSERT_TRUE(client.connect(server.socket_path)) << client.last_error();
   std::vector<sweep::SweepCell> got;
   ResponseMeta meta;
-  ASSERT_TRUE(remote_sweep(client, req, got, meta)) << client.last_error();
+  ASSERT_TRUE(remote_result(client, req, got, meta)) << client.last_error();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(same_bits(got[i].iae, want[i].iae)) << "cell " << i;
@@ -167,8 +167,8 @@ TEST(ServiceE2E, RepeatRequestIsServedEntirelyFromCache) {
   ASSERT_TRUE(client.connect(server.socket_path));
   std::vector<sweep::SweepCell> first, second;
   ResponseMeta m1, m2;
-  ASSERT_TRUE(remote_sweep(client, req, first, m1));
-  ASSERT_TRUE(remote_sweep(client, req, second, m2));
+  ASSERT_TRUE(remote_result(client, req, first, m1));
+  ASSERT_TRUE(remote_result(client, req, second, m2));
   EXPECT_EQ(m1.cache_hits, 0u);
   EXPECT_TRUE(m2.served_from_cache);
   EXPECT_EQ(m2.cache_hits, req.units());
@@ -207,8 +207,8 @@ TEST(ServiceE2E, OverlappingFaultMcSeedRangesShareCacheEntries) {
 
   sweep::FaultMonteCarloResult r1, r2;
   ResponseMeta m1, m2;
-  ASSERT_TRUE(remote_fault_mc(client, lo, r1, m1)) << client.last_error();
-  ASSERT_TRUE(remote_fault_mc(client, hi, r2, m2)) << client.last_error();
+  ASSERT_TRUE(remote_result(client, lo, r1, m1)) << client.last_error();
+  ASSERT_TRUE(remote_result(client, hi, r2, m2)) << client.last_error();
   EXPECT_EQ(m1.cache_hits, 0u);
   EXPECT_EQ(m2.cache_hits, 2u) << "trial aliasing must share entries";
   EXPECT_EQ(server.stop(), 0);
@@ -229,7 +229,7 @@ TEST(ServiceE2E, VmMonteCarloRoundTripMatchesAndCaches) {
 
   sweep::MonteCarloResult got, again;
   ResponseMeta m1, m2;
-  ASSERT_TRUE(remote_vm_mc(client, req, got, m1)) << client.last_error();
+  ASSERT_TRUE(remote_result(client, req, got, m1)) << client.last_error();
   EXPECT_EQ(got.trials, 20u);
   EXPECT_EQ(m1.model_hash.rfind("spec:", 0), 0u);
 
@@ -244,7 +244,7 @@ TEST(ServiceE2E, VmMonteCarloRoundTripMatchesAndCaches) {
                           want.io_ops[i].mean_latency.mean));
   }
 
-  ASSERT_TRUE(remote_vm_mc(client, req, again, m2));
+  ASSERT_TRUE(remote_result(client, req, again, m2));
   EXPECT_TRUE(m2.served_from_cache);
   EXPECT_TRUE(same_bits(again.makespan.mean, got.makespan.mean));
   EXPECT_EQ(server.stop(), 0);
@@ -269,7 +269,7 @@ TEST(ServiceE2E, CrashedWorkerIsSurvivedWithOneRedispatch) {
   const std::vector<sweep::SweepCell> want = reference_cells(req);
   std::vector<sweep::SweepCell> got;
   ResponseMeta meta;
-  ASSERT_TRUE(remote_sweep(client, req, got, meta)) << client.last_error();
+  ASSERT_TRUE(remote_result(client, req, got, meta)) << client.last_error();
   EXPECT_GE(meta.redispatches, 1u) << "the crash must have been recovered";
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -281,7 +281,7 @@ TEST(ServiceE2E, CrashedWorkerIsSurvivedWithOneRedispatch) {
   // re-dispatch and is served from cache.
   std::vector<sweep::SweepCell> again;
   ResponseMeta m2;
-  ASSERT_TRUE(remote_sweep(client, req, again, m2));
+  ASSERT_TRUE(remote_result(client, req, again, m2));
   EXPECT_EQ(m2.redispatches, 0u);
   EXPECT_TRUE(m2.served_from_cache);
   EXPECT_EQ(server.stop(), 0);
@@ -304,7 +304,7 @@ TEST(ServiceE2E, UnitErrorDoesNotLeakStaleRepliesIntoNextRequest) {
   bad.cols = {0.0, 0.1, 0.2, 0.3};
   std::vector<sweep::SweepCell> cells;
   ResponseMeta bmeta;
-  EXPECT_FALSE(remote_sweep(client, bad, cells, bmeta));
+  EXPECT_FALSE(remote_result(client, bad, cells, bmeta));
   EXPECT_FALSE(client.last_error().empty());
 
   // The follow-up request must compute clean, bit-identical results on the
@@ -313,7 +313,7 @@ TEST(ServiceE2E, UnitErrorDoesNotLeakStaleRepliesIntoNextRequest) {
   const std::vector<sweep::SweepCell> want = reference_cells(good);
   std::vector<sweep::SweepCell> got;
   ResponseMeta meta;
-  ASSERT_TRUE(remote_sweep(client, good, got, meta)) << client.last_error();
+  ASSERT_TRUE(remote_result(client, good, got, meta)) << client.last_error();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(same_bits(got[i].cost, want[i].cost)) << "cell " << i;
@@ -348,7 +348,7 @@ TEST(ServiceE2E, StatsAndPingVerbs) {
 
   std::vector<sweep::SweepCell> cells;
   ResponseMeta sweep_meta;
-  ASSERT_TRUE(remote_sweep(client, small_timing_request(), cells, sweep_meta));
+  ASSERT_TRUE(remote_result(client, small_timing_request(), cells, sweep_meta));
 
   Request stats;
   stats.verb = Verb::kStats;
@@ -426,7 +426,7 @@ TEST(ServiceE2E, MalformedUnitsReplyReportsReasonForFallback) {
   ASSERT_TRUE(client.connect(daemon.path()));
   std::vector<sweep::SweepCell> cells;
   ResponseMeta meta;
-  EXPECT_FALSE(remote_sweep(client, small_timing_request(), cells, meta));
+  EXPECT_FALSE(remote_result(client, small_timing_request(), cells, meta));
   EXPECT_TRUE(cells.empty());
   EXPECT_FALSE(client.last_error().empty());
 }
@@ -440,7 +440,7 @@ TEST(ServiceE2E, UndecodableUnitIsNamedInLastError) {
   ASSERT_TRUE(client.connect(daemon.path()));
   std::vector<sweep::SweepCell> cells;
   ResponseMeta meta;
-  EXPECT_FALSE(remote_sweep(client, req, cells, meta));
+  EXPECT_FALSE(remote_result(client, req, cells, meta));
   EXPECT_NE(client.last_error().find("unit 0 of 6"), std::string::npos)
       << client.last_error();
 }

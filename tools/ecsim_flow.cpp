@@ -38,7 +38,14 @@
 //                                   re-seeding the fault stream; prints the
 //                                   cost/IAE distribution.
 // Extra flags: --threads=N (0 = hardware), sweep/fault: --csv-out=FILE,
-// montecarlo: --trials=N --iterations=N --seed=N, fault: --loss=RATE.
+// montecarlo: --trials=N --iterations=N --seed=N, fault: --loss=RATE,
+// Monte Carlo: --batch=W. A numeric flag that does not parse exits 2.
+//
+// Sweep service (src/svc, DESIGN.md §3.9): `ecsim_flow serve
+// --socket=PATH [--workers=N --cache-mb=M --ledger=FILE]` runs the daemon
+// (SIGTERM drains); --connect=SOCKET on sweep/fault/montecarlo serves the
+// verb's svc::Request there, or in-process when it cannot (reason printed
+// once) — with the same results.
 //
 // Observability flags (any command, order-free after the spec):
 //   --trace-out=FILE    Chrome trace-event / Perfetto JSON: the adequation
@@ -81,6 +88,8 @@
 //
 // The spec format is documented in src/io/spec.hpp; see
 // examples/specs/*.spec for ready-to-run inputs.
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -88,13 +97,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "aaa/adequation.hpp"
 #include "backend/kind.hpp"
 #include "blocks/examples.hpp"
 #include "ir/ir.hpp"
 #include "sim/build_ir.hpp"
-#include "aaa/codegen.hpp"
 #include "exec/conformance.hpp"
 #include "io/dot.hpp"
 #include "io/spec.hpp"
@@ -108,7 +117,6 @@
 #include "par/network_sweep.hpp"
 #include "par/sweep.hpp"
 #include "svc/client.hpp"
-#include "svc/server.hpp"
 #include "translate/schedule_export.hpp"
 
 using namespace ecsim;
@@ -138,29 +146,7 @@ int usage() {
   return 2;
 }
 
-struct Flow {
-  io::ParsedSpec spec;
-  aaa::Schedule sched{0, 0};
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-
-  Flow(const std::string& path, obs::Tracer* tr, obs::MetricsRegistry* mx)
-      : spec(io::load_spec(path)), tracer(tr), metrics(mx) {
-    if (!spec.has_algorithm) {
-      throw std::runtime_error("spec has no [algorithm] section");
-    }
-    if (!spec.has_architecture) {
-      throw std::runtime_error("spec has no [architecture] section");
-    }
-    aaa::AdequationOptions opts;
-    opts.tracer = tracer;
-    opts.metrics = metrics;
-    sched = aaa::adequate(spec.algorithm, spec.architecture, opts);
-    sched.validate(spec.algorithm, spec.architecture);
-  }
-};
-
-int cmd_schedule(const Flow& f) {
+int cmd_schedule(const svc::WarmSpec& f) {
   std::printf("%s", f.sched.to_string(f.spec.algorithm, f.spec.architecture)
                         .c_str());
   const double period = f.spec.algorithm.period();
@@ -172,16 +158,13 @@ int cmd_schedule(const Flow& f) {
   return 0;
 }
 
-int cmd_codegen(const Flow& f) {
-  const aaa::GeneratedCode code =
-      aaa::generate_executives(f.spec.algorithm, f.spec.architecture, f.sched);
-  std::printf("%s", code.source.c_str());
+int cmd_codegen(const svc::WarmSpec& f) {
+  std::printf("%s", f.code.source.c_str());
   return 0;
 }
 
-int cmd_simulate(const Flow& f) {
-  const aaa::GeneratedCode code =
-      aaa::generate_executives(f.spec.algorithm, f.spec.architecture, f.sched);
+int cmd_simulate(const svc::WarmSpec& f, obs::Tracer* tracer,
+                 obs::MetricsRegistry* metrics) {
   const double period = f.spec.algorithm.period() > 0.0
                             ? f.spec.algorithm.period()
                             : f.sched.makespan();
@@ -189,11 +172,11 @@ int cmd_simulate(const Flow& f) {
   opts.iterations = 50;
   opts.period = period;
   opts.branch_chooser = exec::worst_case_branch_chooser();
-  opts.tracer = f.tracer;
-  opts.metrics = f.metrics;
+  opts.tracer = tracer;
+  opts.metrics = metrics;
   opts.track_prefix = "wcet/";
   const exec::VmResult wcet_run = exec::run_executives(
-      f.spec.algorithm, f.spec.architecture, f.sched, code, opts);
+      f.spec.algorithm, f.spec.architecture, f.sched, f.code, opts);
   const exec::ConformanceReport conf = exec::check_wcet_conformance(
       f.spec.algorithm, f.spec.architecture, f.sched, wcet_run, period);
   std::printf("WCET run: deadlock=%s conformance=%s (max error %.2e)\n",
@@ -205,7 +188,7 @@ int cmd_simulate(const Flow& f) {
   rnd.branch_chooser = exec::uniform_branch_chooser();
   rnd.track_prefix = "actual/";
   const exec::VmResult rnd_run = exec::run_executives(
-      f.spec.algorithm, f.spec.architecture, f.sched, code, rnd);
+      f.spec.algorithm, f.spec.architecture, f.sched, f.code, rnd);
   std::printf("random-times run: deadlock=%s, order preserved=%s\n",
               rnd_run.deadlock ? "YES" : "no",
               exec::check_order_preservation(f.spec.algorithm,
@@ -227,7 +210,7 @@ int cmd_simulate(const Flow& f) {
   return 0;
 }
 
-int cmd_validate(const Flow& f) {
+int cmd_validate(const svc::WarmSpec& f) {
   const double period = f.spec.algorithm.period();
   if (period > 0.0 && f.sched.makespan() > period) {
     std::printf("INVALID: makespan %.6g exceeds period %.6g\n",
@@ -239,17 +222,19 @@ int cmd_validate(const Flow& f) {
   return 0;
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool write_file(const std::string& path, const std::string& doc) {
+/// Write an output file and name it on stderr as `label: path`; 1 (after
+/// saying so) when it cannot be written.
+int write_output(const char* label, const std::string& path,
+                 const std::string& doc) {
   std::FILE* fp = std::fopen(path.c_str(), "w");
-  if (fp == nullptr) return false;
+  if (fp == nullptr) {
+    std::fprintf(stderr, "ecsim_flow: cannot write %s\n", path.c_str());
+    return 1;
+  }
   std::fputs(doc.c_str(), fp);
   std::fclose(fp);
-  return true;
+  std::fprintf(stderr, "%s: %s\n", label, path.c_str());
+  return 0;
 }
 
 /// `ir dump|hash`: the canonical IR of a built-in example model — the
@@ -348,10 +333,10 @@ int cmd_ledger(const std::string& sub, std::string ledger_path,
   return usage();
 }
 
-/// Post-run telemetry shared by the sweep-style commands: per-cell progress
-/// and latency quantiles from the shared registry, and — when the native
-/// backend was requested — how the backend request resolved (used backend,
-/// fallback reason, model IR hash), read from the most recent ledger record.
+/// Post-run telemetry of an in-process request: per-cell progress and
+/// latency quantiles from the shared registry, and — when the native backend
+/// was requested — how the backend request resolved (used backend, fallback
+/// reason, model IR hash), read from the most recent ledger record.
 void print_sweep_telemetry(obs::MetricsRegistry& reg, backend::Kind bk) {
   obs::Histogram& wall = reg.histogram("sweep.cell_wall_us");
   if (wall.count() > 0) {
@@ -374,8 +359,8 @@ void print_sweep_telemetry(obs::MetricsRegistry& reg, backend::Kind bk) {
   }
 }
 
-/// Report how a --connect request resolved; a fallback prints the recorded
-/// reason so scripted runs can tell daemon-served from in-process results.
+/// Report how a --connect request resolved, so scripted runs can tell
+/// daemon-served from in-process results.
 void print_daemon_meta(const svc::ResponseMeta& meta) {
   std::printf("daemon: %zu/%zu units from cache%s, model %s%s\n",
               meta.cache_hits, meta.cache_units,
@@ -384,493 +369,155 @@ void print_daemon_meta(const svc::ResponseMeta& meta) {
               meta.redispatches > 0 ? " [worker re-dispatch]" : "");
 }
 
-/// `sweep network`: the EXP-N1 stability-vs-bus-load frontier — CAN and TDMA
-/// scenario columns over background-load rows, each cell retuning the LQR
-/// against the latency distribution the simulated bus actually delivered.
-int cmd_sweep_network(std::size_t threads, const std::string& csv_out,
-                      backend::Kind bk, const std::string& connect) {
-  const sweep::NetworkGrid grid = sweep::network_servo_grid();
-  const std::vector<double>& rows = grid.bus_loads;
-  std::vector<double> cols;
-  for (const sweep::NetworkScenario s : grid.scenarios) {
-    cols.push_back(sweep::scenario_code(s));
-  }
-  obs::MetricsRegistry reg;
-  par::BatchOptions batch;
-  batch.threads = threads;
-  batch.metrics = &reg;
-  std::vector<sweep::NetworkCell> cells;
-  bool remote = false;
-  svc::ResponseMeta meta;
-  if (!connect.empty()) {
-    svc::Client client;
-    svc::Request req;
-    req.verb = svc::Verb::kSweepNetwork;
-    req.backend = std::string(backend::to_string(bk));
-    req.rows = rows;
-    req.cols = cols;
-    remote = client.connect(connect) &&
-             svc::remote_network_sweep(client, req, cells, meta);
-    if (!remote) {
-      std::fprintf(stderr, "svc: falling back in-process: %s\n",
-                   client.last_error().c_str());
+/// Flags of the request verbs (sweep, fault, montecarlo).
+struct RequestFlags {
+  std::size_t threads = 0;      // 0 = hardware
+  std::size_t batch_width = 0;  // trials per task; 0 = auto (SIMD width)
+  std::string csv_out, connect;
+  backend::Kind bk = backend::Kind::kInterp;
+
+  /// "N cells via daemon S" or "N cells on K worker(s)".
+  std::string served_by(std::size_t cells, bool remote) const {
+    if (remote) {
+      return std::to_string(cells) + " cells via daemon " + connect + "\n";
     }
+    const std::size_t workers =
+        par::BatchRunner({.threads = threads}).threads();
+    return std::to_string(cells) + " cells on " + std::to_string(workers) +
+           " worker(s)\n";
   }
-  if (!remote) {
-    sweep::NetworkGrid run = grid;
-    run.loop.backend = bk;
-    cells = sweep::run_network_sweep(run, batch);
-  }
-  const std::string margin_map = sweep::heatmap(
-      cells, rows, cols, "bus load", "scenario",
-      &sweep::NetworkCell::stability_margin,
-      "delay-aware stability margin (1 - spectral radius)");
-  const std::string iae_map = sweep::heatmap(
-      cells, rows, cols, "bus load", "scenario",
-      &sweep::NetworkCell::retuned_iae, "retuned IAE");
-  if (remote) {
-    std::printf("%zu cells via daemon %s\n", cells.size(), connect.c_str());
-  } else {
-    std::printf("%zu cells on %zu worker(s)\n", cells.size(),
-                par::BatchRunner(batch).threads());
-  }
-  std::printf("columns: 0 = can (priority arbitration), 1 = tdma (owner "
-              "slots)\n%s%s",
-              margin_map.c_str(), iae_map.c_str());
-  if (remote) {
-    print_daemon_meta(meta);
-  } else {
-    print_sweep_telemetry(reg, bk);
-  }
-  if (!csv_out.empty()) {
-    if (!write_file(csv_out, sweep::to_csv(cells))) {
-      std::fprintf(stderr, "ecsim_flow: cannot write %s\n", csv_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "csv: %s\n", csv_out.c_str());
-  }
-  return 0;
+};
+
+template <class Cell>
+std::string csv_of(const std::vector<Cell>& cells) {
+  return sweep::to_csv(cells);
+}
+std::string csv_of(const sweep::FaultMonteCarloResult& r) {
+  return sweep::to_csv(r.cells);
 }
 
-int cmd_sweep(const std::string& kind, std::size_t threads,
-              const std::string& csv_out, backend::Kind bk,
-              const std::string& connect) {
+/// Printed after an in-process Monte Carlo run. Trials here run one per
+/// scalar loop or executive, so no lane is ever evicted; the count is
+/// printed for parity with the simulator-level batched MC.
+template <class Result>
+std::string batch_line(const Result& r) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "batch width %zu, 0 evictions, %.4g trials/s (%.3g s)\n",
+                r.batch_width, r.trials_per_s, r.wall_s);
+  return buf;
+}
+
+/// One sweep or fault verb: serve `req` through svc::execute (the daemon
+/// when --connect is set, else in-process on --threads), print
+/// `print(result, remote)`, then the daemon's cache disposition or the
+/// local run's telemetry, and write --csv-out.
+template <class Result, class Print>
+int run_request(svc::Request req, const RequestFlags& f, Print print) {
+  req.backend = std::string(backend::to_string(f.bk));
+  obs::MetricsRegistry reg;
+  par::BatchOptions batch;
+  batch.threads = f.threads;
+  batch.metrics = &reg;
+  svc::WarmCache warm;
+  Result result;
+  const std::optional<svc::ResponseMeta> meta =
+      svc::execute(req, f.connect, batch, f.batch_width, warm, result);
+  std::printf("%s", print(result, meta.has_value()).c_str());
+  if (meta) {
+    print_daemon_meta(*meta);
+  } else {
+    print_sweep_telemetry(reg, f.bk);
+  }
+  return f.csv_out.empty() ? 0
+                           : write_output("csv", f.csv_out, csv_of(result));
+}
+
+/// `sweep timing|arch|network`. `network` is the EXP-N1 stability-vs-bus-
+/// load frontier: CAN and TDMA scenario columns over background-load rows,
+/// each cell retuning the LQR against the latency distribution the
+/// simulated bus actually delivered.
+int cmd_sweep(const std::string& kind, const RequestFlags& f) {
   if (kind == "network") {
-    return cmd_sweep_network(threads, csv_out, bk, connect);
+    const svc::Request req = svc::canonical_request(svc::Verb::kSweepNetwork);
+    return run_request<std::vector<sweep::NetworkCell>>(
+        req, f, [&](const std::vector<sweep::NetworkCell>& cells, bool remote) {
+          return f.served_by(cells.size(), remote) +
+                 "columns: 0 = can (priority arbitration), 1 = tdma (owner "
+                 "slots)\n" +
+                 sweep::heatmap(
+                     cells, req.rows, req.cols, "bus load", "scenario",
+                     &sweep::NetworkCell::stability_margin,
+                     "delay-aware stability margin (1 - spectral radius)") +
+                 sweep::heatmap(cells, req.rows, req.cols, "bus load",
+                                "scenario", &sweep::NetworkCell::retuned_iae,
+                                "retuned IAE");
+        });
   }
   const bool timing = kind == "timing";
   if (!timing && kind != "arch") return usage();
-  // The CLI's canonical grids — the daemon caches cells of exactly these
-  // coordinates, so repeat invocations are fully served from cache.
-  const std::vector<double> rows =
-      timing ? std::vector<double>{0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95}
-             : std::vector<double>{1e5, 1e4, 4e3, 2e3, 1e3};
-  const std::vector<double> cols =
-      timing ? std::vector<double>{0.0, 0.1, 0.2, 0.3, 0.5}
-             : std::vector<double>{0.5, 1.0, 2.0, 4.0};
-  obs::MetricsRegistry reg;
-  par::BatchOptions batch;
-  batch.threads = threads;
-  batch.metrics = &reg;
-  const sweep::SweepRunner runner(batch);
-  std::vector<sweep::SweepCell> cells;
-  bool remote = false;
-  svc::ResponseMeta meta;
-  if (!connect.empty()) {
-    svc::Client client;
-    svc::Request req;
-    req.verb = timing ? svc::Verb::kSweepTiming : svc::Verb::kSweepArch;
-    req.backend = std::string(backend::to_string(bk));
-    req.rows = rows;
-    req.cols = cols;
-    remote = client.connect(connect) &&
-             svc::remote_sweep(client, req, cells, meta);
-    if (!remote) {
-      std::fprintf(stderr, "svc: falling back in-process: %s\n",
-                   client.last_error().c_str());
-    }
-  }
-  if (!remote) {
-    if (timing) {
-      sweep::TimingGrid grid;
-      grid.loop = sweep::servo_loop();
-      grid.loop.backend = bk;
-      grid.latency_fracs = rows;
-      grid.jitter_fracs = cols;
-      cells = runner.run(grid);
-    } else {
-      sweep::ArchitectureGrid grid;
-      grid.loop = sweep::servo_loop();
-      grid.loop.backend = bk;
-      grid.bus_bandwidths = rows;
-      grid.wcet_scales = cols;
-      grid.dist.bind_ctrl = "P1";  // controller across the bus
-      cells = runner.run(grid);
-    }
-  }
-  const std::string map =
-      timing ? sweep::heatmap(cells, rows, cols, "La/Ts", "jitter/Ts",
-                              &sweep::SweepCell::cost,
-                              "control cost (time-averaged quadratic)")
-             : sweep::heatmap(cells, rows, cols, "bus bw", "WCET scale",
+  const svc::Request req = svc::canonical_request(
+      timing ? svc::Verb::kSweepTiming : svc::Verb::kSweepArch);
+  return run_request<std::vector<sweep::SweepCell>>(
+      req, f, [&](const std::vector<sweep::SweepCell>& cells, bool remote) {
+        return f.served_by(cells.size(), remote) +
+               sweep::heatmap(cells, req.rows, req.cols,
+                              timing ? "La/Ts" : "bus bw",
+                              timing ? "jitter/Ts" : "WCET scale",
                               &sweep::SweepCell::cost,
                               "control cost (time-averaged quadratic)");
-  if (remote) {
-    std::printf("%zu cells via daemon %s\n%s", cells.size(), connect.c_str(),
-                map.c_str());
-    print_daemon_meta(meta);
-  } else {
-    std::printf("%zu cells on %zu worker(s)\n%s", cells.size(),
-                runner.threads(), map.c_str());
-    print_sweep_telemetry(reg, bk);
-  }
-  if (!csv_out.empty()) {
-    if (!write_file(csv_out, sweep::to_csv(cells))) {
-      std::fprintf(stderr, "ecsim_flow: cannot write %s\n", csv_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "csv: %s\n", csv_out.c_str());
-  }
-  return 0;
+      });
 }
 
-int cmd_fault(const std::string& kind, std::size_t threads,
-              const std::string& csv_out, double loss, std::size_t trials,
-              std::uint64_t seed, std::size_t batch_width, backend::Kind bk,
-              const std::string& connect) {
-  obs::MetricsRegistry reg;
-  par::BatchOptions batch;
-  batch.threads = threads;
-  batch.metrics = &reg;
+/// `fault sweep|montecarlo`.
+int cmd_fault(const std::string& kind, const RequestFlags& f, double loss,
+              std::size_t trials, std::uint64_t seed) {
   if (kind == "sweep") {
-    const std::vector<double> loss_rates = {0.0, 0.05, 0.1, 0.2, 0.4};
-    const std::vector<double> delays = {0.0, 0.001, 0.002, 0.004};
-    std::vector<sweep::FaultCell> cells;
-    bool remote = false;
-    svc::ResponseMeta meta;
-    if (!connect.empty()) {
-      svc::Client client;
-      svc::Request req;
-      req.verb = svc::Verb::kFaultSweep;
-      req.backend = std::string(backend::to_string(bk));
-      req.rows = loss_rates;
-      req.cols = delays;
-      req.seed = seed;
-      remote = client.connect(connect) &&
-               svc::remote_fault_sweep(client, req, cells, meta);
-      if (!remote) {
-        std::fprintf(stderr, "svc: falling back in-process: %s\n",
-                     client.last_error().c_str());
-      }
-    }
-    if (!remote) {
-      sweep::FaultGrid grid;
-      grid.loop = sweep::servo_loop();
-      grid.loop.backend = bk;
-      grid.dist.bind_ctrl = "P1";  // controller across the bus: real traffic
-      grid.loss_rates = loss_rates;
-      grid.delays = delays;
-      grid.fault_seed = seed;
-      cells = sweep::run_fault_sweep(grid, batch);
-    }
-    const std::string map = sweep::heatmap(
-        cells, loss_rates, delays, "loss rate", "delay (s)",
-        &sweep::FaultCell::cost, "control cost under message faults");
-    std::size_t lost = 0, deferred = 0;
-    for (const sweep::FaultCell& c : cells) {
-      lost += c.messages_lost;
-      deferred += c.messages_deferred;
-    }
-    std::printf("%zu cells (seed %llu)\n%s%zu frames lost, %zu deferred "
-                "across the grid\n",
-                cells.size(), static_cast<unsigned long long>(seed),
-                map.c_str(), lost, deferred);
-    if (remote) {
-      print_daemon_meta(meta);
-    } else {
-      print_sweep_telemetry(reg, bk);
-    }
-    if (!csv_out.empty()) {
-      if (!write_file(csv_out, sweep::to_csv(cells))) {
-        std::fprintf(stderr, "ecsim_flow: cannot write %s\n", csv_out.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "csv: %s\n", csv_out.c_str());
-    }
-    return 0;
+    svc::Request req = svc::canonical_request(svc::Verb::kFaultSweep);
+    req.seed = seed;
+    return run_request<std::vector<sweep::FaultCell>>(
+        req, f, [&](const std::vector<sweep::FaultCell>& cells, bool) {
+          std::size_t lost = 0, deferred = 0;
+          for (const sweep::FaultCell& c : cells) {
+            lost += c.messages_lost;
+            deferred += c.messages_deferred;
+          }
+          return std::to_string(cells.size()) + " cells (seed " +
+                 std::to_string(seed) + ")\n" +
+                 sweep::heatmap(cells, req.rows, req.cols, "loss rate",
+                                "delay (s)", &sweep::FaultCell::cost,
+                                "control cost under message faults") +
+                 std::to_string(lost) + " frames lost, " +
+                 std::to_string(deferred) + " deferred across the grid\n";
+        });
   }
-  if (kind == "montecarlo") {
-    sweep::FaultMonteCarloResult result;
-    bool remote = false;
-    svc::ResponseMeta meta;
-    if (!connect.empty()) {
-      svc::Client client;
-      svc::Request req;
-      req.verb = svc::Verb::kFaultMc;
-      req.backend = std::string(backend::to_string(bk));
-      req.loss = loss;
-      req.trials = trials;
-      req.seed = seed;
-      remote = client.connect(connect) &&
-               svc::remote_fault_mc(client, req, result, meta);
-      if (!remote) {
-        std::fprintf(stderr, "svc: falling back in-process: %s\n",
-                     client.last_error().c_str());
-      }
-    }
-    if (!remote) {
-      sweep::FaultMonteCarloSpec spec;
-      spec.loop = sweep::servo_loop();
-      spec.loop.backend = bk;
-      spec.dist.bind_ctrl = "P1";
-      spec.loss_rate = loss;
-      spec.trials = trials;
-      spec.base_seed = seed;
-      spec.batch_width = batch_width;  // 0 = auto (SIMD-preferred width)
-      result = sweep::run_fault_monte_carlo(spec, batch);
-    }
-    std::printf("%s", sweep::to_string(result).c_str());
-    if (remote) {
-      print_daemon_meta(meta);
-    } else {
-      std::printf("batch width %zu, 0 evictions, %.4g trials/s (%.3g s)\n",
-                  result.batch_width, result.trials_per_s, result.wall_s);
-      print_sweep_telemetry(reg, bk);
-    }
-    if (!csv_out.empty()) {
-      if (!write_file(csv_out, sweep::to_csv(result.cells))) {
-        std::fprintf(stderr, "ecsim_flow: cannot write %s\n", csv_out.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "csv: %s\n", csv_out.c_str());
-    }
-    return 0;
-  }
-  return usage();
-}
-
-/// VM Monte Carlo through the daemon. Returns the exit code, or -1 when the
-/// daemon could not serve (the caller falls back to the in-process Flow
-/// path, which re-reads and re-adequates the spec itself).
-int try_remote_montecarlo(const std::string& spec_path,
-                          const std::string& connect, std::size_t trials,
-                          std::size_t iterations, std::uint64_t seed) {
-  std::ifstream in(spec_path);
-  if (!in) return -1;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  svc::Client client;
+  if (kind != "montecarlo") return usage();
   svc::Request req;
-  req.verb = svc::Verb::kVmMc;
+  req.verb = svc::Verb::kFaultMc;
+  req.loss = loss;
   req.trials = trials;
-  req.iterations = iterations;
   req.seed = seed;
-  req.spec_text = ss.str();
-  sweep::MonteCarloResult result;
-  svc::ResponseMeta meta;
-  if (!client.connect(connect) ||
-      !svc::remote_vm_mc(client, req, result, meta)) {
-    std::fprintf(stderr, "svc: falling back in-process: %s\n",
-                 client.last_error().c_str());
-    return -1;
-  }
-  std::printf("%s", sweep::to_string(result).c_str());
-  print_daemon_meta(meta);
-  return result.deadlocks == 0 ? 0 : 1;
+  return run_request<sweep::FaultMonteCarloResult>(
+      req, f, [](const sweep::FaultMonteCarloResult& r, bool remote) {
+        return sweep::to_string(r) + (remote ? "" : batch_line(r));
+      });
 }
 
-int cmd_montecarlo(const Flow& f, std::size_t threads, std::size_t trials,
-                   std::size_t iterations, std::uint64_t seed,
-                   std::size_t batch_width) {
-  const aaa::GeneratedCode code =
-      aaa::generate_executives(f.spec.algorithm, f.spec.architecture, f.sched);
-  sweep::MonteCarloSpec spec;
-  spec.trials = trials;
-  spec.iterations = iterations;
-  spec.batch_width = batch_width;  // 0 = auto (SIMD-preferred width)
-  par::BatchOptions batch;
-  batch.threads = threads;
-  batch.seed = seed;
-  batch.tracer = f.tracer;
-  batch.metrics = f.metrics;
-  const sweep::MonteCarloResult result = sweep::run_monte_carlo(
-      f.spec.algorithm, f.spec.architecture, f.sched, code, spec, batch);
-  std::printf("%s", sweep::to_string(result).c_str());
-  // VM trials execute on the scalar executive, so no lane is ever evicted;
-  // the count is printed for parity with the simulator-level batched MC.
-  std::printf("batch width %zu, 0 evictions, %.4g trials/s (%.3g s)\n",
-              result.batch_width, result.trials_per_s, result.wall_s);
-  return result.deadlocks == 0 ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string command = argv[1];
-  const std::string spec_path = argv[2];
-  if (command == "serve") {
-    svc::ServeOptions sopts;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--socket=", 0) == 0) {
-        sopts.socket_path = arg.substr(9);
-      } else if (arg.rfind("--workers=", 0) == 0) {
-        sopts.workers = std::stoul(arg.substr(10));
-      } else if (arg.rfind("--cache-mb=", 0) == 0) {
-        sopts.cache_mb = std::stoul(arg.substr(11));
-      } else if (arg.rfind("--ledger=", 0) == 0) {
-        sopts.ledger_path = arg.substr(9);
-      } else if (arg == "--verbose") {
-        sopts.verbose = true;
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return svc::run_server(sopts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ecsim_flow serve: %s\n", e.what());
-      return 1;
-    }
-  }
-  std::string trace_out, metrics_out, csv_out, connect;
-  std::string example = "servo";
-  std::string ledger_file, bench_file = "BENCH_p6.json";
-  std::string scenario = "chains_200";
-  bool show_cache = false;
-  double threshold_pct = 10.0;
-  backend::Kind bk = backend::Kind::kInterp;
-  std::size_t threads = 0, iterations = 50;
-  std::optional<std::size_t> trials;  // unset: each verb's own default
-  std::size_t batch_width = 0;  // trials per task; 0 = auto (SIMD width)
-  std::uint64_t seed = 1;
-  double loss = 0.1;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(12);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(14);
-    } else if (arg.rfind("--csv-out=", 0) == 0) {
-      csv_out = arg.substr(10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      trials = std::stoul(arg.substr(9));
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      batch_width = std::stoul(arg.substr(8));
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      iterations = std::stoul(arg.substr(13));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--loss=", 0) == 0) {
-      loss = std::stod(arg.substr(7));
-    } else if (arg.rfind("--example=", 0) == 0) {
-      example = arg.substr(10);
-    } else if (arg.rfind("--ledger=", 0) == 0) {
-      ledger_file = arg.substr(9);
-    } else if (arg.rfind("--bench=", 0) == 0) {
-      bench_file = arg.substr(8);
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      scenario = arg.substr(11);
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold_pct = std::stod(arg.substr(12));
-    } else if (arg.rfind("--connect=", 0) == 0) {
-      connect = arg.substr(10);
-    } else if (arg == "--cache") {
-      show_cache = true;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      try {
-        bk = backend::parse_kind(arg.substr(10));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
-        return 2;
-      }
-    } else {
-      return usage();
-    }
-  }
-
-  if (command == "ir") {
-    try {
-      return cmd_ir(spec_path, example);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (command == "ledger") {
-    try {
-      return cmd_ledger(spec_path, ledger_file, bench_file, scenario,
-                        threshold_pct, show_cache);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (command == "sweep") {
-    try {
-      return cmd_sweep(spec_path, threads, csv_out, bk, connect);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (command == "fault") {
-    try {
-      // A full co-simulation per trial: default to 32 trials, not the VM
-      // Monte Carlo's 200, unless the user asked explicitly.
-      return cmd_fault(spec_path, threads, csv_out, loss, trials.value_or(32),
-                       seed, batch_width, bk, connect);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (command == "montecarlo" && !connect.empty()) {
-    const int rc =
-        try_remote_montecarlo(spec_path, connect, trials.value_or(200),
-                              iterations, seed);
-    if (rc >= 0) return rc;
-  }
-
+/// Where a spec command records: --trace-out / --metrics-out and the tracer
+/// and registry behind them (null when the flag is absent).
+struct Observability {
+  std::string trace_out, metrics_out;
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  tracer.set_enabled(!trace_out.empty());
-  obs::Tracer* tr = trace_out.empty() ? nullptr : &tracer;
-  obs::MetricsRegistry* mx = metrics_out.empty() ? nullptr : &metrics;
 
-  try {
-    const Flow flow(spec_path, tr, mx);
-    int rc;
-    if (command == "schedule") {
-      rc = cmd_schedule(flow);
-    } else if (command == "codegen") {
-      rc = cmd_codegen(flow);
-    } else if (command == "simulate") {
-      rc = cmd_simulate(flow);
-    } else if (command == "validate") {
-      rc = cmd_validate(flow);
-    } else if (command == "dot-alg") {
-      std::printf("%s", io::to_dot(flow.spec.algorithm).c_str());
-      rc = 0;
-    } else if (command == "dot-arch") {
-      std::printf("%s", io::to_dot(flow.spec.architecture).c_str());
-      rc = 0;
-    } else if (command == "dot-gantt") {
-      std::printf("%s", io::schedule_to_dot(flow.spec.algorithm,
-                                            flow.spec.architecture, flow.sched)
-                            .c_str());
-      rc = 0;
-    } else if (command == "montecarlo") {
-      rc = cmd_montecarlo(flow, threads, trials.value_or(200), iterations,
-                          seed, batch_width);
-    } else {
-      return usage();
-    }
+  obs::Tracer* tr() { return trace_out.empty() ? nullptr : &tracer; }
+  obs::MetricsRegistry* mx() {
+    return metrics_out.empty() ? nullptr : &metrics;
+  }
 
+  /// Write the requested files for a run over `flow`'s schedule; 1 when one
+  /// cannot be written.
+  int write(const svc::WarmSpec& flow) {
     if (!trace_out.empty()) {
       obs::JsonTraceWriter w;
       // The static schedule Gantt (paper Figs. 3-4) plus whatever the run
@@ -886,21 +533,190 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "trace: %s (%zu records)\n", trace_out.c_str(),
                    w.num_events());
     }
-    if (!metrics_out.empty()) {
-      const std::string doc = ends_with(metrics_out, ".csv")
-                                  ? metrics.to_csv()
-                                  : metrics.to_json();
-      std::FILE* fp = std::fopen(metrics_out.c_str(), "w");
-      if (fp == nullptr) {
-        std::fprintf(stderr, "ecsim_flow: cannot write %s\n",
-                     metrics_out.c_str());
-        return 1;
-      }
-      std::fputs(doc.c_str(), fp);
-      std::fclose(fp);
-      std::fprintf(stderr, "metrics: %s\n", metrics_out.c_str());
-    }
+    if (metrics_out.empty()) return 0;
+    return write_output("metrics", metrics_out,
+                        metrics_out.ends_with(".csv") ? metrics.to_csv()
+                                                      : metrics.to_json());
+  }
+};
+
+/// `montecarlo spec.txt`: the spec text travels in the request, so a daemon
+/// serves it without this process parsing the spec; an in-process run
+/// records into --trace-out / --metrics-out.
+int cmd_montecarlo(const std::string& spec_path, const RequestFlags& f,
+                   std::size_t trials, std::size_t iterations,
+                   std::uint64_t seed, Observability& o) {
+  svc::Request req;
+  req.verb = svc::Verb::kVmMc;
+  req.trials = trials;
+  req.iterations = iterations;
+  req.seed = seed;
+  req.spec_text = io::read_spec_file(spec_path);
+  par::BatchOptions batch;
+  batch.threads = f.threads;
+  batch.tracer = o.tr();
+  batch.metrics = o.mx();
+  svc::WarmCache warm;
+  sweep::MonteCarloResult result;
+  const std::optional<svc::ResponseMeta> meta =
+      svc::execute(req, f.connect, batch, f.batch_width, warm, result);
+  std::printf("%s", sweep::to_string(result).c_str());
+  const int rc = result.deadlocks == 0 ? 0 : 1;
+  if (meta) {
+    print_daemon_meta(*meta);
     return rc;
+  }
+  std::printf("%s", batch_line(result).c_str());
+  const int write_rc = o.write(warm.spec(req.spec_text));
+  return write_rc != 0 ? write_rc : rc;
+}
+
+/// `arg` is `NAME=TEXT`? Store TEXT in `out`: strings verbatim, numbers
+/// through the one checked parser — all of TEXT must fit T, unsigned types
+/// take no sign, doubles must be finite — else exit 2 (`bad value for ...`).
+template <class T>
+bool flag(const std::string& arg, const std::string& name, T& out) {
+  if (arg.size() <= name.size() || arg.compare(0, name.size(), name) != 0 ||
+      arg[name.size()] != '=') {
+    return false;
+  }
+  const std::string text = arg.substr(name.size() + 1);
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else {
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    bool ok = ec == std::errc() && end == text.data() + text.size();
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (!ok) {
+      std::fprintf(stderr, "ecsim_flow: bad value for %s: '%s'\n",
+                   name.c_str(), text.c_str());
+      std::exit(2);
+    }
+    out = value;
+  }
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 3) return usage();
+  const std::string command = argv[1];
+  const std::string spec_path = argv[2];
+  if (command == "serve") {
+    svc::ServeOptions sopts;
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (flag(arg, "--socket", sopts.socket_path) ||
+          flag(arg, "--workers", sopts.workers) ||
+          flag(arg, "--cache-mb", sopts.cache_mb) ||
+          flag(arg, "--ledger", sopts.ledger_path)) {
+        continue;
+      }
+      if (arg != "--verbose") return usage();
+      sopts.verbose = true;
+    }
+    try {
+      return svc::run_server(sopts);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "ecsim_flow serve: %s\n", e.what());
+      return 1;
+    }
+  }
+  Observability o;
+  RequestFlags rf;
+  std::string example = "servo";
+  std::string ledger_file, bench_file = "BENCH_p6.json";
+  std::string scenario = "chains_200";
+  bool show_cache = false;
+  double threshold_pct = 10.0;
+  std::size_t iterations = 50;
+  std::optional<std::size_t> trials;  // unset: each verb's own default
+  std::size_t explicit_trials = 0;
+  std::uint64_t seed = 1;
+  double loss = 0.1;
+  for (int i = 3; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (flag(arg, "--trials", explicit_trials)) {
+      trials = explicit_trials;
+      continue;
+    }
+    if (flag(arg, "--threads", rf.threads) ||
+        flag(arg, "--batch", rf.batch_width) ||
+        flag(arg, "--iterations", iterations) || flag(arg, "--seed", seed) ||
+        flag(arg, "--loss", loss) ||
+        flag(arg, "--threshold", threshold_pct) ||
+        flag(arg, "--csv-out", rf.csv_out) ||
+        flag(arg, "--connect", rf.connect) ||
+        flag(arg, "--trace-out", o.trace_out) ||
+        flag(arg, "--metrics-out", o.metrics_out) ||
+        flag(arg, "--example", example) ||
+        flag(arg, "--ledger", ledger_file) ||
+        flag(arg, "--bench", bench_file) ||
+        flag(arg, "--scenario", scenario)) {
+      continue;
+    }
+    if (arg == "--cache") {
+      show_cache = true;
+    } else if (arg.rfind("--backend=", 0) == 0) {
+      try {
+        rf.bk = backend::parse_kind(arg.substr(10));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
+        return 2;
+      }
+    } else {
+      return usage();
+    }
+  }
+  o.tracer.set_enabled(!o.trace_out.empty());
+
+  try {
+    if (command == "ir") return cmd_ir(spec_path, example);
+    if (command == "ledger") {
+      return cmd_ledger(spec_path, ledger_file, bench_file, scenario,
+                        threshold_pct, show_cache);
+    }
+    if (command == "sweep") return cmd_sweep(spec_path, rf);
+    if (command == "fault") {
+      // A full co-simulation per trial: default to 32 trials, not the VM
+      // Monte Carlo's 200, unless the user asked explicitly.
+      return cmd_fault(spec_path, rf, loss, trials.value_or(32), seed);
+    }
+    if (command == "montecarlo") {
+      return cmd_montecarlo(spec_path, rf, trials.value_or(200), iterations,
+                            seed, o);
+    }
+    const svc::WarmSpec flow = svc::prepare_spec(
+        io::read_spec_file(spec_path),
+        aaa::AdequationOptions{.tracer = o.tr(), .metrics = o.mx()});
+    int rc;
+    if (command == "schedule") {
+      rc = cmd_schedule(flow);
+    } else if (command == "codegen") {
+      rc = cmd_codegen(flow);
+    } else if (command == "simulate") {
+      rc = cmd_simulate(flow, o.tr(), o.mx());
+    } else if (command == "validate") {
+      rc = cmd_validate(flow);
+    } else if (command == "dot-alg") {
+      std::printf("%s", io::to_dot(flow.spec.algorithm).c_str());
+      rc = 0;
+    } else if (command == "dot-arch") {
+      std::printf("%s", io::to_dot(flow.spec.architecture).c_str());
+      rc = 0;
+    } else if (command == "dot-gantt") {
+      std::printf("%s", io::schedule_to_dot(flow.spec.algorithm,
+                                            flow.spec.architecture, flow.sched)
+                            .c_str());
+      rc = 0;
+    } else {
+      return usage();
+    }
+    const int write_rc = o.write(flow);
+    return write_rc != 0 ? write_rc : rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ecsim_flow: %s\n", e.what());
     return 1;
