@@ -18,7 +18,6 @@ void experiment() {
 
   // Both sweeps run as grids on the parallel exploration engine; the cells
   // are bit-identical to the former one-at-a-time run_latency_loop calls.
-  const sweep::SweepRunner runner;
 
   std::printf("(a) constant actuation latency sweep\n");
   std::printf("%12s %10s %12s %12s\n", "La/Ts", "IAE", "IAE/ideal",
@@ -29,7 +28,7 @@ void experiment() {
   latency_grid.loop = spec;
   latency_grid.latency_fracs = {0.1, 0.2, 0.4, 0.6, 0.8, 0.95};
   latency_grid.jitter_fracs = {0.0};
-  for (const sweep::SweepCell& c : runner.run(latency_grid)) {
+  for (const sweep::SweepCell& c : sweep::run_timing_sweep(latency_grid)) {
     std::printf("%12.2f %s %s %s\n", c.la_frac, bench::metric(c.iae).c_str(),
                 bench::metric(c.iae / ideal.iae, "%12.3f").c_str(),
                 bench::metric(c.overshoot_pct, "%12.2f").c_str());
@@ -43,7 +42,7 @@ void experiment() {
   jitter_grid.loop = spec;
   jitter_grid.latency_fracs = {0.3};
   jitter_grid.jitter_fracs = {0.0, 0.1, 0.2, 0.3, 0.5};
-  for (const sweep::SweepCell& c : runner.run(jitter_grid)) {
+  for (const sweep::SweepCell& c : sweep::run_timing_sweep(jitter_grid)) {
     std::printf("%14.2f %s %s\n", c.jitter_frac,
                 bench::metric(c.iae).c_str(),
                 bench::metric(c.iae / ideal.iae, "%12.3f").c_str());

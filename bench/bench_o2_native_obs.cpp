@@ -25,7 +25,7 @@
 #include "backend/native_abi.hpp"
 #include "backend/native_backend.hpp"
 #include "backend/native_codegen.hpp"
-#include "backend/obs_abi.hpp"
+#include "obs/obs_table.hpp"
 #include "bench_common.hpp"
 #include "blocks/examples.hpp"
 #include "obs/metrics.hpp"
@@ -58,7 +58,7 @@ sim::SimOptions chain_opts() {
 double native_run_once(const backend::NativeModule& mod,
                        const backend::NativeSource& src,
                        const sim::SimOptions& o,
-                       const backend::NativeObsTable* obs, sim::Trace& trace,
+                       const obs::NativeObsTable* obs, sim::Trace& trace,
                        std::size_t& events) {
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -95,8 +95,8 @@ int experiment() {
   obs::Tracer native_tr(1u << 16);
   native_tr.set_enabled(true);
   obs::MetricsRegistry native_reg;
-  const backend::NativeObsTable check_table =
-      backend::make_obs_table(&native_tr, &native_reg);
+  const obs::NativeObsTable check_table =
+      obs::make_obs_table(&native_tr, &native_reg);
   sim::Trace ntrace;
   std::size_t nevents = 0;
   if (native_run_once(mod, source, opts, &check_table, ntrace, nevents) <
@@ -112,18 +112,18 @@ int experiment() {
   s_interp.run();  // warm
 
   obs::Tracer tr_off;  // attached, never enabled, no metrics (as bench_o1)
-  const backend::NativeObsTable off_table =
-      backend::make_obs_table(&tr_off, nullptr);
+  const obs::NativeObsTable off_table =
+      obs::make_obs_table(&tr_off, nullptr);
 
   obs::Tracer tr_on(1u << 16);
   tr_on.set_enabled(true);
   obs::MetricsRegistry reg_on;
-  const backend::NativeObsTable on_table =
-      backend::make_obs_table(&tr_on, &reg_on);
+  const obs::NativeObsTable on_table =
+      obs::make_obs_table(&tr_on, &reg_on);
 
   sim::Trace scratch;
   std::size_t events = 0;
-  const auto once = [&](const backend::NativeObsTable* table) {
+  const auto once = [&](const obs::NativeObsTable* table) {
     return native_run_once(mod, source, opts, table, scratch, events);
   };
   if (once(nullptr) < 0.0) return 1;
@@ -223,7 +223,7 @@ void BM_NativeObs(benchmark::State& state) {
   obs::Tracer tracer;
   tracer.set_enabled(mode == 2);
   obs::MetricsRegistry metrics;
-  const backend::NativeObsTable table = backend::make_obs_table(
+  const obs::NativeObsTable table = obs::make_obs_table(
       mode >= 1 ? &tracer : nullptr, mode == 2 ? &metrics : nullptr);
   sim::SimOptions opts;
   opts.end_time = 1.0;

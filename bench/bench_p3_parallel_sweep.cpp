@@ -65,7 +65,7 @@ int experiment() {
   {
     par::BatchOptions opts;
     opts.threads = 1;
-    reference = sweep::SweepRunner(opts).run(grid);
+    reference = sweep::run_timing_sweep(grid, opts);
   }
 
   // Interleaved best-of-7: rep-major so thermal/scheduler drift spreads
@@ -74,9 +74,9 @@ int experiment() {
     for (std::size_t c = 0; c < n_configs; ++c) {
       par::BatchOptions opts;
       opts.threads = kThreadCounts[c];
-      const sweep::SweepRunner runner(opts);
       const auto t0 = std::chrono::steady_clock::now();
-      const std::vector<sweep::SweepCell> cells = runner.run(grid);
+      const std::vector<sweep::SweepCell> cells =
+          sweep::run_timing_sweep(grid, opts);
       const auto t1 = std::chrono::steady_clock::now();
       const double ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -140,9 +140,8 @@ void BM_SweepSerial(benchmark::State& state) {
   grid.loop.t_end = 0.2;
   par::BatchOptions opts;
   opts.threads = static_cast<std::size_t>(state.range(0));
-  const sweep::SweepRunner runner(opts);
   for (auto _ : state) {
-    auto cells = runner.run(grid);
+    auto cells = sweep::run_timing_sweep(grid, opts);
     benchmark::DoNotOptimize(cells);
   }
 }

@@ -66,7 +66,7 @@ done
 
 # --- 3. option-struct members --------------------------------------------
 declare -A HEADER=(
-  [SimOptions]=src/sim/simulator.hpp
+  [SimOptions]=src/sim/driver.hpp
   [VmOptions]=src/exec/executive_vm.hpp
   [AdequationOptions]=src/aaa/adequation.hpp
 )
@@ -138,7 +138,8 @@ done
 # Features deleted from the code base. Prose that still names one describes
 # code that is gone; a line that says the feature was deleted/removed is
 # history and passes.
-REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode")
+REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode"
+                  "line-by-line port")
 for feature in "${REMOVED_FEATURES[@]}"; do
   stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
     grep -viE "deleted|removed" || true)

@@ -2,7 +2,9 @@
 # CI codegen job (DESIGN.md §3.6): the native code-generation backend must
 #   1. pass the IR determinism suite (round-trip, hash stability, committed
 #      golden), the interp-vs-native bit-identity property suites, the
-#      shape-sharing property suite and the module-cache concurrency suite;
+#      shape-sharing property suite, the module-cache concurrency suite and
+#      the suites of the shared event loop (obs hooks across engines,
+#      cone-vs-full refresh equivalence, event-queue oracles);
 #   2. byte-reproduce the committed golden IR through the CLI;
 #   3. compile one module per model shape: a cold native `sweep network`
 #      into a fresh cache leaves exactly 2 modules (one per bus scenario,
@@ -22,6 +24,8 @@ asan_dir="${repo_root}/build-codegen-asan"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 suites="IrRoundtrip|IrHash|IrGolden|NativeBackend|CosimBackend"
 suites+="|NativeModuleCache|PropertyShapes"
+# sim::Driver carries the obs hooks and the queue drain for both engines.
+suites+="|NativeObs|SimEquivalence|HotPathProperty"
 
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "${JOBS}" \

@@ -8,9 +8,9 @@
 #include "backend/native_abi.hpp"
 #include "backend/native_backend.hpp"
 #include "backend/native_codegen.hpp"
-#include "backend/obs_abi.hpp"
 #include "blocks/to_model.hpp"
 #include "obs/ledger.hpp"
+#include "obs/obs_table.hpp"
 #include "sim/build_ir.hpp"
 
 namespace ecsim::backend {
@@ -38,7 +38,8 @@ RunResult run_native(const NativeModule& mod, const NativeSource& src,
   // callback table (stack-lifetime — the table only borrows the host's
   // tracer/registry for this one call). A run without obs passes no table
   // and the module's hooks cost one null test each.
-  const NativeObsTable table = make_obs_table(o.sim.tracer, o.sim.metrics);
+  const obs::NativeObsTable table =
+      obs::make_obs_table(o.sim.tracer, o.sim.metrics);
   const bool attached = table.tracer != nullptr || table.metrics != nullptr;
 
   RunResult r;

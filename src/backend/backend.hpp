@@ -14,9 +14,10 @@
 //
 // Observability no longer falls back (ABI v2): an attached sim Tracer /
 // MetricsRegistry is bridged into the generated module through the
-// NativeObsTable callback table (backend/obs_abi.hpp), and the instrumented
-// native run produces the same sim-domain trace records and metrics values
-// as the instrumented interpreter.
+// obs::NativeObsTable callback table (obs/obs_table.hpp) — the table the
+// interpreter reports through too, both engines running sim::Driver — so
+// the instrumented native run produces the same sim-domain trace records
+// and metrics values as the instrumented interpreter.
 //
 // Every run — either backend, fallback or not — appends a record to the
 // process run ledger (obs::Ledger::global(); obs/ledger.hpp): IR hash,

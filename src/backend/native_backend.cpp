@@ -72,14 +72,13 @@ std::string tool_fingerprint(const std::string& cxx, const std::string& flags,
   h = fnv1a(flags, h);
   h = fnv1a(archive, h);
   // Key on size + mtime of everything a module's behaviour depends on beyond
-  // its own source text — the runtime archive it links against and the
-  // engine/ABI headers it includes — so a rebuilt tree never resurrects a
-  // stale .so. (The generated text itself enters the key as the shape
-  // hash.)
+  // its own source text — the runtime archive it links against and every
+  // runtime file it includes or unity-includes — so an edited or rebuilt
+  // tree never resurrects a stale .so. (The generated text itself enters
+  // the key as the shape hash.)
   h = stamp_file(archive, h);
   const fs::path inc = ECSIM_NATIVE_INCLUDE_DIR;
-  h = stamp_file(inc / "backend" / "native_runtime.hpp", h);
-  h = stamp_file(inc / "backend" / "native_abi.hpp", h);
+  for (const char* f : kModuleRuntimeFiles) h = stamp_file(inc / f, h);
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));
@@ -283,7 +282,7 @@ const NativeModule& load_native_module(const NativeSource& src) {
 std::size_t run_native_module(const NativeModule& mod,
                               const std::vector<double>& params,
                               const sim::SimOptions& o, sim::Trace& trace,
-                              const NativeObsTable* obs) {
+                              const obs::NativeObsTable* obs) {
   NativeRunOptions n;
   n.end_time = o.end_time;
   n.integrator_kind = static_cast<int>(o.integrator.kind);

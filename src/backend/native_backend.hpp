@@ -61,6 +61,6 @@ const NativeModule& load_native_module(const NativeSource& src);
 std::size_t run_native_module(const NativeModule& mod,
                               const std::vector<double>& params,
                               const sim::SimOptions& opts, sim::Trace& trace,
-                              const NativeObsTable* obs = nullptr);
+                              const obs::NativeObsTable* obs = nullptr);
 
 }  // namespace ecsim::backend

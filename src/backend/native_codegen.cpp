@@ -754,27 +754,20 @@ NativeSource Emitter::generate() {
 #include <stdexcept>
 #include <vector>
 
-#include "backend/native_abi.hpp"
-#include "backend/native_runtime.hpp"
-#include "blocks/duration_spec.hpp"
-#include "fault/comm_gate.hpp"
-#include "mathlib/matrix.hpp"
-
-// Unity-include the order-sensitive runtime kernels so -O3 inlines trace
-// recording, RNG and integrator straight into the generated engine loop —
-// the main throughput win over the interpreter, whose calls to the same
-// kernels stay behind a TU boundary. The kernels are compiled from
-// the same sources with the same flags, and no FMA contraction is enabled,
-// so the arithmetic stays bit-identical to the interpreter's. The runtime
-// archive remains on the link line purely as a lazy fallback: every symbol
-// defined here shadows its archive member, which is then never pulled in.
-#include "blocks/duration_spec.cpp"
-#include "fault/comm_gate.cpp"
-#include "mathlib/matrix.cpp"
-#include "mathlib/rng.cpp"
-#include "sim/integrator.cpp"
-#include "sim/trace.cpp"
-
+)";
+  // The runtime, from the one list the module cache stamps. The .cpp
+  // entries are unity-included so -O3 inlines trace recording, RNG and
+  // integrator straight into the generated engine loop — the main
+  // throughput win over the interpreter, whose calls to the same kernels
+  // stay behind a TU boundary. They are compiled from the same sources with
+  // the same flags, and no FMA contraction is enabled, so the arithmetic
+  // stays bit-identical to the interpreter's. The runtime archive remains on
+  // the link line purely as a lazy fallback: every symbol defined here
+  // shadows its archive member, which is then never pulled in.
+  for (const char* f : kModuleRuntimeFiles) {
+    out_ += "#include \"" + std::string(f) + "\"\n";
+  }
+  out_ += R"(
 namespace {
 
 namespace bl = ecsim::blocks;
@@ -783,7 +776,7 @@ namespace ma = ecsim::math;
 using ecsim::backend::rt::Engine;
 using ecsim::backend::rt::ParamReader;
 
-struct Program {
+struct Program : ecsim::backend::rt::Tables<Program> {
 )";
   out_ += "  static constexpr std::size_t kArenaSize = " +
           lit(lay_.arena_size) + ";\n";
@@ -797,20 +790,15 @@ struct Program {
   table("kStateOffset", lay_.state_offset);
   table("kSinkBase", lay_.sink_base);
   table("kSinkPtr", lay_.sink_ptr);
-  {
-    std::vector<std::size_t> blocks, ports;
-    blocks.reserve(lay_.event_sinks.size());
-    ports.reserve(lay_.event_sinks.size());
-    for (const ir::PortRefIr& s : lay_.event_sinks) {
-      blocks.push_back(s.block);
-      ports.push_back(s.port);
-    }
-    table("kSinkBlock", blocks);
-    table("kSinkPort", ports);
+  out_ += "  static constexpr std::array<ecsim::sim::PortRef, " +
+          lit(lay_.event_sinks.size()) + "> kSinks{{";
+  for (std::size_t i = 0; i < lay_.event_sinks.size(); ++i) {
+    if (i) out_ += ", ";
+    out_ += "{" + lit(lay_.event_sinks[i].block) + ", " +
+            lit(lay_.event_sinks[i].port) + "}";
   }
-  // Block names in block order, for the engine's obs interning (ABI v2):
-  // the generated module interns the same strings in the same order the
-  // interpreter's init_obs does.
+  out_ += "}};\n";
+  // Block names in block order, for the driver's obs interning (ABI v2).
   out_ += "  static constexpr std::array<const char*, " +
           lit(m_.blocks.size()) + "> kBlockNames{";
   for (std::size_t i = 0; i < m_.blocks.size(); ++i) {
@@ -871,10 +859,7 @@ struct Program {
     out_ += "        std::string(" + cstr(b.name) + "),\n";
   }
   out_ += R"(    });
-    Engine<Program> engine;
-    engine.bind_trace(tr);
-    engine.run(*o);
-    *events_out = engine.events_dispatched();
+    *events_out = ecsim::backend::rt::run_program<Program>(*o, *tr);
     return 0;
   } catch (const std::exception& ex) {
     return fail(ex.what());

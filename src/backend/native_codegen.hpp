@@ -9,8 +9,9 @@
 // member that load() reads from the parameter table at the start of each
 // run. Two models that differ only in such values — a retuned controller, a
 // different bus load — therefore emit byte-identical sources and share one
-// compiled module. The unit instantiates backend::rt::Engine<Program> and
-// exports the C ABI of backend/native_abi.hpp.
+// compiled module. The unit runs its Program through sim::Driver — the
+// interpreter's own event loop — via backend::rt::run_program and exports
+// the C ABI of backend/native_abi.hpp.
 //
 // Order-sensitive arithmetic is not re-derived: matrix blocks call the same
 // math::multiply_into kernels, samplers the same blocks::sample_duration,
@@ -20,12 +21,33 @@
 // on the same IR.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "ir/ir.hpp"
 
 namespace ecsim::backend {
+
+/// Every runtime file a generated module includes (headers) or
+/// unity-includes (sources), relative to the source root, in include order.
+/// This one list is both the generator's quoted #include lines and what the
+/// module cache stamps into its key (size + mtime), so editing any file a
+/// module is built from — header or source, however deep in the include
+/// chain — recompiles the cached modules instead of loading a stale one.
+/// Keep it closed under quoted includes (a test checks).
+inline constexpr std::array<const char*, 19> kModuleRuntimeFiles{
+    "backend/native_abi.hpp",     "backend/native_runtime.hpp",
+    "blocks/duration_spec.hpp",   "fault/comm_gate.hpp",
+    "mathlib/function_ref.hpp",   "mathlib/matrix.hpp",
+    "mathlib/rng.hpp",            "obs/obs_table.hpp",
+    "sim/driver.hpp",             "sim/event_queue.hpp",
+    "sim/integrator.hpp",         "sim/port.hpp",
+    "sim/trace.hpp",              "blocks/duration_spec.cpp",
+    "fault/comm_gate.cpp",        "mathlib/matrix.cpp",
+    "mathlib/rng.cpp",            "sim/integrator.cpp",
+    "sim/trace.cpp",
+};
 
 /// A generated model module: shape-only source plus the values it reads.
 struct NativeSource {

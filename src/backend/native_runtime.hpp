@@ -1,29 +1,23 @@
 // Shared runtime for generated model modules (DESIGN.md §3.6). A generated
 // .cpp defines a `Program` — per-block parameters/state as members, the
-// layout tables from ir::LayoutIr as static constexpr arrays, a load() that
-// fills the parameter members from the host's parameter table (ABI v3), and
-// four specialized entry points (init / compute / on_event / derivatives
-// with literal arena offsets) — and instantiates Engine<Program>.
+// layout tables from ir::LayoutIr as static constexpr arrays (served to the
+// driver by Tables<Program>), a load() that fills the parameter members from
+// the host's parameter table (ABI v3), and four specialized kernels (init /
+// compute / on_event / derivatives with literal arena offsets) — and runs
+// it through run_program<Program>.
 //
-// Engine::run() is a line-by-line port of sim::Simulator::run(). The
-// observability hooks are ported too (ABI v2): telemetry flows through the
-// NativeRunOptions::obs callback table at the exact points the interpreter
-// instruments — per-run span, integration segments, cone-refresh spans,
-// per-event instants, events/evals/queue-high-water/cone-size/
-// evals-per-block metrics — so an instrumented native run produces the same
-// sim-domain trace records and the same metrics values as an instrumented
-// interpreter run. A null table (or a disabled tracer) keeps the hot path at
-// one pointer test per hook, the same cost model as the interpreter's
-// null/disabled instruments.
-// Everything order-sensitive is either shared (the same same-instant lane,
-// the same sim::integrate() stepping the same workspace, the same math::Rng
-// and the same sim::Trace recording — unity-compiled into the module from
-// the interpreter's own sources) or order-equivalent by construction: the
-// event queue is the LaneQueue below, which pops the identical strict
+// There is no engine loop here: Engine<Program> is sim::Driver, the one
+// event loop the interpreter runs too (sim/driver.hpp), instantiated over
+// the module's tables and the LaneQueue below. Telemetry flows through the
+// NativeRunOptions::obs callback table into the driver's hooks, the same
+// hooks an instrumented interpreter run latches. Everything order-sensitive
+// is therefore either shared code (the loop, the same-instant lane,
+// sim::integrate() stepping the same workspace, math::Rng and sim::Trace —
+// unity-compiled into the module from the interpreter's own sources) or
+// order-equivalent by construction: LaneQueue pops the identical strict
 // (time, seq) total order sim::EventQueue pops, just without the heap. A
-// native run is therefore bit-identical to an interpreter run of the same
-// IR: identical event sequences, identical RNG draw order, identical
-// doubles in the trace (asserted by the interp-vs-native property suite).
+// native run is bit-identical to an interpreter run of the same IR (asserted
+// by the interp-vs-native property suite).
 #pragma once
 
 #include <algorithm>
@@ -40,8 +34,9 @@
 #include "blocks/duration_spec.hpp"
 #include "mathlib/matrix.hpp"
 #include "mathlib/rng.hpp"
+#include "sim/driver.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/integrator.hpp"
+#include "sim/port.hpp"
 #include "sim/trace.hpp"
 
 namespace ecsim::backend::rt {
@@ -160,19 +155,19 @@ class ParamReader {
   std::size_t pos_ = 0;
 };
 
-/// Event queue specialized for generated modules. Engine::emit/schedule_self
-/// compute an event's time as `eval_time_ + delay` where eval_time_ never
-/// decreases across pushes and each call site's delay is (nearly) constant,
-/// so the push stream decomposes into a handful of non-decreasing runs. The
-/// queue exploits that: it keeps a few FIFO lanes, appends each push to the
-/// first lane whose tail is not later than the new event (patience-style run
-/// decomposition — every lane stays sorted in (time, seq) by construction,
-/// no matter how call-site delays round), and pops the minimum among the
-/// lane heads: O(lanes) push and pop with no sifting and no element
-/// movement. A push older than every lane tail opens a new lane; past
-/// kMaxLanes it falls to a conventional binary-heap side channel, so the
-/// structure is exact for arbitrary models, merely fastest for the common
-/// monotone case.
+/// Event queue specialized for generated modules. The driver's emit and
+/// schedule_self compute an event's time as `eval_time_ + delay` where
+/// eval_time_ never decreases across pushes and each call site's delay is
+/// (nearly) constant, so the push stream decomposes into a handful of
+/// non-decreasing runs. The queue exploits that: it keeps a few FIFO lanes,
+/// appends each push to the first lane whose tail is not later than the new
+/// event (patience-style run decomposition — every lane stays sorted in
+/// (time, seq) by construction, no matter how call-site delays round), and
+/// pops the minimum among the lane heads: O(lanes) push and pop with no
+/// sifting and no element movement. A push older than every lane tail opens
+/// a new lane; past kMaxLanes it falls to a conventional binary-heap side
+/// channel, so the structure is exact for arbitrary models, merely fastest
+/// for the common monotone case.
 ///
 /// Pop order is bitwise identical to sim::EventQueue's: seq numbers are
 /// assigned in the same global push order, each lane head is its lane's
@@ -243,12 +238,11 @@ class LaneQueue {
   }
 
   /// Remove the earliest pending event if its time is exactly `t`; one
-  /// argmin scan, no element movement. The engine drains one instant by
-  /// calling this in a loop and dispatching each event as it pops — the
-  /// same (time, seq) sequence sim::EventQueue::pop_simultaneous batches
-  /// up, minus the copy into a batch vector. An event pushed mid-drain
-  /// with a different time fails the exact == t check and waits for the
-  /// next outer engine iteration, exactly as it would miss the batch.
+  /// argmin scan, no element movement. Same contract as
+  /// sim::HeapQueue::pop_next_at: the driver drains one instant by calling
+  /// this in a loop and dispatching each event as it pops; an event pushed
+  /// mid-drain with a different time fails the exact == t check and waits
+  /// for the next outer iteration.
   bool pop_next_at(sim::Time t, sim::ScheduledEvent& out) {
     Lane* best_lane = nullptr;
     const sim::ScheduledEvent* best = nullptr;
@@ -318,327 +312,73 @@ class LaneQueue {
   std::size_t live_ = 0;
 };
 
-template <class Program>
-class Engine {
- public:
-  Engine() : arena_(Program::kArenaSize, 0.0) {}
+/// The layout half of a generated Program (sim::Driver's `layout()`),
+/// served from the constexpr tables the generator emits as static members
+/// of `P`: every accessor is a constant-foldable array view.
+template <class P>
+struct Tables {
+  const Tables& layout() const { return *this; }
 
-  /// The trace to record into (borrowed; typically the host's). run()
-  /// clears it (names survive) and fills it exactly as the interpreter
-  /// would.
-  void bind_trace(sim::Trace* t) { trace_ = t; }
-
-  void run(const NativeRunOptions& o) {
-    // Block-private values first (ABI v3): a table that does not fit this
-    // module's shape fails the run before anything is simulated.
-    ParamReader params(o.params, o.n_params);
-    prog_.load(params);
-    params.finish();
-
-    // Latch observability for this run: ids and instrument handles resolved
-    // once (mirror of Simulator::init_obs + the per-run tracing latch), so
-    // the hot paths below touch only cached ids and one-branch null tests.
-    init_obs(o.obs);
-    const double run_t0 =
-        obs_.tracing ? obs_.tab->now_us(obs_.tab->tracer) : 0.0;
-    // Wall-clock span around the whole run (recorded on scope exit, after
-    // the per-block eval flush — same order as the interpreter's RAII span).
-    struct RunSpan {
-      Engine* e;
-      double t0;
-      ~RunSpan() {
-        if (e->obs_.tracing) {
-          const NativeObsTable* tab = e->obs_.tab;
-          tab->span(tab->tracer, e->obs_.n_run, e->obs_.trk_runtime, t0,
-                    tab->now_us(tab->tracer), kNativeObsNoArg, 0.0);
-        }
-      }
-    } run_span{this, run_t0};
-
-    // Reset run state (including the RNG: same seed => same realization).
-    rng_ = math::Rng(o.seed);
-    time_ = 0.0;
-    x_.assign(Program::kTotalState, 0.0);
-    active_x_ = x_.data();
-    queue_.clear();
-    lane_.clear();
-    lane_active_ = false;
-    if (o.reserve_queue > 0) queue_.reserve(o.reserve_queue);
-    iws_.resize(Program::kTotalState);
-    trace_->clear();
-    trace_->reserve(o.reserve_events, o.reserve_signals);
-    events_dispatched_ = 0;
-    std::fill(arena_.begin(), arena_.end(), 0.0);
-    full_refresh_ = o.full_refresh != 0;
-
-    sim::IntegratorOptions integ;
-    integ.kind = static_cast<sim::IntegratorKind>(o.integrator_kind);
-    integ.max_step = o.max_step;
-    integ.rel_tol = o.rel_tol;
-    integ.abs_tol = o.abs_tol;
-    integ.min_step = o.min_step;
-
-    // Initialize every block (may write state/outputs and schedule events),
-    // then establish output consistency with one full sweep.
-    eval_time_ = 0.0;
-    prog_.init(*this);
-    refresh_blocks(order_span(Program::kEvalOrder), 0.0);
-
-    const double t_end = o.end_time;
-    const std::size_t max_events = o.max_events;
-    while (true) {
-      double t_next = t_end;
-      bool have_event = false;
-      if (!queue_.empty() && queue_.next_time() <= t_end) {
-        t_next = queue_.next_time();
-        have_event = true;
-      }
-      if (t_next > time_) {
-        if constexpr (Program::kTotalState > 0) {
-          const double span_t0 =
-              obs_.tracing ? obs_.tab->now_us(obs_.tab->tracer) : 0.0;
-          sim::integrate(
-              integ,
-              [this](double t, const std::vector<double>& x,
-                     std::vector<double>& dx) {
-                evaluate_derivatives(t, x, dx);
-              },
-              time_, t_next, x_, iws_);
-          active_x_ = x_.data();
-          if (obs_.tracing) {
-            const NativeObsTable* tab = obs_.tab;
-            tab->span(tab->tracer, obs_.n_integrate, obs_.trk_runtime,
-                      span_t0, tab->now_us(tab->tracer), kNativeObsNoArg,
-                      0.0);
-          }
-        }
-        time_ = t_next;
-        refresh_dynamic(time_);
-      }
-      if (!have_event) break;
-      // High-water mark of *pending* events, read once per instant before
-      // the drain (the same-instant lane is empty here) — the same point the
-      // interpreter samples queue_.size().
-      if (obs_.queue_hwm != nullptr) {
-        obs_.tab->gauge_max(obs_.queue_hwm, queue_.size());
-      }
-      lane_active_ = true;
-      // Drain the instant pop-by-pop: same (time, seq) order the
-      // interpreter's batched pop_simultaneous dispatches in, without
-      // copying the tie set into a batch vector first. Same-instant
-      // cascades emitted during dispatch land in lane_, never the queue,
-      // so the == time_ drain sees exactly the original tie set.
-      sim::ScheduledEvent ev;
-      while (queue_.pop_next_at(time_, ev)) {
-        dispatch_one(ev, max_events);
-      }
-      // Zero-delay cascades landed in the lane instead of the heap; index
-      // loop because a dispatch may append (and reallocate) while we drain.
-      for (std::size_t i = 0; i < lane_.size(); ++i) {
-        const sim::ScheduledEvent e = lane_[i];
-        dispatch_one(e, max_events);
-      }
-      lane_.clear();
-      lane_active_ = false;
-    }
-    if (obs_.evals_per_block != nullptr) {
-      // Distribution of eval calls across blocks for this run (hot blocks
-      // sit in the top buckets); per-run counts then reset.
-      for (std::uint64_t& n : obs_.per_block_evals) {
-        if (n > 0) {
-          obs_.tab->histogram_observe(obs_.evals_per_block,
-                                      static_cast<double>(n));
-        }
-        n = 0;
-      }
-    }
+  static constexpr std::size_t arena_size() { return P::kArenaSize; }
+  static constexpr std::size_t total_state() { return P::kTotalState; }
+  static std::span<const std::size_t> eval_order() { return P::kEvalOrder; }
+  static std::span<const std::size_t> dynamic_cone() {
+    return P::kDynamicCone;
   }
-
-  std::size_t events_dispatched() const { return events_dispatched_; }
-
-  // ---- services for generated kernels (the Context replacements) ----------
-
-  double* arena() { return arena_.data(); }
-  double time() const { return eval_time_; }
-  math::Rng& rng() { return rng_; }
-  sim::Trace& trace() { return *trace_; }
-  const double* state(std::size_t offset) const { return active_x_ + offset; }
-  double* state_mut(std::size_t offset) { return x_.data() + offset; }
-
-  void emit(std::size_t block, std::size_t event_out, double delay) {
-    const double at = eval_time_ + delay;
-    const std::size_t slot = Program::kSinkBase[block] + event_out;
-    const std::size_t lo = Program::kSinkPtr[slot];
-    const std::size_t hi = Program::kSinkPtr[slot + 1];
-    if (lane_active_ && at == time_) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        lane_.push_back(sim::ScheduledEvent{at, 0, Program::kSinkBlock[s],
-                                            Program::kSinkPort[s]});
-      }
-      return;
-    }
-    for (std::size_t s = lo; s < hi; ++s) {
-      queue_.push(at, Program::kSinkBlock[s], Program::kSinkPort[s]);
-    }
+  static std::span<const std::size_t> cone(std::size_t block) {
+    return {P::kConeBlocks.data() + P::kConeBase[block],
+            P::kConeBase[block + 1] - P::kConeBase[block]};
   }
-
-  void schedule_self(std::size_t block, std::size_t event_in, double delay) {
-    const double at = eval_time_ + delay;
-    if (lane_active_ && at == time_) {
-      lane_.push_back(sim::ScheduledEvent{at, 0, block, event_in});
-      return;
-    }
-    queue_.push(at, block, event_in);
+  static std::span<const std::size_t> stateful_blocks() {
+    return P::kStatefulBlocks;
   }
-
- private:
-  template <class Arr>
-  static std::span<const std::size_t> order_span(const Arr& a) {
-    return std::span<const std::size_t>(a.data(), a.size());
+  static std::size_t state_offset(std::size_t block) {
+    return P::kStateOffset[block];
   }
-
-  std::span<const std::size_t> cone(std::size_t block) const {
-    return {Program::kConeBlocks.data() + Program::kConeBase[block],
-            Program::kConeBase[block + 1] - Program::kConeBase[block]};
+  static std::span<const sim::PortRef> event_sinks(std::size_t block,
+                                                   std::size_t event_out) {
+    const std::size_t slot = P::kSinkBase[block] + event_out;
+    return {P::kSinks.data() + P::kSinkPtr[slot],
+            P::kSinkPtr[slot + 1] - P::kSinkPtr[slot]};
   }
-
-  void refresh_blocks(std::span<const std::size_t> order, double t) {
-    eval_time_ = t;
-    for (std::size_t b : order) prog_.compute(*this, b);
-    if (obs_.evals != nullptr) {
-      obs_.tab->counter_add(obs_.evals, order.size());
-      for (std::size_t b : order) ++obs_.per_block_evals[b];
-    }
-  }
-
-  void refresh_dynamic(double t) {
-    refresh_blocks(full_refresh_ ? order_span(Program::kEvalOrder)
-                                 : order_span(Program::kDynamicCone),
-                   t);
-  }
-
-  void evaluate_derivatives(double t, const std::vector<double>& x,
-                            std::vector<double>& dx) {
-    active_x_ = x.data();
-    refresh_dynamic(t);
-    std::fill(dx.begin(), dx.end(), 0.0);
-    for (std::size_t b : Program::kStatefulBlocks) {
-      prog_.derivatives(*this, b, dx.data() + Program::kStateOffset[b]);
-    }
-  }
-
-  void dispatch_one(const sim::ScheduledEvent& e, std::size_t max_events) {
-    trace_->record_event(e.time, e.block, e.event_in);
-    if (obs_.tracing) {
-      const NativeObsTable* tab = obs_.tab;
-      // Sim-domain instant (seconds -> microseconds, obs::sim_us).
-      tab->instant(tab->tracer, obs_.block_names[e.block], obs_.trk_events,
-                   e.time * 1e6, obs_.a_port,
-                   static_cast<double>(e.event_in));
-    }
-    if (obs_.events != nullptr) obs_.tab->counter_add(obs_.events, 1);
-    eval_time_ = e.time;
-    prog_.on_event(*this, e.block, e.event_in);
-    const std::span<const std::size_t> c =
-        full_refresh_ ? order_span(Program::kEvalOrder) : cone(e.block);
-    if (obs_.tracing) {
-      // Traced runs refresh even empty cones inside the span, exactly as
-      // the interpreter's traced path does (a semantic no-op either way).
-      const NativeObsTable* tab = obs_.tab;
-      const double span_t0 = tab->now_us(tab->tracer);
-      refresh_blocks(c, time_);
-      tab->span(tab->tracer, obs_.n_cone, obs_.trk_runtime, span_t0,
-                tab->now_us(tab->tracer), obs_.a_cone_size,
-                static_cast<double>(c.size()));
-    } else if (!c.empty()) {
-      // Empty cones (pure event-plumbing blocks) skip the refresh outright —
-      // same condition as the interpreter's non-traced hot path.
-      refresh_blocks(c, time_);
-    }
-    if (obs_.cone_sizes != nullptr) {
-      obs_.tab->histogram_observe(obs_.cone_sizes,
-                                  static_cast<double>(c.size()));
-    }
-    if (++events_dispatched_ > max_events) {
-      throw std::runtime_error(
-          "Simulator: max_events exceeded (runaway loop?)");
-    }
-  }
-
-  /// Mirror of Simulator::init_obs, resolved through the ABI v2 callback
-  /// table: tracks, names and instrument handles are looked up once per run
-  /// (interning is idempotent on the host side) in the same order the
-  /// interpreter interns them, so resolved name/track strings line up
-  /// between an instrumented interpreter run and an instrumented native run.
-  void init_obs(const NativeObsTable* tab) {
-    obs_.tab = tab;
-    obs_.tracing = false;
-    obs_.events = nullptr;
-    obs_.evals = nullptr;
-    obs_.queue_hwm = nullptr;
-    obs_.cone_sizes = nullptr;
-    obs_.evals_per_block = nullptr;
-#ifndef ECSIM_OBS_DISABLED
-    if (tab == nullptr) return;
-    if (void* t = tab->tracer; t != nullptr) {
-      obs_.tracing = tab->tracer_enabled(t) != 0;
-      obs_.trk_runtime = tab->track(t, "runtime/sim", 0);  // Domain::kWall
-      obs_.trk_events = tab->track(t, "sim/events", 1);    // Domain::kSim
-      obs_.n_run = tab->intern(t, "sim.run");
-      obs_.n_integrate = tab->intern(t, "sim.integrate");
-      obs_.n_cone = tab->intern(t, "sim.cone_refresh");
-      obs_.a_cone_size = tab->intern(t, "cone_size");
-      obs_.a_port = tab->intern(t, "event_in");
-      obs_.block_names.clear();
-      obs_.block_names.reserve(Program::kBlockNames.size());
-      for (const char* name : Program::kBlockNames) {
-        obs_.block_names.push_back(tab->intern(t, name));
-      }
-    }
-    if (void* m = tab->metrics; m != nullptr) {
-      obs_.events = tab->counter(m, "sim.events_dispatched");
-      obs_.evals = tab->counter(m, "sim.eval_calls");
-      obs_.queue_hwm = tab->gauge(m, "sim.queue_high_water");
-      obs_.cone_sizes = tab->histogram(m, "sim.cone_refresh_size");
-      obs_.evals_per_block = tab->histogram(m, "sim.eval_calls_per_block");
-      obs_.per_block_evals.assign(Program::kBlockNames.size(), 0);
-    }
-#endif
-  }
-
-  Program prog_;
-  math::Rng rng_{1};
-  sim::Trace* trace_ = nullptr;
-  LaneQueue queue_;
-  sim::IntegratorWorkspace iws_;
-  std::vector<sim::ScheduledEvent> lane_;
-  bool lane_active_ = false;
-  bool full_refresh_ = false;
-
-  std::vector<double> arena_;
-  double time_ = 0.0;
-  double eval_time_ = 0.0;
-  std::vector<double> x_;
-  const double* active_x_ = nullptr;
-  std::size_t events_dispatched_ = 0;
-
-  // Observability wiring (mirror of Simulator's ObsHooks): cached ids and
-  // opaque host-side instrument handles; `tracing` is latched per run.
-  struct ObsHooks {
-    const NativeObsTable* tab = nullptr;
-    bool tracing = false;
-    std::uint32_t trk_runtime = 0;  // wall-clock spans
-    std::uint32_t trk_events = 0;   // sim-time event instants
-    std::uint32_t n_run = 0, n_integrate = 0, n_cone = 0;
-    std::uint32_t a_cone_size = 0, a_port = 0;
-    std::vector<std::uint32_t> block_names;
-    void* events = nullptr;           // Counter: sim.events_dispatched
-    void* evals = nullptr;            // Counter: sim.eval_calls
-    void* queue_hwm = nullptr;        // Gauge: sim.queue_high_water
-    void* cone_sizes = nullptr;       // Histogram: sim.cone_refresh_size
-    void* evals_per_block = nullptr;  // Histogram: sim.eval_calls_per_block
-    std::vector<std::uint64_t> per_block_evals;
-  } obs_;
+  static std::span<const char* const> block_names() { return P::kBlockNames; }
 };
+
+/// The engine of a generated module: the one sim::Driver loop over the
+/// module's tables and kernels, on the LaneQueue.
+template <class Program>
+using Engine = sim::Driver<Program, LaneQueue>;
+
+/// A module's whole run (what ecsim_native_run calls): read the block-
+/// private values — a table that does not fit this module's shape fails the
+/// run before anything is simulated — then drive the program once. Returns
+/// the number of dispatched events.
+template <class Program>
+std::size_t run_program(const NativeRunOptions& o, sim::Trace& trace) {
+  Program prog;
+  ParamReader params(o.params, o.n_params);
+  prog.load(params);
+  params.finish();
+
+  sim::SimOptions so;
+  so.end_time = o.end_time;
+  so.integrator.kind = static_cast<sim::IntegratorKind>(o.integrator_kind);
+  so.integrator.max_step = o.max_step;
+  so.integrator.rel_tol = o.rel_tol;
+  so.integrator.abs_tol = o.abs_tol;
+  so.integrator.min_step = o.min_step;
+  so.seed = o.seed;
+  so.max_events = o.max_events;
+  so.full_refresh = o.full_refresh != 0;
+  so.reserve_events = o.reserve_events;
+  so.reserve_signals = o.reserve_signals;
+  so.reserve_queue = o.reserve_queue;
+
+  Engine<Program> engine(prog);
+  engine.bind_trace(&trace);
+  engine.init_obs(o.obs);
+  engine.run(so);
+  return engine.events_dispatched();
+}
 
 }  // namespace ecsim::backend::rt

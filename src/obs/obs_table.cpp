@@ -1,13 +1,15 @@
-#include "backend/obs_abi.hpp"
+#include "obs/obs_table.hpp"
 
-namespace ecsim::backend {
+#include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
+
+namespace ecsim::obs {
 
 #ifdef ECSIM_OBS_DISABLED
 
-// Mirror Simulator::init_obs: the compile-time kill switch turns off both
-// the tracer and the metrics side, so interpreter and native runs stay
-// bit-identical with or without instrumentation attached.
-NativeObsTable make_obs_table(obs::Tracer*, obs::MetricsRegistry*) {
+// The compile-time kill switch turns off both the tracer and the metrics
+// side for every engine.
+NativeObsTable make_obs_table(Tracer*, MetricsRegistry*) {
   return NativeObsTable{};
 }
 
@@ -15,16 +17,16 @@ NativeObsTable make_obs_table(obs::Tracer*, obs::MetricsRegistry*) {
 
 namespace {
 
-obs::Tracer* as_tracer(void* p) { return static_cast<obs::Tracer*>(p); }
+Tracer* as_tracer(void* p) { return static_cast<Tracer*>(p); }
 
-int cb_tracer_enabled(void* t) { return obs::active(as_tracer(t)) ? 1 : 0; }
+int cb_tracer_enabled(void* t) { return active(as_tracer(t)) ? 1 : 0; }
 
 std::uint32_t cb_intern(void* t, const char* name) {
   return as_tracer(t)->intern(name);
 }
 
 std::uint32_t cb_track(void* t, const char* name, int domain) {
-  return as_tracer(t)->track(name, static_cast<obs::Domain>(domain));
+  return as_tracer(t)->track(name, static_cast<Domain>(domain));
 }
 
 double cb_now_us(void* t) { return as_tracer(t)->now_us(); }
@@ -39,8 +41,8 @@ void cb_instant(void* t, std::uint32_t name, std::uint32_t track, double ts,
   as_tracer(t)->instant(name, track, ts, arg_name, arg);
 }
 
-obs::MetricsRegistry* as_registry(void* p) {
-  return static_cast<obs::MetricsRegistry*>(p);
+MetricsRegistry* as_registry(void* p) {
+  return static_cast<MetricsRegistry*>(p);
 }
 
 void* cb_counter(void* m, const char* name) {
@@ -56,21 +58,20 @@ void* cb_histogram(void* m, const char* name) {
 }
 
 void cb_counter_add(void* c, std::uint64_t n) {
-  static_cast<obs::Counter*>(c)->add(n);
+  static_cast<Counter*>(c)->add(n);
 }
 
 void cb_gauge_max(void* g, std::uint64_t v) {
-  static_cast<obs::Gauge*>(g)->max_of(static_cast<double>(v));
+  static_cast<Gauge*>(g)->max_of(static_cast<double>(v));
 }
 
 void cb_histogram_observe(void* h, double v) {
-  static_cast<obs::Histogram*>(h)->observe(v);
+  static_cast<Histogram*>(h)->observe(v);
 }
 
 }  // namespace
 
-NativeObsTable make_obs_table(obs::Tracer* tracer,
-                              obs::MetricsRegistry* metrics) {
+NativeObsTable make_obs_table(Tracer* tracer, MetricsRegistry* metrics) {
   NativeObsTable t;
   if (tracer != nullptr) {
     t.tracer = tracer;
@@ -95,4 +96,4 @@ NativeObsTable make_obs_table(obs::Tracer* tracer,
 
 #endif  // ECSIM_OBS_DISABLED
 
-}  // namespace ecsim::backend
+}  // namespace ecsim::obs

@@ -30,13 +30,14 @@ void measure(const translate::CosimOutcome& out, SweepCell& cell) {
 
 }  // namespace
 
-std::vector<SweepCell> SweepRunner::run(const TimingGrid& grid) const {
+std::vector<SweepCell> run_timing_sweep(const TimingGrid& grid,
+                                        const par::BatchOptions& batch) {
   const std::size_t cols = grid.jitter_fracs.size();
   const std::size_t n = grid.latency_fracs.size() * cols;
-  par::BatchRunner runner(opts_);
+  par::BatchRunner runner(batch);
   translate::LoopSpec loop = grid.loop;
   loop.threads = static_cast<unsigned>(runner.threads());  // ledger note
-  CellMetrics cm(opts_.metrics);
+  CellMetrics cm(batch.metrics);
   return runner.map<SweepCell>(n, [&](par::TaskContext& ctx) {
     return cm.cell([&] {
       const double la_frac = grid.latency_fracs[ctx.index / cols];
@@ -52,13 +53,14 @@ std::vector<SweepCell> SweepRunner::run(const TimingGrid& grid) const {
   });
 }
 
-std::vector<SweepCell> SweepRunner::run(const ArchitectureGrid& grid) const {
+std::vector<SweepCell> run_arch_sweep(const ArchitectureGrid& grid,
+                                      const par::BatchOptions& batch) {
   const std::size_t cols = grid.wcet_scales.size();
   const std::size_t n = grid.bus_bandwidths.size() * cols;
-  par::BatchRunner runner(opts_);
+  par::BatchRunner runner(batch);
   translate::LoopSpec loop = grid.loop;
   loop.threads = static_cast<unsigned>(runner.threads());  // ledger note
-  CellMetrics cm(opts_.metrics);
+  CellMetrics cm(batch.metrics);
   return runner.map<SweepCell>(n, [&](par::TaskContext& ctx) {
     return cm.cell([&] {
       SweepCell cell;

@@ -53,20 +53,16 @@ struct ArchitectureGrid {
   std::vector<double> wcet_scales;     // multiplies dist.wcet_ctrl (columns)
 };
 
-class SweepRunner {
- public:
-  explicit SweepRunner(par::BatchOptions opts = {}) : opts_(opts) {}
+/// Row-major over latency_fracs × jitter_fracs, bit-identical for any
+/// thread count.
+std::vector<SweepCell> run_timing_sweep(const TimingGrid& grid,
+                                        const par::BatchOptions& batch = {});
 
-  /// Row-major over latency_fracs × jitter_fracs, bit-identical for any
-  /// thread count.
-  std::vector<SweepCell> run(const TimingGrid& grid) const;
-  /// Row-major over bus_bandwidths × wcet_scales; a cell that does not fit
-  /// the period comes back schedulable = false instead of throwing.
-  std::vector<SweepCell> run(const ArchitectureGrid& grid) const;
-
- private:
-  par::BatchOptions opts_;
-};
+/// Row-major over bus_bandwidths × wcet_scales, bit-identical for any
+/// thread count; a cell that does not fit the period comes back
+/// schedulable = false instead of throwing.
+std::vector<SweepCell> run_arch_sweep(const ArchitectureGrid& grid,
+                                      const par::BatchOptions& batch = {});
 
 /// Machine-readable dump, one row per cell, header included.
 std::string to_csv(const std::vector<SweepCell>& cells);

@@ -7,12 +7,13 @@
 // (DESIGN.md §3.4). The 4-ary layout halves the sift depth of a binary heap,
 // keeps each sift level inside one or two cache lines, supports reserve() so
 // steady-state pushes never reallocate, clears in O(1), and drains
-// same-instant ties in one batched call instead of re-comparing the top per
-// event. The pop order is a total order on (time, seq), so any heap arity
+// same-instant ties either one at a time at a given instant (pop_next_at,
+// the scalar driver's drain) or in one batched call (pop_simultaneous, the
+// SIMD engine's). The pop order is a total order on (time, seq), so any heap arity
 // yields the identical event sequence — property-tested against a
 // std::priority_queue oracle.
 //
-// The heap is a template over the event record so the scalar Simulator
+// The heap is a template over the event record so the scalar interpreter
 // (EventQueue = HeapQueue<ScheduledEvent>) and the SIMD BatchedSim
 // (HeapQueue<MaskedEvent>, one lane mask per entry) share one sift
 // implementation and therefore one tie order.
@@ -42,8 +43,8 @@ struct ScheduledEvent {
 template <class Ev>
 class HeapQueue {
  public:
-  // push/pop/pop_simultaneous are defined inline: they run once (or once
-  // per tie) per dispatched event, and an out-of-line call per event is
+  // push and the pops are defined inline: they run once (or once per tie)
+  // per dispatched event, and an out-of-line call per event is
   // measurable at the tens-of-millions-events/s the engine sustains.
   template <class... Payload>
   void push(Time t, std::size_t block, std::size_t event_in,
@@ -69,9 +70,8 @@ class HeapQueue {
     return pop_top();
   }
   /// Remove every event tied at the earliest pending time and append them
-  /// to `out` in FIFO order (out is not cleared). The dispatcher drains one
-  /// instant in a single call instead of re-comparing the heap top per
-  /// event. Returns the number of events appended; queue must be non-empty.
+  /// to `out` in FIFO order (out is not cleared). The batched SIMD engine
+  /// drains one instant in a single call. Returns the number of events appended; queue must be non-empty.
   /// Ties at the minimal time pop in seq order because (time, seq) is a
   /// strict total order; events emitted with zero delay *during* dispatch of
   /// a batch get larger seq values and therefore land in a later batch —
@@ -91,6 +91,17 @@ class HeapQueue {
       ++count;
     } while (!heap_.empty() && heap_.front().time == t);
     return count;
+  }
+  /// Remove the earliest pending event if its time is exactly `t` (same
+  /// contract as backend::rt::LaneQueue::pop_next_at). sim::Driver drains
+  /// one instant by calling this until it returns false: the pops follow
+  /// the strict (time, seq) order, and the driver routes zero-delay
+  /// emissions made during the drain to its same-instant lane, so the drain
+  /// sees exactly the ties pending when it started.
+  bool pop_next_at(Time t, Ev& out) {
+    if (heap_.empty() || heap_.front().time != t) return false;
+    out = pop_top();
+    return true;
   }
   /// Drop all pending events and reset the FIFO sequence counter. O(1):
   /// keeps the backing capacity, so a cleared queue re-fills without

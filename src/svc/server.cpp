@@ -122,13 +122,12 @@ Request canonical_request(Verb verb) {
 void run_in_process(const Request& req, const par::BatchOptions& batch,
                     std::size_t, WarmCache& warm,
                     std::vector<sweep::SweepCell>& out) {
-  const sweep::SweepRunner runner(batch);
   if (req.verb == Verb::kSweepTiming) {
     sweep::TimingGrid grid;
     grid.loop = request_loop(req, warm);
     grid.latency_fracs = req.rows;
     grid.jitter_fracs = req.cols;
-    out = runner.run(grid);
+    out = sweep::run_timing_sweep(grid, batch);
     return;
   }
   expect_verb(req, req.verb == Verb::kSweepArch);
@@ -137,7 +136,7 @@ void run_in_process(const Request& req, const par::BatchOptions& batch,
   grid.dist.bind_ctrl = "P1";
   grid.bus_bandwidths = req.rows;
   grid.wcet_scales = req.cols;
-  out = runner.run(grid);
+  out = sweep::run_arch_sweep(grid, batch);
 }
 
 void run_in_process(const Request& req, const par::BatchOptions& batch,

@@ -61,12 +61,26 @@ TEST(NativeBackend, ServoTraceBitIdentical) {
   expect_bit_identical(m, 1.0);
 }
 
+// Each diagram also runs natively under full_refresh (the whole network
+// re-evaluated at every refresh point), which must still give the
+// interpreter's incremental trace.
 TEST(NativeBackend, RandomHybridDiagramsBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     math::Rng rng(seed);
     sim::Model m = ecsim::testing::random_block_model(rng);
     SCOPED_TRACE("model seed " + std::to_string(seed));
     expect_bit_identical(m, 0.5, seed * 17 + 1);
+
+    const backend::RunResult interp = backend::run(
+        m, opts_for(backend::Kind::kInterp, 0.5, seed * 17 + 1));
+    backend::RunOptions full =
+        opts_for(backend::Kind::kNative, 0.5, seed * 17 + 1);
+    full.sim.full_refresh = true;
+    const backend::RunResult native = backend::run(m, full);
+    ASSERT_EQ(native.used, backend::Kind::kNative)
+        << "fell back: " << native.fallback_reason;
+    EXPECT_EQ(native.events_dispatched, interp.events_dispatched);
+    EXPECT_TRUE(native.trace == interp.trace);
   }
 }
 

@@ -1,13 +1,17 @@
 // Native module cache (DESIGN.md §3.6): loads latch per shape and compile
 // concurrently across shapes, a failed compile reaches every waiter and is
 // retried by the next call instead of poisoning the entry, a module refuses
-// a parameter table that does not fit its shape, and the compiler is
-// spawned without a shell, so no cache path is ever interpreted.
+// a parameter table that does not fit its shape, the compiler is spawned
+// without a shell, so no cache path is ever interpreted, and the cache key
+// stamps every runtime file a module is built from.
 #include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +92,22 @@ sim::Model timed_chain(double period, double delay, bool gated) {
   }
   m.connect(n, 0, p, 0);
   return m;
+}
+
+/// The targets of the quoted #include lines of a C++ text, in order.
+std::vector<std::string> quoted_includes(const std::string& text) {
+  const std::string tag = "#include \"";
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t at = line.find_first_not_of(" \t");
+    if (at == std::string::npos || line.compare(at, tag.size(), tag) != 0) {
+      continue;
+    }
+    const std::size_t from = at + tag.size();
+    out.push_back(line.substr(from, line.find('"', from) - from));
+  }
+  return out;
 }
 
 backend::RunOptions native_opts(backend::Kind k = backend::Kind::kNative) {
@@ -201,6 +221,32 @@ TEST(NativeModuleCache, MismatchedParameterTableFailsTheRun) {
       EXPECT_NE(std::string(e.what()).find("parameter table does not fit"),
                 std::string::npos)
           << e.what();
+    }
+  }
+}
+
+// The cache key stamps exactly backend::kModuleRuntimeFiles. A runtime file
+// a module includes but the list misses would let a cached .so outlive an
+// edit to that file, so the list must hold every quoted include of a
+// generated source and, transitively, of every file on the list.
+TEST(NativeModuleCache, StampListCoversEveryIncludedRuntimeFile) {
+  const std::set<std::string> stamped(backend::kModuleRuntimeFiles.begin(),
+                                      backend::kModuleRuntimeFiles.end());
+  sim::Model m = timed_chain(1e-2, 1e-3, true);
+  const backend::NativeSource src =
+      backend::generate_native_source(sim::build_ir(m));
+  const std::vector<std::string> direct = quoted_includes(src.text);
+  EXPECT_EQ(direct.size(), stamped.size());
+  for (const std::string& inc : direct) {
+    EXPECT_EQ(stamped.count(inc), 1u) << "generated source includes " << inc;
+  }
+  for (const std::string& file : stamped) {
+    std::ifstream in(fs::path(ECSIM_SOURCE_DIR) / file);
+    ASSERT_TRUE(in) << "cannot read " << file;
+    std::stringstream text;
+    text << in.rdbuf();
+    for (const std::string& inc : quoted_includes(text.str())) {
+      EXPECT_EQ(stamped.count(inc), 1u) << file << " includes " << inc;
     }
   }
 }

@@ -47,7 +47,7 @@ TEST(Sweep, TimingGridRowMajorAndPopulated) {
   const TimingGrid grid = small_timing_grid();
   par::BatchOptions batch;
   batch.threads = 1;
-  const auto cells = SweepRunner(batch).run(grid);
+  const auto cells = run_timing_sweep(grid, batch);
   ASSERT_EQ(cells.size(), 6u);
   EXPECT_DOUBLE_EQ(cells[0].la_frac, 0.0);
   EXPECT_DOUBLE_EQ(cells[0].jitter_frac, 0.0);
@@ -67,7 +67,7 @@ TEST(Sweep, TimingGridBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 7u}) {
     par::BatchOptions batch;
     batch.threads = threads;
-    const auto cells = SweepRunner(batch).run(grid);
+    const auto cells = run_timing_sweep(grid, batch);
     if (threads == 1u) {
       reference = cells;
     } else {
@@ -85,7 +85,7 @@ TEST(Sweep, ArchitectureGridThroughFullFlow) {
   grid.wcet_scales = {1.0, 3.0};
   par::BatchOptions batch;
   batch.threads = 2;
-  const auto cells = SweepRunner(batch).run(grid);
+  const auto cells = run_arch_sweep(grid, batch);
   ASSERT_EQ(cells.size(), 4u);
   // Heavier controller on a slower bus cannot beat the light/fast corner.
   EXPECT_GE(cells[3].act_latency_mean, cells[0].act_latency_mean);
@@ -104,7 +104,7 @@ TEST(Sweep, InfeasibleArchitectureCellIsReportedUnschedulable) {
   par::BatchOptions batch;
   batch.threads = 2;
   std::vector<SweepCell> cells;
-  ASSERT_NO_THROW(cells = SweepRunner(batch).run(grid));
+  ASSERT_NO_THROW(cells = run_arch_sweep(grid, batch));
   ASSERT_EQ(cells.size(), 4u);
   EXPECT_TRUE(cells[0].schedulable);
   EXPECT_TRUE(cells[0].stable);
@@ -123,14 +123,14 @@ TEST(Sweep, InfeasibleArchitectureCellIsReportedUnschedulable) {
   EXPECT_NE(csv.find("act_jitter,schedulable,stable\n"), std::string::npos);
   EXPECT_EQ(csv.substr(csv.size() - 4), "0,0\n") << csv;
   // Serial and parallel runs agree on the infeasible cell too.
-  EXPECT_TRUE(bit_identical(cells, SweepRunner(par::BatchOptions{}).run(grid)));
+  EXPECT_TRUE(bit_identical(cells, run_arch_sweep(grid)));
 }
 
 TEST(Sweep, CsvAndHeatmapRender) {
   const TimingGrid grid = small_timing_grid();
   par::BatchOptions batch;
   batch.threads = 2;
-  const auto cells = SweepRunner(batch).run(grid);
+  const auto cells = run_timing_sweep(grid, batch);
   const std::string csv = to_csv(cells);
   EXPECT_NE(csv.find("la_frac,jitter_frac"), std::string::npos);
   // Header + one line per cell.
@@ -201,7 +201,7 @@ TEST(Sweep, CellMetricsCountEveryCell) {
   par::BatchOptions batch;
   batch.threads = 2;
   batch.metrics = &reg;
-  const std::vector<SweepCell> cells = SweepRunner(batch).run(grid);
+  const std::vector<SweepCell> cells = run_timing_sweep(grid, batch);
   ASSERT_EQ(cells.size(), n);
   EXPECT_EQ(reg.counter("sweep.cells_completed").value(), n);
   const obs::Histogram& wall = reg.histogram("sweep.cell_wall_us");
@@ -209,7 +209,7 @@ TEST(Sweep, CellMetricsCountEveryCell) {
   EXPECT_GT(wall.sum(), 0.0);
   EXPECT_GE(wall.quantile(0.99), wall.quantile(0.5));
   // And the grid results are untouched by the instrumentation.
-  EXPECT_TRUE(bit_identical(cells, SweepRunner(par::BatchOptions{}).run(grid)));
+  EXPECT_TRUE(bit_identical(cells, run_timing_sweep(grid)));
 }
 
 TEST(MonteCarlo, BatchWidthNeverChangesTheStatistics) {

@@ -1,6 +1,7 @@
 // Properties of the event queues (DESIGN.md §3.4, §3.6, §3.8).
 //
-// Every queue the engines pop from — the scalar EventQueue, the SIMD
+// Every queue the engines pop from — the scalar EventQueue (also drained
+// an instant at a time through pop_next_at, as sim::Driver does), the SIMD
 // driver's HeapQueue<MaskedEvent> and the native modules' LaneQueue — must
 // pop exactly what a std::priority_queue over (time, seq) pops, with seq
 // breaking ties first-in-first-out. Two traffic shapes:
@@ -65,6 +66,24 @@ struct ScalarHeap {
   }
   bool empty() const { return q.empty(); }
   MaskedEvent pop() { return with_mask(q.pop(), 0); }
+  static std::uint64_t mask(std::uint64_t) { return 0; }
+};
+
+/// The scalar driver's drain: pop only what is due at the head's instant.
+struct HeapAtInstant {
+  static constexpr const char* kName = "EventQueue::pop_next_at";
+  EventQueue q;
+  void push(Time t, std::size_t b, std::size_t p, std::uint64_t) {
+    q.push(t, b, p);
+  }
+  bool empty() const { return q.empty(); }
+  MaskedEvent pop() {
+    ScheduledEvent e;
+    if (!q.pop_next_at(q.next_time(), e)) {
+      ADD_FAILURE() << "EventQueue::pop_next_at missed its own next_time()";
+    }
+    return with_mask(e, 0);
+  }
   static std::uint64_t mask(std::uint64_t) { return 0; }
 };
 
@@ -177,6 +196,7 @@ class HotPathProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HotPathProperty, HeapMatchesPriorityQueueOracleUnderRandomTraffic) {
   check_scattered_traffic<ScalarHeap>(GetParam());
+  check_scattered_traffic<HeapAtInstant>(GetParam());
   check_scattered_traffic<MaskedHeap>(GetParam());
 }
 
@@ -186,21 +206,25 @@ TEST_P(HotPathProperty, LaneQueueMatchesPriorityQueueOracleUnderRandomTraffic) {
 
 TEST_P(HotPathProperty, EveryQueueMatchesOracleUnderConstantDelayTraffic) {
   check_constant_delay_traffic<ScalarHeap>(GetParam());
+  check_constant_delay_traffic<HeapAtInstant>(GetParam());
   check_constant_delay_traffic<MaskedHeap>(GetParam());
   check_constant_delay_traffic<Lanes>(GetParam());
 }
 
 TEST_P(HotPathProperty, BatchedPopMatchesOneAtATimePopping) {
   // pop_simultaneous must be observationally identical to popping until the
-  // head time changes.
+  // head time changes, and pop_next_at(t) — the scalar driver's drain — must
+  // yield exactly that batch and then refuse the next instant.
   math::Rng rng(GetParam() * 3 + 1);
   EventQueue batched;
   EventQueue single;
+  EventQueue at_instant;
   for (int i = 0; i < 5'000; ++i) {
     const Time t = static_cast<Time>(rng.uniform_int(0, 31)) * 0.25;
     const std::size_t block = static_cast<std::size_t>(rng.uniform_int(0, 7));
     batched.push(t, block, 0);
     single.push(t, block, 0);
+    at_instant.push(t, block, 0);
   }
   std::vector<ScheduledEvent> batch;
   while (!batched.empty()) {
@@ -210,12 +234,18 @@ TEST_P(HotPathProperty, BatchedPopMatchesOneAtATimePopping) {
     for (const ScheduledEvent& e : batch) {
       ASSERT_FALSE(single.empty());
       ASSERT_TRUE(same_event(with_mask(e, 0), with_mask(single.pop(), 0)));
+      ScheduledEvent drained;
+      ASSERT_TRUE(at_instant.pop_next_at(batch.front().time, drained));
+      ASSERT_TRUE(same_event(with_mask(e, 0), with_mask(drained, 0)));
     }
+    ScheduledEvent beyond;
+    EXPECT_FALSE(at_instant.pop_next_at(batch.front().time, beyond));
     if (!single.empty() && !batch.empty()) {
       EXPECT_NE(single.next_time(), batch.front().time);
     }
   }
   EXPECT_TRUE(single.empty());
+  EXPECT_TRUE(at_instant.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HotPathProperty,
