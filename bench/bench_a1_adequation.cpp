@@ -5,13 +5,18 @@
 // Expected shape: speedup > 1 until comm-bound; comm-aware dominates
 // comm-blind. (f) Cost of the heuristic itself: wall time and nanoseconds
 // per evaluated candidate (op, proc) on 100-800-op random DAGs over
-// immediate, CAN and TDMA buses.
+// immediate, CAN and TDMA buses. (g) Cost of checking its schedules: the
+// executive VM's WCET run on the same DAGs and buses, in nanoseconds per
+// executed instance (ops + comms).
 //
 // GUARD: on the immediate and CAN buses, ns per candidate at 800 ops is at
 // most 2x that at 100 ops (a candidate costs O(in-degree x route hops), not
 // O(|E|)), and every run of a graph gives the same makespan and candidate
-// count. Runs via `ctest -C bench` (bench_a1_adequation_guard); the
-// process exits nonzero on failure and writes BENCH_a1.json.
+// count. On the CAN bus, VM ns per instance at 800 ops is at most 2x that
+// at 100 ops (a bus commit reads the frames that can win, not every slot),
+// and two VM runs of a graph give identical instances. Runs via
+// `ctest -C bench` (bench_a1_adequation_guard); the process exits nonzero
+// on failure and writes BENCH_a1.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -19,7 +24,9 @@
 #include <vector>
 
 #include "aaa/adequation.hpp"
+#include "aaa/codegen.hpp"
 #include "bench_common.hpp"
+#include "exec/executive_vm.hpp"
 #include "mathlib/rng.hpp"
 #include "obs/metrics.hpp"
 #include "properties/random_graphs.hpp"
@@ -70,6 +77,20 @@ aaa::ArchitectureGraph scaling_bus(Bus b) {
   return arch;
 }
 
+constexpr std::size_t kSizes[] = {100, 200, 400, 800};
+constexpr int kReps = 15;
+constexpr double kMaxGrowth = 2.0;
+
+/// The random DAGs of sections (f) and (g), one per entry of kSizes.
+std::vector<aaa::AlgorithmGraph> scaling_graphs() {
+  std::vector<aaa::AlgorithmGraph> graphs;
+  for (const std::size_t n : kSizes) {
+    math::Rng rng(1000 + n);
+    graphs.push_back(testing::random_dag(rng, n));
+  }
+  return graphs;
+}
+
 struct ScalingPoint {
   double best_ms = std::numeric_limits<double>::infinity();
   std::uint64_t candidates = 0;
@@ -109,26 +130,20 @@ void time_run(const aaa::AlgorithmGraph& alg,
   pt.deterministic = pt.deterministic && makespan == pt.makespan;
 }
 
-/// Section (f) and the guard. Returns 0 when the guard passes.
-int scaling() {
-  constexpr int kReps = 15;
-  constexpr double kMaxGrowth = 2.0;
-  const std::size_t sizes[] = {100, 200, 400, 800};
+/// Section (f) and its guard. Returns true when the guard passes.
+bool scaling(bench::JsonReport& report) {
   std::printf("(f) adequation cost vs graph size (random DAGs, best of %d)\n",
               kReps);
   std::printf("%10s %6s %12s %12s %14s %12s\n", "bus", "ops", "best [ms]",
               "candidates", "ns/candidate", "makespan");
-  bench::JsonReport report("EXP-A1");
   report.begin_array("scaling");
   bool pass = true;
+  const std::vector<aaa::AlgorithmGraph> graphs = scaling_graphs();
   for (const Bus bus : {Bus::kImmediate, Bus::kCan, Bus::kTdma}) {
     const aaa::ArchitectureGraph arch = scaling_bus(bus);
-    std::vector<aaa::AlgorithmGraph> graphs;
     std::vector<ScalingPoint> points;
-    for (const std::size_t n : sizes) {
-      math::Rng rng(1000 + n);
-      graphs.push_back(testing::random_dag(rng, n));
-      points.push_back(count_runs(graphs.back(), arch));
+    for (const aaa::AlgorithmGraph& alg : graphs) {
+      points.push_back(count_runs(alg, arch));
     }
     // Sizes take turns within each repetition, so a burst of host noise
     // lands on all of them rather than on one point of the ratio.
@@ -143,12 +158,12 @@ int scaling() {
       ns[k] = 1e6 * pt.best_ms / static_cast<double>(pt.candidates);
       pass = pass && pt.deterministic;
       std::printf("%10s %6zu %12.3f %12llu %14.1f %12.6f%s\n", bus_name(bus),
-                  sizes[k], pt.best_ms,
+                  kSizes[k], pt.best_ms,
                   static_cast<unsigned long long>(pt.candidates), ns[k],
                   pt.makespan, pt.deterministic ? "" : "  DIVERGED");
       report.begin_object();
       report.field("bus", std::string(bus_name(bus)));
-      report.field("ops", sizes[k]);
+      report.field("ops", kSizes[k]);
       report.field("best_ms", pt.best_ms);
       report.field("candidates", static_cast<std::size_t>(pt.candidates));
       report.field("ns_per_candidate", ns[k]);
@@ -162,15 +177,123 @@ int scaling() {
     const bool ok = !gated || growth <= kMaxGrowth;
     pass = pass && ok;
     std::printf("%10s ns/candidate %zu ops / %zu ops = %.2fx%s\n",
-                bus_name(bus), sizes[3], sizes[0], growth,
+                bus_name(bus), kSizes[3], kSizes[0], growth,
                 gated ? (ok ? " (<= 2x: ok)" : " (> 2x: FAIL)") : "");
   }
   report.end_array();
   std::printf("\nguard: ns/candidate growth <= %.0fx on immediate and CAN, "
               "identical makespans and counts across runs — %s\n\n",
               kMaxGrowth, pass ? "PASS" : "FAIL");
-  report.write("BENCH_a1.json");
-  return pass ? 0 : 1;
+  return pass;
+}
+
+/// One graph of section (g): its schedule and executives on one bus.
+struct VmCase {
+  const aaa::AlgorithmGraph* alg = nullptr;
+  aaa::Schedule sched{0, 0};
+  aaa::GeneratedCode code;
+};
+
+struct VmPoint {
+  double best_ms = std::numeric_limits<double>::infinity();
+  std::size_t instances = 0;  // op + comm instances of one run
+  bool deterministic = true;  // two runs gave identical instances
+};
+
+/// The run section (g) times: schedule_large's WCET check, 20 iterations at
+/// a 12 s period.
+exec::VmResult wcet_run(const VmCase& c, const aaa::ArchitectureGraph& arch) {
+  exec::VmOptions opts;
+  opts.iterations = 20;
+  opts.period = 12.0;
+  return exec::run_executives(*c.alg, arch, c.sched, c.code, opts);
+}
+
+bool same_instances(const exec::VmResult& a, const exec::VmResult& b) {
+  const auto same_op = [](const exec::OpInstance& x,
+                          const exec::OpInstance& y) {
+    return x.op == y.op && x.iteration == y.iteration && x.proc == y.proc &&
+           x.start == y.start && x.end == y.end && x.branch == y.branch;
+  };
+  const auto same_comm = [](const exec::CommInstance& x,
+                            const exec::CommInstance& y) {
+    return x.comm == y.comm && x.iteration == y.iteration &&
+           x.start == y.start && x.end == y.end;
+  };
+  return a.deadlock == b.deadlock &&
+         std::equal(a.ops.begin(), a.ops.end(), b.ops.begin(), b.ops.end(),
+                    same_op) &&
+         std::equal(a.comms.begin(), a.comms.end(), b.comms.begin(),
+                    b.comms.end(), same_comm);
+}
+
+/// Section (g) and its guard. Returns true when the guard passes.
+bool vm_scaling(bench::JsonReport& report) {
+  std::printf("(g) executive VM cost vs graph size (WCET run, 20 iterations, "
+              "best of %d)\n",
+              kReps);
+  std::printf("%10s %6s %12s %12s %14s\n", "bus", "ops", "best [ms]",
+              "instances", "ns/instance");
+  report.begin_array("vm_scaling");
+  bool pass = true;
+  const std::vector<aaa::AlgorithmGraph> graphs = scaling_graphs();
+  for (const Bus bus : {Bus::kImmediate, Bus::kCan, Bus::kTdma}) {
+    const aaa::ArchitectureGraph arch = scaling_bus(bus);
+    std::vector<VmCase> cases(graphs.size());
+    std::vector<VmPoint> points(graphs.size());
+    for (std::size_t k = 0; k < graphs.size(); ++k) {
+      VmCase& c = cases[k];
+      c.alg = &graphs[k];
+      c.sched = aaa::adequate(graphs[k], arch);
+      c.code = aaa::generate_executives(graphs[k], arch, c.sched);
+      const exec::VmResult first = wcet_run(c, arch);
+      points[k].instances = first.ops.size() + first.comms.size();
+      points[k].deterministic =
+          !first.deadlock && same_instances(first, wcet_run(c, arch));
+    }
+    // Sizes take turns within each repetition, as in (f).
+    for (int r = 0; r < kReps; ++r) {
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const exec::VmResult vm = wcet_run(cases[k], arch);
+        points[k].best_ms = std::min(
+            points[k].best_ms, std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+        benchmark::DoNotOptimize(vm);
+      }
+    }
+    std::vector<double> ns(cases.size());
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const VmPoint& pt = points[k];
+      ns[k] = 1e6 * pt.best_ms / static_cast<double>(pt.instances);
+      pass = pass && pt.deterministic;
+      std::printf("%10s %6zu %12.3f %12zu %14.1f%s\n", bus_name(bus),
+                  kSizes[k], pt.best_ms, pt.instances, ns[k],
+                  pt.deterministic ? "" : "  DIVERGED");
+      report.begin_object();
+      report.field("bus", std::string(bus_name(bus)));
+      report.field("ops", kSizes[k]);
+      report.field("best_ms", pt.best_ms);
+      report.field("instances", pt.instances);
+      report.field("ns_per_instance", ns[k]);
+      report.field("deterministic",
+                   std::string(pt.deterministic ? "yes" : "NO"));
+      report.end_object();
+    }
+    const double growth = ns.back() / ns.front();
+    const bool gated = bus == Bus::kCan;
+    const bool ok = !gated || growth <= kMaxGrowth;
+    pass = pass && ok;
+    std::printf("%10s ns/instance %zu ops / %zu ops = %.2fx%s\n",
+                bus_name(bus), kSizes[3], kSizes[0], growth,
+                gated ? (ok ? " (<= 2x: ok)" : " (> 2x: FAIL)") : "");
+  }
+  report.end_array();
+  std::printf("\nguard: VM ns/instance growth <= %.0fx on CAN, identical "
+              "instances across runs — %s\n\n",
+              kMaxGrowth, pass ? "PASS" : "FAIL");
+  return pass;
 }
 
 int experiment() {
@@ -274,7 +397,11 @@ int experiment() {
               "greedy placement to a different (even slightly better) "
               "mapping, which is itself an argument for exploring "
               "arbitration policies during the adequation.\n\n");
-  return scaling();
+  bench::JsonReport report("EXP-A1");
+  const bool adequation_ok = scaling(report);
+  const bool vm_ok = vm_scaling(report);
+  report.write("BENCH_a1.json");
+  return adequation_ok && vm_ok ? 0 : 1;
 }
 
 void BM_Adequation(benchmark::State& state) {

@@ -20,23 +20,40 @@ ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
     bad << "deadlock: " << vm.deadlock_info << "; ";
   }
   std::size_t mismatches = 0;
-  for (const OpInstance& oi : vm.ops) {
-    const aaa::ScheduledOp& so = sched.of_op(oi.op);
-    const Time expect_start =
-        so.start + static_cast<Time>(oi.iteration) * period;
-    const Time expect_end = so.end + static_cast<Time>(oi.iteration) * period;
-    const double err = std::max(std::abs(oi.start - expect_start),
-                                std::abs(oi.end - expect_end));
+  // Compares one instance of iteration `iter` with its schedule interval;
+  // `what` names it in the violation text.
+  const auto check = [&](const auto& what, std::size_t iter, Time start,
+                         Time end, Time sched_start, Time sched_end) {
+    const Time shift = static_cast<Time>(iter) * period;
+    const Time expect_start = sched_start + shift;
+    const Time expect_end = sched_end + shift;
+    const double err =
+        std::max(std::abs(start - expect_start), std::abs(end - expect_end));
     rep.max_time_error = std::max(rep.max_time_error, err);
-    ++rep.checked_instances;
     if (err > tol) {
       rep.ok = false;
       if (++mismatches <= kMaxListedViolations) {
-        bad << "op '" << alg.op(oi.op).name << "' iter " << oi.iteration
-            << " at [" << oi.start << "," << oi.end << ") expected ["
-            << expect_start << "," << expect_end << "); ";
+        bad << what() << " iter " << iter << " at [" << start << "," << end
+            << ") expected [" << expect_start << "," << expect_end << "); ";
       }
     }
+  };
+  for (const OpInstance& oi : vm.ops) {
+    const aaa::ScheduledOp& so = sched.of_op(oi.op);
+    ++rep.checked_instances;
+    check([&] { return "op '" + alg.op(oi.op).name + "'"; }, oi.iteration,
+          oi.start, oi.end, so.start, so.end);
+  }
+  for (const CommInstance& ci : vm.comms) {
+    const aaa::ScheduledComm& sc = sched.comms()[ci.comm];
+    ++rep.checked_comm_instances;
+    check(
+        [&] {
+          const aaa::DataDep& dep = alg.dependencies()[sc.dep_index];
+          return "comm '" + alg.op(dep.from).name + "->" +
+                 alg.op(dep.to).name + "'";
+        },
+        ci.iteration, ci.start, ci.end, sc.start, sc.end);
   }
   if (mismatches > kMaxListedViolations) {
     bad << "… and " << mismatches - kMaxListedViolations << " more";

@@ -17,20 +17,23 @@ struct ConformanceReport {
   /// "… and K more" when there are more.
   std::string violations;
 
+  /// Op instances checked.
   std::size_t checked_instances = 0;
+  /// Comm instances checked (check_wcet_conformance only).
+  std::size_t checked_comm_instances = 0;
   /// Max |VM instant - (schedule instant + k*period)| under WCET execution.
   Time max_time_error = 0.0;
 };
 
-/// Mismatching op instances check_wcet_conformance spells out in
-/// ConformanceReport::violations; ok, max_time_error and checked_instances
+/// Mismatching op and comm instances check_wcet_conformance spells out in
+/// ConformanceReport::violations; ok, max_time_error and the checked counts
 /// always cover every instance.
 inline constexpr std::size_t kMaxListedViolations = 8;
 
 /// With exec_time == WCET and period >= makespan and all algorithm sources
-/// being sensors, every op instance of iteration k must start/end exactly at
-/// its schedule instant shifted by k*period. Verifies that, plus per-
-/// processor order preservation and non-overlap.
+/// being sensors, every op instance and every comm instance of iteration k
+/// must start/end exactly at its schedule instant shifted by k*period.
+/// Verifies that.
 ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
                                          const ArchitectureGraph& arch,
                                          const Schedule& sched,

@@ -71,6 +71,44 @@ struct Cursor {
   }
 };
 
+/// Arbitration index of one CAN medium over the iteration its communicator
+/// is serving (DESIGN.md §3.10). Each slot of the comm list is in one state;
+/// the pending ones are filed so that a commit reads only the frames that
+/// can win and one bound per sender, never the whole slot list.
+struct CanIndex {
+  enum class Slot : std::uint8_t {
+    kWaiting,   // signal not known yet
+    kKnown,     // sent (hop 0) or previous hop delivered: contends now
+    kPrevLost,  // previous hop lost: propagates without the bus
+    kDone,      // transferred or propagated this iteration
+  };
+  std::vector<Slot> slot;
+  /// Per slot: the waiting counter its frame counts in — its sender
+  /// processor p (hop 0) or P + its predecessor's medium (later hops) — or
+  /// kNone when that sender can never contest (no sending processor, or a
+  /// predecessor on this very medium).
+  std::vector<std::size_t> sender;
+  std::vector<std::size_t> known;      // kKnown slots, ascending
+  std::vector<std::size_t> prev_lost;  // kPrevLost slots, ascending
+  std::vector<std::size_t> waiting;    // kWaiting frames per sender
+  std::size_t left = 0;                // slots not kDone
+
+  /// Files waiting slot `k` as kKnown or kPrevLost.
+  void settle(std::size_t k, Slot to) {
+    if (sender[k] != kNone) --waiting[sender[k]];
+    slot[k] = to;
+    std::vector<std::size_t>& list = to == Slot::kKnown ? known : prev_lost;
+    list.insert(std::lower_bound(list.begin(), list.end(), k), k);
+  }
+  /// Retires a kKnown or kPrevLost slot.
+  void finish(std::size_t k) {
+    std::vector<std::size_t>& list = slot[k] == Slot::kKnown ? known : prev_lost;
+    list.erase(std::lower_bound(list.begin(), list.end(), k));
+    slot[k] = Slot::kDone;
+    --left;
+  }
+};
+
 }  // namespace
 
 VmResult run_executives(const AlgorithmGraph& alg,
@@ -154,6 +192,128 @@ VmResult run_executives(const AlgorithmGraph& alg,
   std::vector<Channel> channels(sched.comms().size(), Channel(iters));
   std::vector<Cursor> proc_cur(sir.executives.size());
   std::vector<Cursor> medium_cur(sir.communicators.size());
+
+  // For multi-hop routes the communicators forward autonomously: hop k > 0
+  // becomes ready when hop k-1 delivered, without the intermediate
+  // processor's sequencer in the path.
+  const std::vector<std::size_t> prev_hop = aaa::link_hops(sched).prev;
+
+  // CAN priority arbitration replaces the static program-order cursor with
+  // dynamic per-iteration selection, served from one CanIndex per CAN
+  // medium. Precomputed cross-references let the arbitration reason about
+  // senders that have not signalled yet.
+  std::vector<std::uint8_t> is_can(sir.communicators.size(), 0);
+  for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+    is_can[mi] = arch.medium(sir.communicators[mi].medium).arbitration ==
+                 aaa::Arbitration::kCanPriority;
+  }
+  const bool any_can =
+      std::find(is_can.begin(), is_can.end(), 1) != is_can.end();
+  // Processor program that owns each comm's kSend (hop-0 comms only).
+  std::vector<std::size_t> send_proc;
+  // (communicator index, slot within its comm list) of every comm.
+  std::vector<std::pair<std::size_t, std::size_t>> comm_slot;
+  // Comms whose previous hop is comm c: follows[follows_at[c] ..
+  // follows_at[c + 1]).
+  std::vector<std::size_t> follows_at, follows;
+  std::vector<CanIndex> can(sir.communicators.size());
+  if (any_can) {
+    send_proc.assign(sched.comms().size(), kNone);
+    for (std::size_t pi = 0; pi < sir.executives.size(); ++pi) {
+      for (const ir::InstrIr& ins : sir.executives[pi].instrs) {
+        if (ins.kind == ir::InstrIr::Kind::kSend) send_proc[ins.comm] = pi;
+      }
+    }
+    comm_slot.assign(sched.comms().size(), {kNone, kNone});
+    for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+      const auto& comms = sir.communicators[mi].comms;
+      for (std::size_t k = 0; k < comms.size(); ++k) {
+        comm_slot[comms[k]] = {mi, k};
+      }
+    }
+    follows_at.assign(sched.comms().size() + 1, 0);
+    for (const std::size_t p : prev_hop) {
+      if (p != kNone) ++follows_at[p + 1];
+    }
+    for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
+      follows_at[ci + 1] += follows_at[ci];
+    }
+    follows.resize(follows_at.back());
+    std::vector<std::size_t> fill(follows_at.begin(), follows_at.end() - 1);
+    for (std::size_t ci = 0; ci < prev_hop.size(); ++ci) {
+      if (prev_hop[ci] != kNone) follows[fill[prev_hop[ci]]++] = ci;
+    }
+    const std::size_t procs = sir.executives.size();
+    for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+      if (is_can[mi] == 0) continue;
+      const auto& comms = sir.communicators[mi].comms;
+      CanIndex& x = can[mi];
+      x.slot.resize(comms.size());
+      x.sender.resize(comms.size());
+      x.waiting.resize(procs + sir.communicators.size());
+      for (std::size_t k = 0; k < comms.size(); ++k) {
+        const std::size_t p = prev_hop[comms[k]];
+        const std::size_t pmi = p == kNone ? kNone : comm_slot[p].first;
+        x.sender[k] = p == kNone                   ? send_proc[comms[k]]
+                      : pmi == mi || pmi == kNone ? kNone
+                                                  : procs + pmi;
+      }
+    }
+  }
+
+  // Files every slot of CAN medium `mi` for the iteration its cursor has
+  // reached, from the channels: O(slots), once per medium iteration.
+  auto index_iteration = [&](std::size_t mi) {
+    CanIndex& x = can[mi];
+    const auto& comms = sir.communicators[mi].comms;
+    const std::size_t iter = medium_cur[mi].iter;
+    x.known.clear();
+    x.prev_lost.clear();
+    std::fill(x.waiting.begin(), x.waiting.end(), 0);
+    x.left = comms.size();
+    for (std::size_t k = 0; k < comms.size(); ++k) {
+      const std::size_t ci = comms[k];
+      const std::size_t p = prev_hop[ci];
+      if (p == kNone ? channels[ci].sent(iter).has_value()
+                     : channels[p].delivered(iter).has_value()) {
+        x.slot[k] = CanIndex::Slot::kKnown;
+        x.known.push_back(k);
+      } else if (p != kNone && channels[p].lost(iter)) {
+        x.slot[k] = CanIndex::Slot::kPrevLost;
+        x.prev_lost.push_back(k);
+      } else {
+        x.slot[k] = CanIndex::Slot::kWaiting;
+        if (x.sender[k] != kNone) ++x.waiting[x.sender[k]];
+      }
+    }
+  };
+  // A fact about comm `ci` in iteration `iter` became known (its signal, or
+  // its previous hop's loss): refile its slot if its CAN medium is serving
+  // that iteration. Later iterations are filed by index_iteration.
+  auto index_fact = [&](std::size_t ci, std::size_t iter, CanIndex::Slot to) {
+    const auto [mi, k] = comm_slot[ci];
+    if (mi == kNone || is_can[mi] == 0 || medium_cur[mi].iter != iter ||
+        can[mi].slot[k] != CanIndex::Slot::kWaiting) {
+      return;
+    }
+    can[mi].settle(k, to);
+  };
+  // Every delivery and loss goes through these two, so the next hops' CAN
+  // indexes see it.
+  auto deliver = [&](std::size_t ci, std::size_t iter, Time t) {
+    channels[ci].mark_delivered(iter, t);
+    if (!any_can) return;
+    for (std::size_t f = follows_at[ci]; f < follows_at[ci + 1]; ++f) {
+      index_fact(follows[f], iter, CanIndex::Slot::kKnown);
+    }
+  };
+  auto lose = [&](std::size_t ci, std::size_t iter, Time t) {
+    channels[ci].mark_lost(iter, t);
+    if (!any_can) return;
+    for (std::size_t f = follows_at[ci]; f < follows_at[ci + 1]; ++f) {
+      index_fact(follows[f], iter, CanIndex::Slot::kPrevLost);
+    }
+  };
 
   // The instance counts are known exactly up front (one op instance per
   // kCompute instruction per iteration, one comm instance per scheduled
@@ -255,6 +415,9 @@ VmResult run_executives(const AlgorithmGraph& alg,
         // Under kSkipCycle the send still fires (with the stale buffer) so
         // downstream processors and communicators never deadlock on it.
         channels[ins.comm].mark_sent(cur.iter, cur.t);
+        if (any_can && prev_hop[ins.comm] == kNone) {
+          index_fact(ins.comm, cur.iter, CanIndex::Slot::kKnown);
+        }
         break;
       case ir::InstrIr::Kind::kRecv: {
         const auto delivered = channels[ins.comm].delivered(cur.iter);
@@ -293,11 +456,6 @@ VmResult run_executives(const AlgorithmGraph& alg,
     return true;
   };
 
-  // For multi-hop routes the communicators forward autonomously: hop k > 0
-  // becomes ready when hop k-1 delivered, without the intermediate
-  // processor's sequencer in the path.
-  const std::vector<std::size_t> prev_hop = aaa::link_hops(sched).prev;
-
   // Occupy medium `mi` with comm `ci`, whose send signal is known at time
   // `signal`: resolves the start instant under the medium's arbitration
   // (owner-slot-aware for TDMA; under CAN every frame first waits out the
@@ -321,7 +479,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
     if (eff.lost) {
       // The corrupted frame still occupied its slot; the loss is knowable
       // at the would-be delivery end (e.g. a CRC check failing there).
-      channels[ci].mark_lost(cur.iter, end);
+      lose(ci, cur.iter, end);
       ++result.messages_lost;
       result.injections.push_back(fault::Injection{
           fault::FaultKind::kMessageLoss, eff.loss_fault, ci, kNone, cur.iter,
@@ -358,7 +516,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
                                static_cast<double>(cur.iter));
         }
       }
-      channels[ci].mark_delivered(cur.iter, delivery);
+      deliver(ci, cur.iter, delivery);
     }
     result.comms.push_back(CommInstance{ci, cur.iter, start, end});
     if (tracing) {
@@ -370,46 +528,6 @@ VmResult run_executives(const AlgorithmGraph& alg,
     cur.t = end;
   };
 
-  // CAN priority arbitration replaces the static program-order cursor with
-  // dynamic per-iteration selection. Precomputed cross-references let the
-  // arbitration reason about senders that have not signalled yet.
-  const bool any_can = [&] {
-    for (const ir::CommunicatorIr& c : sir.communicators) {
-      if (arch.medium(c.medium).arbitration ==
-          aaa::Arbitration::kCanPriority) {
-        return true;
-      }
-    }
-    return false;
-  }();
-  // Processor program that owns each comm's kSend (hop-0 comms only).
-  std::vector<std::size_t> send_proc;
-  // (communicator index, slot within its comm list) of every comm.
-  std::vector<std::pair<std::size_t, std::size_t>> comm_slot;
-  // Per CAN medium: which slots already transferred in the current
-  // iteration, and how many remain.
-  std::vector<std::vector<std::uint8_t>> can_done(sir.communicators.size());
-  std::vector<std::size_t> can_left(sir.communicators.size(), 0);
-  if (any_can) {
-    send_proc.assign(sched.comms().size(), kNone);
-    for (std::size_t pi = 0; pi < sir.executives.size(); ++pi) {
-      for (const ir::InstrIr& ins : sir.executives[pi].instrs) {
-        if (ins.kind == ir::InstrIr::Kind::kSend) send_proc[ins.comm] = pi;
-      }
-    }
-    comm_slot.assign(sched.comms().size(), {kNone, kNone});
-    for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
-      const auto& comms = sir.communicators[mi].comms;
-      for (std::size_t k = 0; k < comms.size(); ++k) {
-        comm_slot[comms[k]] = {mi, k};
-      }
-      if (arch.medium(sir.communicators[mi].medium).arbitration ==
-          aaa::Arbitration::kCanPriority) {
-        can_done[mi].assign(comms.size(), 0);
-        can_left[mi] = comms.size();
-      }
-    }
-  }
   constexpr Time kArbEps = 1e-12;
 
   // One arbitration round on CAN medium `mi`: among the pending frames whose
@@ -423,29 +541,32 @@ VmResult run_executives(const AlgorithmGraph& alg,
   // bus moving) commits the winner regardless. Both paths are driven by the
   // same fixed sweep order, so arbitration outcomes are pure functions of
   // (model, seed, scenario).
+  //
+  // The medium's CanIndex serves each step: the winner scan walks only the
+  // known frames, in slot order with the same tolerant comparison as a scan
+  // of every slot (so it picks the same frame), and the contest test runs
+  // once per sender with waiting frames, since its outcome depends only on
+  // the sender.
   auto advance_can = [&](std::size_t mi, bool force) -> bool {
     Cursor& cur = medium_cur[mi];
     const ir::CommunicatorIr& prog = sir.communicators[mi];
     if (cur.done(prog.comms.size(), iters)) return false;
+    CanIndex& x = can[mi];
     auto finish_slot = [&](std::size_t k) {
-      can_done[mi][k] = 1;
-      cur.pc = prog.comms.size() - --can_left[mi];
-      if (can_left[mi] == 0) {
-        std::fill(can_done[mi].begin(), can_done[mi].end(), 0);
-        can_left[mi] = prog.comms.size();
+      x.finish(k);
+      cur.pc = prog.comms.size() - x.left;
+      if (x.left == 0) {
         cur.pc = 0;
         ++cur.iter;
+        if (cur.iter < iters) index_iteration(mi);
       }
     };
-    // Lost predecessor hops propagate without occupying the bus.
-    for (std::size_t k = 0; k < prog.comms.size(); ++k) {
-      if (can_done[mi][k] != 0) continue;
+    // Lost predecessor hops propagate without occupying the bus, lowest
+    // slot first.
+    if (!x.prev_lost.empty()) {
+      const std::size_t k = x.prev_lost.front();
       const std::size_t ci = prog.comms[k];
-      if (prev_hop[ci] == kNone) continue;
-      if (channels[prev_hop[ci]].delivered(cur.iter)) continue;
-      const auto prev_lost = channels[prev_hop[ci]].lost(cur.iter);
-      if (!prev_lost) continue;
-      channels[ci].mark_lost(cur.iter, *prev_lost);
+      lose(ci, cur.iter, *channels[prev_hop[ci]].lost(cur.iter));
       finish_slot(k);
       return true;
     }
@@ -453,23 +574,18 @@ VmResult run_executives(const AlgorithmGraph& alg,
     // same effective start transmit() will resolve — including the
     // worst-case background-blocking charge, a constant shift that never
     // reorders candidates.
-    const Time blocking =
-        arch.medium(prog.medium).arbitration == aaa::Arbitration::kCanPriority
-            ? arch.medium(prog.medium).can_blocking
-            : 0.0;
+    const Time blocking = arch.medium(prog.medium).can_blocking;
     std::size_t best = kNone;
     std::size_t best_slot = kNone;
     std::size_t best_prio = 0;
     Time best_start = 0.0;
     Time best_signal = 0.0;
-    for (std::size_t k = 0; k < prog.comms.size(); ++k) {
-      if (can_done[mi][k] != 0) continue;
+    for (const std::size_t k : x.known) {
       const std::size_t ci = prog.comms[k];
-      const auto signal = prev_hop[ci] == kNone
-                              ? channels[ci].sent(cur.iter)
-                              : channels[prev_hop[ci]].delivered(cur.iter);
-      if (!signal) continue;
-      const Time start = std::max(cur.t, *signal + blocking);
+      const Time signal = prev_hop[ci] == kNone
+                              ? *channels[ci].sent(cur.iter)
+                              : *channels[prev_hop[ci]].delivered(cur.iter);
+      const Time start = std::max(cur.t, signal + blocking);
       const std::size_t prio = alg.dep_priority(sched.comms()[ci].dep_index);
       if (best == kNone || start < best_start - kArbEps ||
           (start <= best_start + kArbEps &&
@@ -478,35 +594,26 @@ VmResult run_executives(const AlgorithmGraph& alg,
         best_slot = k;
         best_prio = prio;
         best_start = start;
-        best_signal = *signal;
+        best_signal = signal;
       }
     }
     if (best == kNone) return false;
     if (!force) {
-      for (std::size_t k = 0; k < prog.comms.size(); ++k) {
-        if (can_done[mi][k] != 0) continue;
-        const std::size_t ci = prog.comms[k];
-        if (ci == best) continue;
-        const auto signal = prev_hop[ci] == kNone
-                                ? channels[ci].sent(cur.iter)
-                                : channels[prev_hop[ci]].delivered(cur.iter);
-        if (signal) continue;  // known candidate: it lost the arbitration
+      const std::size_t procs = sir.executives.size();
+      for (std::size_t s = 0; s < x.waiting.size(); ++s) {
+        if (x.waiting[s] == 0) continue;
         Time bound;
-        if (prev_hop[ci] != kNone) {
-          // Predecessor hop pending on this very medium delivers only after
-          // a commit we have not made — it cannot contest.
-          const std::size_t pmi = comm_slot[prev_hop[ci]].first;
-          if (pmi == mi) continue;
-          bound = medium_cur[pmi].t;
+        if (s >= procs) {
+          // Predecessor hop pending on another medium: it delivers no
+          // earlier than that medium's local time.
+          bound = medium_cur[s - procs].t;
         } else {
-          const std::size_t pi = send_proc[ci];
-          if (pi == kNone) continue;
-          const Cursor& sender = proc_cur[pi];
-          if (sender.done(sir.executives[pi].instrs.size(), iters)) continue;
-          const ir::InstrIr& ins = sir.executives[pi].instrs[sender.pc];
+          const Cursor& sender = proc_cur[s];
+          if (sender.done(sir.executives[s].instrs.size(), iters)) continue;
+          const ir::InstrIr& ins = sir.executives[s].instrs[sender.pc];
           if (ins.kind == ir::InstrIr::Kind::kRecv &&
               comm_slot[ins.comm].first == mi && sender.iter == cur.iter &&
-              can_done[mi][comm_slot[ins.comm].second] == 0 &&
+              x.slot[comm_slot[ins.comm].second] != CanIndex::Slot::kDone &&
               !channels[ins.comm].delivered(sender.iter) &&
               !channels[ins.comm].lost(sender.iter)) {
             continue;  // blocked on a frame this bus has yet to deliver
@@ -524,10 +631,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
   auto advance_medium = [&](std::size_t mi) -> bool {
     Cursor& cur = medium_cur[mi];
     const ir::CommunicatorIr& prog = sir.communicators[mi];
-    if (arch.medium(prog.medium).arbitration ==
-        aaa::Arbitration::kCanPriority) {
-      return advance_can(mi, /*force=*/false);
-    }
+    if (is_can[mi] != 0) return advance_can(mi, /*force=*/false);
     if (cur.done(prog.comms.size(), iters)) return false;
     const std::size_t ci = prog.comms[cur.pc];
     auto sent = channels[ci].sent(cur.iter);
@@ -538,7 +642,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
         // propagate the loss downstream without occupying this medium.
         const auto prev_lost = channels[prev_hop[ci]].lost(cur.iter);
         if (!prev_lost) return false;
-        channels[ci].mark_lost(cur.iter, *prev_lost);
+        lose(ci, cur.iter, *prev_lost);
         if (++cur.pc == prog.comms.size()) {
           cur.pc = 0;
           ++cur.iter;
@@ -555,6 +659,12 @@ VmResult run_executives(const AlgorithmGraph& alg,
     return true;
   };
 
+  for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+    if (is_can[mi] != 0 && !medium_cur[mi].done(can[mi].slot.size(), iters)) {
+      index_iteration(mi);
+    }
+  }
+
   // Run to completion or quiescence.
   bool progress = true;
   while (progress) {
@@ -570,9 +680,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
       // bus moving has appeared, so a deferred arbitration decision is now
       // final — force the winner on the first stalled CAN medium.
       for (std::size_t mi = 0; mi < code.communicators.size(); ++mi) {
-        if (arch.medium(sir.communicators[mi].medium).arbitration ==
-                aaa::Arbitration::kCanPriority &&
-            advance_can(mi, /*force=*/true)) {
+        if (is_can[mi] != 0 && advance_can(mi, /*force=*/true)) {
           progress = true;
           break;
         }

@@ -84,6 +84,34 @@ TEST(Conformance, FlagsTimeMismatchWhenFasterThanWcet) {
   EXPECT_GT(rep.max_time_error, 0.0);
 }
 
+TEST(Conformance, FlagsCommInstantMismatch) {
+  DistributedChain f;
+  VmOptions opts;
+  opts.iterations = 20;
+  opts.period = f.alg.period();
+  VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+  const ConformanceReport clean =
+      check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period);
+  ASSERT_TRUE(clean.ok) << clean.violations;
+  EXPECT_EQ(clean.checked_instances, 60u);
+  EXPECT_EQ(clean.checked_comm_instances, 40u);
+  // One transfer starts (and ends) late; every op still conforms.
+  ASSERT_EQ(vm.comms.size(), 40u);
+  vm.comms[13].start += 3e-6;
+  vm.comms[13].end += 3e-6;
+  const ConformanceReport rep =
+      check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.checked_instances, 60u);
+  EXPECT_EQ(rep.checked_comm_instances, 40u);
+  EXPECT_NEAR(rep.max_time_error, 3e-6, 1e-12);
+  const std::string iter =
+      "iter " + std::to_string(vm.comms[13].iteration) + " ";
+  EXPECT_EQ(rep.violations.find("op '"), std::string::npos) << rep.violations;
+  EXPECT_EQ(rep.violations.find("comm '"), 0u) << rep.violations;
+  EXPECT_NE(rep.violations.find(iter), std::string::npos) << rep.violations;
+}
+
 TEST(Conformance, ViolationTextIsBoundedButCountsCoverEveryInstance) {
   DistributedChain f;
   VmOptions opts;

@@ -5,7 +5,9 @@
 #include <algorithm>
 
 #include "aaa/adequation.hpp"
+#include "exec/conformance.hpp"
 #include "mathlib/rng.hpp"
+#include "obs/tracer.hpp"
 #include "properties/random_graphs.hpp"
 #include "support/fnv.hpp"
 
@@ -77,6 +79,165 @@ TEST(ExecutiveVm, MultiHopExecutivesAndRunMatchCapturedDigests) {
   }
   EXPECT_EQ(src.value(), 0x7751b75af70d17cfull);
   EXPECT_EQ(run.value(), 0xc5ce6d5d8397b5b2ull);
+}
+
+/// Folds everything a VM run reports: op and comm instances, injections,
+/// fault counters and the deadlock text.
+void add_run(testing::Fnv1a& h, const VmResult& vm) {
+  for (const OpInstance& oi : vm.ops) {
+    h.add(static_cast<std::uint64_t>(oi.op));
+    h.add(static_cast<std::uint64_t>(oi.iteration));
+    h.add(static_cast<std::uint64_t>(oi.proc));
+    h.add(oi.start);
+    h.add(oi.end);
+    h.add(static_cast<std::uint64_t>(oi.branch));
+  }
+  for (const CommInstance& ci : vm.comms) {
+    h.add(static_cast<std::uint64_t>(ci.comm));
+    h.add(static_cast<std::uint64_t>(ci.iteration));
+    h.add(ci.start);
+    h.add(ci.end);
+  }
+  for (const fault::Injection& in : vm.injections) {
+    h.add(static_cast<std::uint64_t>(in.kind));
+    h.add(static_cast<std::uint64_t>(in.fault));
+    h.add(static_cast<std::uint64_t>(in.comm));
+    h.add(static_cast<std::uint64_t>(in.op));
+    h.add(static_cast<std::uint64_t>(in.iteration));
+    h.add(in.at);
+  }
+  for (const std::size_t n :
+       {vm.messages_lost, vm.messages_delayed, vm.messages_duplicated,
+        vm.op_overruns, vm.node_stalls, vm.stale_reads, vm.cycles_skipped}) {
+    h.add(static_cast<std::uint64_t>(n));
+  }
+  h.add(static_cast<std::uint64_t>(vm.deadlock));
+  h.add(vm.deadlock_info);
+}
+
+/// Runs the executives, checks the run is live and keeps every processor's
+/// order, and folds it into `h`.
+void run_and_fold(testing::Fnv1a& h, const AlgorithmGraph& alg,
+                  const ArchitectureGraph& arch, const Schedule& sched,
+                  const GeneratedCode& code, const VmOptions& opts) {
+  const VmResult vm = run_executives(alg, arch, sched, code, opts);
+  ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
+  const ConformanceReport order =
+      check_order_preservation(alg, arch, sched, vm);
+  ASSERT_TRUE(order.ok) << order.violations;
+  add_run(h, vm);
+}
+
+// Digests of CAN-arbitrated VM runs, captured from the arbitration that
+// rescanned every slot of the bus on each commit. They pin the exact
+// outcome of live arbitration (winner choice with its 1e-12 tolerance,
+// deferral while an unsignalled sender could contest, the forced commit at
+// global quiescence, loss propagation across CAN hops) for any index that
+// replaces the rescans.
+TEST(ExecutiveVm, CanArbitrationMatchesCapturedDigests) {
+  struct Bus {
+    double blocking;
+    double load;
+    std::uint64_t expected;
+  };
+  const Bus buses[] = {{0.0, 0.0, 0x3f9f1a67cae8b856ull},
+                       {0.0, 0.3, 0x4933fbf083e22ca3ull},
+                       {5e-4, 0.0, 0x19b2ef49f88ce7eeull},
+                       {5e-4, 0.3, 0x3d3da38f2a38ec03ull}};
+  for (const Bus& bus : buses) {
+    auto arch = aaa::ArchitectureGraph::bus_architecture(4, 1e5, 1e-5);
+    arch.set_can(0, bus.blocking);
+    arch.set_background_load(0, bus.load);
+    testing::Fnv1a h;
+    for (const std::size_t n : {8u, 24u, 64u, 150u, 400u}) {
+      math::Rng rng(500 + n);
+      const AlgorithmGraph alg = testing::random_dag(rng, n);
+      const Schedule sched = aaa::adequate(alg, arch);
+      const GeneratedCode code = aaa::generate_executives(alg, arch, sched);
+      VmOptions opts;
+      opts.iterations = 4;
+      // Shorter than the makespan: iterations overlap, so frames of the
+      // next iteration are signalled while the bus still serves this one.
+      opts.period = 0.75 * sched.makespan();
+      run_and_fold(h, alg, arch, sched, code, opts);
+      opts.exec_time = uniform_fraction_exec_time(0.3);
+      opts.seed = n;
+      run_and_fold(h, alg, arch, sched, code, opts);
+    }
+    EXPECT_EQ(h.value(), bus.expected)
+        << "blocking " << bus.blocking << " load " << bus.load;
+  }
+
+  // Multi-hop routes with CAN on the middle and last links, under message
+  // loss, delay and duplication, overruns and a node outage.
+  math::Rng rng(9);
+  const AlgorithmGraph alg = testing::random_dag(rng, 120);
+  ArchitectureGraph arch("chain");
+  for (int p = 0; p < 5; ++p) arch.add_processor("P" + std::to_string(p));
+  const aaa::MediumId a = arch.add_medium("a", 1e5, 1e-5);
+  const aaa::MediumId b = arch.add_medium("b", 5e4, 2e-5);
+  const aaa::MediumId c = arch.add_medium("c", 2e5, 1e-5);
+  arch.set_can(b, 5e-5);
+  arch.set_can(c, 1e-4);
+  arch.attach(0, a);
+  arch.attach(1, a);
+  arch.attach(1, b);
+  arch.attach(2, b);
+  arch.attach(3, b);
+  arch.attach(3, c);
+  arch.attach(4, c);
+  const Schedule sched = aaa::adequate(alg, arch);
+  const GeneratedCode code = aaa::generate_executives(alg, arch, sched);
+  VmOptions opts;
+  opts.iterations = 6;
+  opts.period = sched.makespan();
+  opts.exec_time = uniform_fraction_exec_time(0.3);
+  opts.seed = 11;
+  opts.fault_plan.message_loss("a", 0.1)
+      .message_loss("b", 0.15)
+      .message_loss("c", 0.1)
+      .message_delay("b", 0.2, 2e-4)
+      .message_duplicate("c", 0.2)
+      .op_overrun("op7", 0.5, 2.0)
+      .node_stop("P3", 0.2 * sched.makespan(), 0.4 * sched.makespan());
+  const std::pair<fault::DegradationPolicy, std::uint64_t> policies[] = {
+      {fault::DegradationPolicy::kHoldLastSample, 0x903dbcfea2fd9bafull},
+      {fault::DegradationPolicy::kSkipCycle, 0x701eebb02d34a30bull}};
+  for (const auto& [policy, expected] : policies) {
+    opts.fault_policy = policy;
+    testing::Fnv1a h;
+    run_and_fold(h, alg, arch, sched, code, opts);
+    EXPECT_EQ(h.value(), expected) << "policy " << static_cast<int>(policy);
+  }
+
+  // One traced run: every sim-domain event, by name and track name.
+  {
+    auto can = aaa::ArchitectureGraph::bus_architecture(4, 1e5, 1e-5);
+    can.set_can(0, 5e-4);
+    math::Rng g(77);
+    const AlgorithmGraph dag = testing::random_dag(g, 60);
+    const Schedule s = aaa::adequate(dag, can);
+    const GeneratedCode gc = aaa::generate_executives(dag, can, s);
+    obs::Tracer tracer;
+    VmOptions traced;
+    traced.iterations = 3;
+    traced.period = s.makespan();
+    traced.exec_time = uniform_fraction_exec_time(0.3);
+    traced.tracer = &tracer;
+    testing::Fnv1a h;
+    run_and_fold(h, dag, can, s, gc, traced);
+    for (const obs::TraceEvent& e : tracer.snapshot()) {
+      if (tracer.track_domain(e.track) != obs::Domain::kSim) continue;
+      h.add(tracer.name(e.name));
+      h.add(tracer.track_name(e.track));
+      h.add(static_cast<std::uint64_t>(e.phase));
+      h.add(e.ts);
+      h.add(e.dur);
+      h.add(e.arg);
+    }
+    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_EQ(h.value(), 0xff8c0c26f282cd5full);
+  }
 }
 
 TEST(ExecutiveVm, SingleIterationMatchesScheduleUnderWcet) {
