@@ -5,7 +5,9 @@
 // would require), and schedules the operation with the highest schedule
 // pressure — the one whose best placement most constrains the remaining
 // critical path — on its best processor. Communications are committed onto
-// the media timelines as they are decided.
+// the media timelines as they are decided. An evaluation that no commit
+// since could change is reused rather than recomputed; the schedule is the
+// same bit for bit.
 #pragma once
 
 #include "aaa/routing.hpp"
@@ -34,8 +36,12 @@ struct AdequationOptions {
   double tail_comm_weight = 0.0;
   SelectionRule rule = SelectionRule::kSchedulePressure;
   /// Observability (borrowed, may be null): a wall-clock "aaa.adequate"
-  /// span, and aaa.candidates_evaluated / aaa.ops_scheduled /
-  /// aaa.comms_committed counters measuring how much work the heuristic did.
+  /// span, and counters measuring how much work the heuristic did:
+  /// aaa.candidates_evaluated (candidate placements (op, proc) actually
+  /// evaluated), aaa.candidates_reused (candidates of ready operations whose
+  /// cached evaluation no commit could change, so it was reused; the two
+  /// sum to the candidates a full re-evaluation at every step would
+  /// evaluate), aaa.ops_scheduled and aaa.comms_committed.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 
@@ -146,8 +147,24 @@ void Schedule::validate(const AlgorithmGraph& alg,
       prev_end = sc.end;
     }
   }
-  // Dependency satisfaction.
+  // Dependency satisfaction. The comms of dependency di, in comm-index
+  // order, are by_dep[dep_offsets[di], dep_offsets[di + 1]) (bucketed once;
+  // comms naming no dependency are ignored).
   const auto& deps = alg.dependencies();
+  std::vector<std::size_t> dep_offsets(deps.size() + 1, 0);
+  for (const ScheduledComm& sc : comms_) {
+    if (sc.dep_index < deps.size()) ++dep_offsets[sc.dep_index + 1];
+  }
+  for (std::size_t di = 0; di < deps.size(); ++di) {
+    dep_offsets[di + 1] += dep_offsets[di];
+  }
+  std::vector<const ScheduledComm*> by_dep(dep_offsets.back());
+  {
+    std::vector<std::size_t> fill(dep_offsets.begin(), dep_offsets.end() - 1);
+    for (const ScheduledComm& sc : comms_) {
+      if (sc.dep_index < deps.size()) by_dep[fill[sc.dep_index]++] = &sc;
+    }
+  }
   for (std::size_t di = 0; di < deps.size(); ++di) {
     const DataDep& dep = deps[di];
     const ScheduledOp& prod = of_op(dep.from);
@@ -161,22 +178,22 @@ void Schedule::validate(const AlgorithmGraph& alg,
       continue;
     }
     // Cross-processor: collect this dep's hops in hop order.
-    std::vector<const ScheduledComm*> hops;
-    for (const ScheduledComm& sc : comms_) {
-      if (sc.dep_index == di) hops.push_back(&sc);
-    }
-    if (hops.empty()) {
+    const auto first =
+        by_dep.begin() + static_cast<std::ptrdiff_t>(dep_offsets[di]);
+    const auto last =
+        by_dep.begin() + static_cast<std::ptrdiff_t>(dep_offsets[di + 1]);
+    if (first == last) {
       throw std::runtime_error("Schedule: missing communication for '" +
                                alg.op(dep.from).name + "' -> '" +
                                alg.op(dep.to).name + "'");
     }
-    std::sort(hops.begin(), hops.end(),
-              [](const ScheduledComm* a, const ScheduledComm* b) {
-                return a->hop_index < b->hop_index;
-              });
+    std::sort(first, last, [](const ScheduledComm* a, const ScheduledComm* b) {
+      return a->hop_index < b->hop_index;
+    });
     Time ready = prod.end;
     ProcId at = prod.proc;
-    for (const ScheduledComm* sc : hops) {
+    for (auto it = first; it != last; ++it) {
+      const ScheduledComm* sc = *it;
       if (sc->hop.from_proc != at) {
         throw std::runtime_error("Schedule: broken route for dependency '" +
                                  alg.op(dep.from).name + "' -> '" +

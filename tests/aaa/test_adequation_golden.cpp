@@ -1,10 +1,13 @@
 // Golden schedules: FNV-1a digests of the exact bits of adequation results
 // (every op's processor/start/end, every comm's dependency/medium/hop/start/
-// end, the per-component orders) and of the aaa.candidates_evaluated count,
-// on seeded workloads covering every medium kind and the edge cases of the
-// gap-fitting timelines. The digests were captured from the original
-// O(|E|)-per-candidate adequation; any change to the scheduling loop must
-// reproduce them bit for bit.
+// end, the per-component orders) and of the number of candidates considered
+// (aaa.candidates_evaluated + aaa.candidates_reused), on seeded workloads
+// covering every medium kind and the edge cases of the gap-fitting
+// timelines. The digests were captured from the original
+// O(|E|)-per-candidate adequation, which evaluated every candidate it
+// considered; any change to the scheduling loop must reproduce them bit for
+// bit. A second table pins how many of those candidates the incremental
+// selection actually evaluates.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -50,15 +53,30 @@ std::uint64_t schedule_digest(const Schedule& s, std::uint64_t candidates) {
   return h.value();
 }
 
+/// The digest of one or more schedules, and their candidate counts.
+struct Golden {
+  std::uint64_t digest = 0;
+  std::uint64_t evaluated = 0;  // aaa.candidates_evaluated, summed
+  std::uint64_t reused = 0;     // aaa.candidates_reused, summed
+};
+
+/// Two runs of one case: digests combined by xor, counts summed.
+Golden operator^(const Golden& a, const Golden& b) {
+  return {a.digest ^ b.digest, a.evaluated + b.evaluated, a.reused + b.reused};
+}
+
 /// Schedules, validates (unless told not to) and digests one workload.
-std::uint64_t golden(const AlgorithmGraph& alg, const ArchitectureGraph& arch,
-                     AdequationOptions opts = {}, bool validate = true) {
+Golden golden(const AlgorithmGraph& alg, const ArchitectureGraph& arch,
+              AdequationOptions opts = {}, bool validate = true) {
   obs::MetricsRegistry metrics;
   opts.metrics = &metrics;
   const Schedule s = adequate(alg, arch, opts);
   if (validate) s.validate(alg, arch);
-  return schedule_digest(s,
-                         metrics.counter("aaa.candidates_evaluated").value());
+  const std::uint64_t evaluated =
+      metrics.counter("aaa.candidates_evaluated").value();
+  const std::uint64_t reused =
+      metrics.counter("aaa.candidates_reused").value();
+  return {schedule_digest(s, evaluated + reused), evaluated, reused};
 }
 
 std::string hex(std::uint64_t v) {
@@ -132,7 +150,7 @@ ArchitectureGraph two_bus_chain() {
 struct Case {
   const char* name;
   std::uint64_t want;
-  std::function<std::uint64_t()> run;
+  std::function<Golden()> run;
 };
 
 const std::vector<Case>& cases() {
@@ -272,10 +290,55 @@ const std::vector<Case>& cases() {
   return all;
 }
 
+/// Candidates the incremental selection evaluates per case (the rest of the
+/// digested count is reused), and the case's graph size.
+struct Evaluated {
+  const char* name;
+  std::uint64_t want;
+  std::size_t ops;
+};
+
+const std::vector<Evaluated>& evaluated_counts() {
+  static const std::vector<Evaluated> all = {
+      {"immediate_50", 424, 50},
+      {"immediate_150", 2824, 150},
+      {"immediate_400", 11732, 400},
+      {"can_80", 1448, 80},
+      {"can_250", 3140, 250},
+      {"tdma_60", 570, 60},
+      {"tdma_220", 3312, 220},
+      {"two_bus_chain_100", 1755, 100},
+      {"two_bus_chain_300", 4275, 300},
+      {"can_tdma_priorities_120", 3092, 120},
+      {"heterogeneous_bound_150", 937, 150},
+      {"release_offsets_200", 4424, 200},
+      {"zero_wcet_zero_size_120", 2646, 120},
+      {"disconnected_island_80", 453, 80},
+      {"comm_blind_200", 5803, 200},
+      {"earliest_finish_200", 15328, 200},
+      {"tail_comm_weight_150", 5960, 150},
+  };
+  return all;
+}
+
 TEST(AdequationGolden, SchedulesMatchCapturedDigests) {
   for (const Case& c : cases()) {
-    const std::uint64_t got = c.run();
-    EXPECT_EQ(hex(got), hex(c.want)) << c.name;
+    const Golden got = c.run();
+    EXPECT_EQ(hex(got.digest), hex(c.want)) << c.name;
+  }
+}
+
+TEST(AdequationGolden, EvaluatedCandidatesMatchCapturedCounts) {
+  ASSERT_EQ(evaluated_counts().size(), cases().size());
+  for (std::size_t i = 0; i < cases().size(); ++i) {
+    const Case& c = cases()[i];
+    const Evaluated& e = evaluated_counts()[i];
+    ASSERT_STREQ(c.name, e.name);
+    const Golden got = c.run();
+    EXPECT_EQ(got.evaluated, e.want) << c.name;
+    if (e.ops >= 150) {
+      EXPECT_GT(got.reused, 0u) << c.name;
+    }
   }
 }
 

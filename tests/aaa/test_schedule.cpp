@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "aaa/adequation.hpp"
 
 namespace ecsim::aaa {
@@ -75,6 +78,16 @@ TEST(Schedule, MakespanOverOpsAndComms) {
   EXPECT_DOUBLE_EQ(sched.makespan(), 2.5);
 }
 
+/// The message `validate` throws, or "" when the schedule is accepted.
+std::string validate_error(const Schedule& sched, const Fixture& f) {
+  try {
+    sched.validate(f.alg, f.arch);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ScheduleValidate, AcceptsAdequationOutput) {
   Fixture f;
   const Schedule sched = adequate(f.alg, f.arch);
@@ -85,7 +98,8 @@ TEST(ScheduleValidate, CatchesMissingOp) {
   Fixture f;
   Schedule sched(2, 1);
   sched.add_op(ScheduledOp{f.s, 0, 0.0, 1e-4});
-  EXPECT_THROW(sched.validate(f.alg, f.arch), std::runtime_error);
+  EXPECT_EQ(validate_error(sched, f),
+            "Schedule: op 'ctrl' scheduled 0 times");
 }
 
 TEST(ScheduleValidate, CatchesProcessorOverlap) {
@@ -94,7 +108,8 @@ TEST(ScheduleValidate, CatchesProcessorOverlap) {
   sched.add_op(ScheduledOp{f.s, 0, 0.0, 2e-4});
   sched.add_op(ScheduledOp{f.c, 0, 1e-4, 6e-4});  // overlaps sense
   sched.add_op(ScheduledOp{f.a, 0, 6e-4, 7e-4});
-  EXPECT_THROW(sched.validate(f.alg, f.arch), std::runtime_error);
+  EXPECT_EQ(validate_error(sched, f),
+            "Schedule: overlap on processor 'P0'");
 }
 
 TEST(ScheduleValidate, CatchesDependencyViolation) {
@@ -104,7 +119,8 @@ TEST(ScheduleValidate, CatchesDependencyViolation) {
   sched.add_op(ScheduledOp{f.c, 0, 0.0, 5e-4});
   sched.add_op(ScheduledOp{f.s, 0, 5e-4, 6e-4});
   sched.add_op(ScheduledOp{f.a, 0, 6e-4, 7e-4});
-  EXPECT_THROW(sched.validate(f.alg, f.arch), std::runtime_error);
+  EXPECT_EQ(validate_error(sched, f),
+            "Schedule: dependency 'sense' -> 'ctrl' violated");
 }
 
 TEST(ScheduleValidate, CatchesMissingCommunication) {
@@ -114,7 +130,8 @@ TEST(ScheduleValidate, CatchesMissingCommunication) {
   sched.add_op(ScheduledOp{f.s, 0, 0.0, 1e-4});
   sched.add_op(ScheduledOp{f.c, 1, 2e-4, 7e-4});
   sched.add_op(ScheduledOp{f.a, 1, 7e-4, 8e-4});
-  EXPECT_THROW(sched.validate(f.alg, f.arch), std::runtime_error);
+  EXPECT_EQ(validate_error(sched, f),
+            "Schedule: missing communication for 'sense' -> 'ctrl'");
 }
 
 TEST(ScheduleValidate, CatchesLateDataArrival) {
@@ -125,7 +142,8 @@ TEST(ScheduleValidate, CatchesLateDataArrival) {
   sched.add_comm(ScheduledComm{0, Hop{0, 0, 1}, 0, 1e-4, 9e-4});
   sched.add_op(ScheduledOp{f.c, 1, 2e-4, 7e-4});
   sched.add_op(ScheduledOp{f.a, 1, 7e-4, 8e-4});
-  EXPECT_THROW(sched.validate(f.alg, f.arch), std::runtime_error);
+  EXPECT_EQ(validate_error(sched, f),
+            "Schedule: data arrives late for 'ctrl'");
 }
 
 TEST(ScheduleValidate, CatchesIncompatiblePlacement) {
@@ -135,7 +153,8 @@ TEST(ScheduleValidate, CatchesIncompatiblePlacement) {
   sched.add_op(ScheduledOp{f.s, 0, 0.0, 1e-4});  // violates binding
   sched.add_op(ScheduledOp{f.c, 0, 1e-4, 6e-4});
   sched.add_op(ScheduledOp{f.a, 0, 6e-4, 7e-4});
-  EXPECT_THROW(sched.validate(f.alg, f.arch), std::runtime_error);
+  EXPECT_EQ(validate_error(sched, f),
+            "Schedule: op 'sense' violates placement constraint");
 }
 
 TEST(Schedule, ToStringListsAllComponents) {

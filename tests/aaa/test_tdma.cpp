@@ -2,12 +2,15 @@
 // Medium model, the adequation, the executive VM and the graph of delays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "aaa/adequation.hpp"
 #include "aaa/codegen.hpp"
 #include "blocks/discrete.hpp"
 #include "exec/conformance.hpp"
+#include "mathlib/rng.hpp"
 #include "sim/simulator.hpp"
 #include "translate/graph_of_delays.hpp"
 
@@ -22,6 +25,30 @@ TEST(Tdma, EarliestStartSnapsToGrid) {
   EXPECT_DOUBLE_EQ(m.earliest_start(0.00101), 0.002);
   Medium imm{"bus", 1e4, 0.0};
   EXPECT_DOUBLE_EQ(imm.earliest_start(0.00037), 0.00037);
+}
+
+// The incremental adequation relies on both facts (DESIGN.md §3.10): a
+// later request never snaps earlier, and a grid instant snaps to itself.
+TEST(Tdma, EarliestStartIsMonotoneAndIdempotent) {
+  math::Rng rng(17);
+  for (const double slot : {0.0009765625, 0.001, 3.7e-4}) {
+    for (std::size_t slots = 1; slots <= 6; ++slots) {
+      Medium m{"bus", 1e4, 0.0, Arbitration::kTdma, slot, slots};
+      for (std::size_t prio = 0; prio < slots; ++prio) {
+        std::vector<double> xs(2000);
+        for (double& x : xs) x = rng.uniform(0.0, 500.0);
+        xs.push_back(0.0);
+        std::sort(xs.begin(), xs.end());
+        double prev = 0.0;
+        for (const double x : xs) {
+          const double t = m.earliest_start(x, prio);
+          ASSERT_GE(t, prev) << "slot " << slot << " x " << x;
+          ASSERT_EQ(m.earliest_start(t, prio), t) << "slot " << slot << " x " << x;
+          prev = t;
+        }
+      }
+    }
+  }
 }
 
 TEST(Tdma, SetTdmaValidation) {
