@@ -47,9 +47,12 @@ aaa::AlgorithmGraph fork_join(std::size_t width, std::size_t depth,
   for (std::size_t w = 0; w < width; ++w) {
     aaa::OpId prev = src;
     for (std::size_t d = 0; d < depth; ++d) {
-      const aaa::OpId op = alg.add_simple(
-          "f" + std::to_string(w) + "_" + std::to_string(d),
-          aaa::OpKind::kCompute, wcet);
+      std::string name = "f";
+      name += std::to_string(w);
+      name += '_';
+      name += std::to_string(d);
+      const aaa::OpId op =
+          alg.add_simple(name, aaa::OpKind::kCompute, wcet);
       alg.add_dependency(prev, op, data_size);
       prev = op;
     }
@@ -339,8 +342,9 @@ int experiment() {
     const aaa::OpId src = alg.add_simple("src", aaa::OpKind::kSensor, 1e-4);
     const int n_tasks = 10;
     for (int i = 0; i < n_tasks; ++i) {
-      const aaa::OpId f = alg.add_simple("f" + std::to_string(i),
-                                         aaa::OpKind::kCompute,
+      std::string name = "f";
+      name += std::to_string(i);
+      const aaa::OpId f = alg.add_simple(name, aaa::OpKind::kCompute,
                                          rng.uniform(1e-4, 8e-4));
       alg.add_dependency(src, f, rng.uniform(10.0, 80.0));
     }
@@ -366,15 +370,17 @@ int experiment() {
     const aaa::OpId src = alg.add_simple("src", aaa::OpKind::kSensor, 1e-4);
     aaa::OpId prev = src;
     for (int i = 0; i < 5; ++i) {  // a critical chain
-      const aaa::OpId op = alg.add_simple(
-          "c" + std::to_string(i), aaa::OpKind::kCompute,
-          rng2.uniform(5e-4, 2e-3));
+      std::string name = "c";
+      name += std::to_string(i);
+      const aaa::OpId op = alg.add_simple(name, aaa::OpKind::kCompute,
+                                          rng2.uniform(5e-4, 2e-3));
       alg.add_dependency(prev, op, 1.0);
       prev = op;
     }
     for (int i = 0; i < 8; ++i) {  // independent filler
-      alg.add_simple("s" + std::to_string(i), aaa::OpKind::kCompute,
-                     rng2.uniform(1e-4, 4e-4));
+      std::string name = "s";
+      name += std::to_string(i);
+      alg.add_simple(name, aaa::OpKind::kCompute, rng2.uniform(1e-4, 4e-4));
     }
     aaa::AdequationOptions greedy;
     greedy.rule = aaa::SelectionRule::kEarliestFinish;

@@ -22,7 +22,6 @@
 #include "latency/latency.hpp"
 #include "par/sweep.hpp"
 #include "sim/build_ir.hpp"
-#include "simd/pack.hpp"
 #include "support/alloc_counter.hpp"
 #include "translate/cosim.hpp"
 
@@ -80,10 +79,6 @@ class JsonReport {
     raw_top_field("compiler", quoted(compiler()));
     raw_top_field("alloc_counting",
                   testing::alloc_guard_enabled() ? "\"on\"" : "\"off\"");
-    // SIMD throughput figures are only comparable within one instruction
-    // set: stamp the ISA the batched lanes were compiled for
-    // ("avx2"/"sse2"/"scalar", the -DECSIM_SIMD= configure choice).
-    raw_top_field("simd_isa", quoted(simd::isa_name()));
   }
   /// Stamp the canonical Model-IR hash (DESIGN.md §3.6) of a workload model
   /// so the report names the exact model its numbers were measured on —

@@ -4,6 +4,8 @@
 // must equal the schedule instant exactly (error = 0), over many periods and
 // chain lengths, and also for the distributed variant with synchronization.
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "aaa/adequation.hpp"
 #include "bench_common.hpp"
@@ -22,13 +24,16 @@ double chain_translation_error(std::size_t chain_len, std::size_t n_procs,
   std::vector<aaa::OpId> ids;
   for (std::size_t i = 0; i < chain_len; ++i) {
     aaa::Operation op;
-    op.name = "F" + std::to_string(i + 1);
+    op.name = "F";
+    op.name += std::to_string(i + 1);
     op.kind = i == 0 ? aaa::OpKind::kSensor
                      : (i + 1 == chain_len ? aaa::OpKind::kActuator
                                            : aaa::OpKind::kCompute);
     op.wcet["cpu"] = 2e-4 + 1e-4 * static_cast<double>(i % 3);
     if (n_procs > 1) {
-      op.bound_processor = "P" + std::to_string(i % n_procs);
+      std::string proc = "P";
+      proc += std::to_string(i % n_procs);
+      op.bound_processor = std::move(proc);
     }
     ids.push_back(alg.add_operation(std::move(op)));
   }

@@ -103,7 +103,9 @@ void BM_EventDispatch(benchmark::State& state) {
   sim::Model m;
   auto& clk = m.add<blocks::Clock>("clk", 1e-3);
   for (std::size_t c = 0; c < chains; ++c) {
-    auto& d = m.add<blocks::EventDelay>("d" + std::to_string(c), 1e-4);
+    std::string name = "d";
+    name += std::to_string(c);
+    auto& d = m.add<blocks::EventDelay>(name, 1e-4);
     m.connect_event(clk, 0, d, d.event_in());
   }
   sim::SimOptions opts{.end_time = 1.0};
@@ -157,7 +159,9 @@ void BM_CombinationalRefresh(benchmark::State& state) {
   auto& src = m.add<blocks::Sine>("src", 1.0, 1.0);
   const sim::Block* prev = &src;
   for (std::size_t i = 0; i < depth; ++i) {
-    auto& g = m.add<blocks::Gain>("g" + std::to_string(i), 1.0001);
+    std::string name = "g";
+    name += std::to_string(i);
+    auto& g = m.add<blocks::Gain>(name, 1.0001);
     m.connect(*prev, 0, g, 0);
     prev = &g;
   }

@@ -53,8 +53,11 @@ TrialResult random_trial(std::size_t arity, std::uint64_t seed) {
     const sim::Block* prev = nullptr;
     sim::Time prev_t = 0.0;
     for (sim::Time t : trains[i]) {
-      auto& d = m.add<blocks::EventDelay>(
-          "d" + std::to_string(i) + "@" + std::to_string(t), t - prev_t);
+      std::string name = "d";
+      name += std::to_string(i);
+      name += '@';
+      name += std::to_string(t);
+      auto& d = m.add<blocks::EventDelay>(name, t - prev_t);
       if (prev == nullptr) {
         auto& kick = m.add<blocks::Clock>("k" + d.name(), 1e9);
         m.connect_event(kick, 0, d, d.event_in());

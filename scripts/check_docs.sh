@@ -139,7 +139,9 @@ done
 # code that is gone; a line that says the feature was deleted/removed is
 # history and passes.
 REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode"
-                  "line-by-line port")
+                  "line-by-line port" "BatchedSim" "ECSIM_SIMD"
+                  "pop_simultaneous" "event_uniformity"
+                  "lockstep Monte Carlo")
 for feature in "${REMOVED_FEATURES[@]}"; do
   stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
     grep -viE "deleted|removed" || true)

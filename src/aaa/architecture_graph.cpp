@@ -113,7 +113,9 @@ ArchitectureGraph ArchitectureGraph::bus_architecture(std::size_t n,
   const MediumId bus =
       n > 1 ? arch.add_medium("bus", bandwidth, latency) : kNone;
   for (std::size_t i = 0; i < n; ++i) {
-    const ProcId p = arch.add_processor("P" + std::to_string(i), type);
+    std::string name = "P";
+    name += std::to_string(i);
+    const ProcId p = arch.add_processor(name, type);
     if (bus != kNone) arch.attach(p, bus);
   }
   return arch;

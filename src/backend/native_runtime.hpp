@@ -239,7 +239,7 @@ class LaneQueue {
 
   /// Remove the earliest pending event if its time is exactly `t`; one
   /// argmin scan, no element movement. Same contract as
-  /// sim::HeapQueue::pop_next_at: the driver drains one instant by calling
+  /// sim::EventQueue::pop_next_at: the driver drains one instant by calling
   /// this in a loop and dispatching each event as it pops; an event pushed
   /// mid-drain with a different time fails the exact == t check and waits
   /// for the next outer iteration.

@@ -42,14 +42,6 @@ class EventDelay : public Block {
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // A WCET-mode (constant-duration) delay never touches the rng: its busy
-  // window is a deterministic function of the activation history, so lanes
-  // in lockstep share one execution. Every sampled spec stays varying.
-  EventUniformity event_uniformity() const override {
-    return spec_.kind == DurationSpec::Kind::kConstant
-               ? EventUniformity::kLockstep
-               : EventUniformity::kVarying;
-  }
 
   const DurationSpec& spec() const { return spec_; }
   std::size_t event_in() const { return 0; }
@@ -101,10 +93,6 @@ class TdmaGate : public Block {
 
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // Stateless rounding of the activation time to the slot grid.
-  EventUniformity event_uniformity() const override {
-    return EventUniformity::kPure;
-  }
 
   std::size_t event_in() const { return 0; }
   std::size_t event_out() const { return 0; }
@@ -122,10 +110,6 @@ class EventMerge : public Block {
 
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // Stateless zero-delay forwarding.
-  EventUniformity event_uniformity() const override {
-    return EventUniformity::kPure;
-  }
 
   std::size_t event_out() const { return 0; }
 };
@@ -158,12 +142,6 @@ class EventFault : public Block {
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // Gate-backed decisions replay comm_gate_decide(gate, k): deterministic
-  // in the activation count. Opaque deciders are arbitrary closures.
-  EventUniformity event_uniformity() const override {
-    return gate_ != nullptr ? EventUniformity::kLockstep
-                            : EventUniformity::kVarying;
-  }
 
   std::size_t event_in() const { return 0; }
   std::size_t event_out() const { return 0; }
@@ -188,10 +166,6 @@ class EventDivider : public Block {
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // Deterministic decimation by activation count.
-  EventUniformity event_uniformity() const override {
-    return EventUniformity::kLockstep;
-  }
 
   std::size_t event_in() const { return 0; }
   std::size_t event_out() const { return 0; }

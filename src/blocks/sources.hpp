@@ -23,10 +23,6 @@ class Clock : public Block {
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // Pure function of time: emit now, rearm one period ahead.
-  EventUniformity event_uniformity() const override {
-    return EventUniformity::kPure;
-  }
 
   std::size_t event_out() const { return 0; }
 
@@ -46,10 +42,6 @@ class TimetableClock : public Block {
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
   void describe(ir::BlockIr& out) const override;
-  // The (next_, cycle_) cursor advances deterministically per activation.
-  EventUniformity event_uniformity() const override {
-    return EventUniformity::kLockstep;
-  }
 
   std::size_t event_out() const { return 0; }
 

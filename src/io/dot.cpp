@@ -79,7 +79,8 @@ std::string to_dot(const aaa::ArchitectureGraph& arch) {
     if (med.arbitration == aaa::Arbitration::kTdma) {
       label += " tdma=" + std::to_string(med.tdma_slot);
       if (med.tdma_slots > 1) {
-        label += "x" + std::to_string(med.tdma_slots);
+        label += 'x';
+        label += std::to_string(med.tdma_slots);
       }
     } else if (med.arbitration == aaa::Arbitration::kCanPriority) {
       label += " can";

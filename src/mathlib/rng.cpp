@@ -144,13 +144,4 @@ void fill_lanes_u64(std::vector<Rng>& streams,
   }
 }
 
-void fill_lanes_uniform(std::vector<Rng>& streams, std::vector<double>& out) {
-  if (streams.size() != out.size()) {
-    throw std::invalid_argument("fill_lanes_uniform: size mismatch");
-  }
-  for (std::size_t l = 0; l < streams.size(); ++l) {
-    out[l] = streams[l].uniform();
-  }
-}
-
 }  // namespace ecsim::math

@@ -56,13 +56,11 @@ class Rng {
 /// of draws across a batch. Because split() streams are non-overlapping and
 /// independently stateful, W rows drawn this way are byte-identical to each
 /// stream drawing its W values sequentially — the invariant that lets the
-/// batched Monte Carlo engine (src/simd/) pack per-trial streams into lanes
-/// in any interleaving (property-tested in tests/mathlib/test_rng.cpp).
+/// VM Monte Carlo (par/monte_carlo.cpp) draw a chunk's per-trial seeds in
+/// one row without the chunk width changing any trial's seed
+/// (property-tested in tests/mathlib/test_rng.cpp).
 /// `streams` and `out` must have equal sizes.
 void fill_lanes_u64(std::vector<Rng>& streams,
                     std::vector<std::uint64_t>& out);
-
-/// Same row-wise draw for uniform [0,1) doubles.
-void fill_lanes_uniform(std::vector<Rng>& streams, std::vector<double>& out);
 
 }  // namespace ecsim::math

@@ -181,8 +181,6 @@ std::string to_json_line(const LedgerRecord& r) {
   field_u64(out, "events", r.events);
   out += ", ";
   field_num(out, "events_per_s", r.events_per_s);
-  out += ", ";
-  field_num(out, "trials_per_s", r.trials_per_s);
   if (r.served_from_cache >= 0) {
     out += ", ";
     field_u64(out, "served_from_cache",
@@ -216,8 +214,7 @@ bool parse_json_line(const std::string& line, LedgerRecord& out) {
   get_number(line, "wall_s", r.wall_s);
   get_u64(line, "events", r.events);
   get_number(line, "events_per_s", r.events_per_s);
-  get_number(line, "trials_per_s", r.trials_per_s);  // absent in v1 -> 0
-  if (get_number(line, "served_from_cache", v)) {    // absent pre-v3 -> -1
+  if (get_number(line, "served_from_cache", v)) {  // absent pre-v3 -> -1
     r.served_from_cache = v != 0.0 ? 1 : 0;
   }
   if (!get_object(line, "metrics", r.metrics_json)) r.metrics_json = "{}";
@@ -312,7 +309,6 @@ LedgerDiff diff_latest_against_bench(const std::vector<LedgerRecord>& records,
   // scenarios.
   std::size_t at = 0;
   bool has_events = false;
-  bool has_mc = false;
   while (true) {
     std::size_t p = 0;
     if (!find_key(bench_json, "scenario", at, p)) break;
@@ -324,61 +320,36 @@ LedgerDiff diff_latest_against_bench(const std::vector<LedgerRecord>& records,
       const std::string entry = bench_json.substr(p, next - p);
       has_events = get_number(entry, "native_best_events_per_s",
                               d.committed_events_per_s);
-      has_mc = get_number(entry, "mc_best_trials_per_s",
-                          d.committed_trials_per_s);
       break;
     }
     at = p;
   }
-  if (!has_events && !has_mc) {
-    d.message = "no committed native_best_events_per_s or "
-                "mc_best_trials_per_s for scenario '" +
+  if (!has_events) {
+    d.message = "no committed native_best_events_per_s for scenario '" +
                 scenario + "'";
     return d;
   }
-  const LedgerRecord* latest = nullptr;     // single-run events/s
-  const LedgerRecord* latest_mc = nullptr;  // Monte Carlo trials/s
+  const LedgerRecord* latest = nullptr;
   for (const LedgerRecord& r : records) {
-    if (r.ir_hash != d.ir_hash) continue;
-    if (has_events && r.events_per_s > 0.0) latest = &r;
-    if (has_mc && r.trials_per_s > 0.0) latest_mc = &r;
+    if (r.ir_hash == d.ir_hash && r.events_per_s > 0.0) latest = &r;
   }
-  if (latest == nullptr && latest_mc == nullptr) {
+  if (latest == nullptr) {
     d.message = "no ledger record with ir_hash " + d.ir_hash +
                 " to compare against";
     return d;
   }
   d.comparable = true;
+  d.latest_events_per_s = latest->events_per_s;
+  const double floor =
+      d.committed_events_per_s * (1.0 - threshold_pct / 100.0);
+  d.regression = d.latest_events_per_s < floor;
   char buf[256];
-  std::string msg = scenario + ":";
-  if (latest != nullptr) {
-    d.latest_events_per_s = latest->events_per_s;
-    const double floor =
-        d.committed_events_per_s * (1.0 - threshold_pct / 100.0);
-    const bool reg = d.latest_events_per_s < floor;
-    d.regression = d.regression || reg;
-    std::snprintf(buf, sizeof buf,
-                  " latest %.4g events/s vs committed %.4g (floor %.4g at "
-                  "-%.3g%%) -> %s",
-                  d.latest_events_per_s, d.committed_events_per_s, floor,
-                  threshold_pct, reg ? "REGRESSION" : "ok");
-    msg += buf;
-  }
-  if (latest_mc != nullptr) {
-    d.latest_trials_per_s = latest_mc->trials_per_s;
-    const double floor =
-        d.committed_trials_per_s * (1.0 - threshold_pct / 100.0);
-    const bool reg = d.latest_trials_per_s < floor;
-    d.regression = d.regression || reg;
-    std::snprintf(buf, sizeof buf,
-                  "%s mc latest %.4g trials/s vs committed %.4g (floor %.4g "
-                  "at -%.3g%%) -> %s",
-                  latest != nullptr ? ";" : "", d.latest_trials_per_s,
-                  d.committed_trials_per_s, floor, threshold_pct,
-                  reg ? "REGRESSION" : "ok");
-    msg += buf;
-  }
-  d.message = std::move(msg);
+  std::snprintf(buf, sizeof buf,
+                ": latest %.4g events/s vs committed %.4g (floor %.4g at "
+                "-%.3g%%) -> %s",
+                d.latest_events_per_s, d.committed_events_per_s, floor,
+                threshold_pct, d.regression ? "REGRESSION" : "ok");
+  d.message = scenario + buf;
   return d;
 }
 

@@ -30,8 +30,9 @@ namespace ecsim::obs {
 /// schema_version they do not understand. Older versions this build still
 /// parses are listed in kLedgerOldestReadableVersion.
 ///
-/// v2 (PR 8): adds `trials_per_s` — Monte Carlo throughput for batched
-/// trial runs. v1 lines parse fine (the field defaults to 0).
+/// v2: added `trials_per_s`, the throughput of a batched Monte Carlo
+/// engine that has since been removed, and the field with it. v2/v3 lines
+/// that still carry the field parse as before, with it ignored.
 ///
 /// v3 (PR 9): adds `served_from_cache` — whether a sweep-service request was
 /// answered entirely out of the daemon's result cache. The field is
@@ -59,9 +60,6 @@ struct LedgerRecord {
   double wall_s = 0.0;
   std::uint64_t events = 0;
   double events_per_s = 0.0;
-  /// Monte Carlo throughput (completed trials per second) for batched trial
-  /// runs; 0 for single runs. Schema v2.
-  double trials_per_s = 0.0;
   /// Schema v3, sweep-service records only: 1 when every work unit of the
   /// request came out of the daemon's result cache, 0 when at least one was
   /// computed. -1 = not applicable (non-service run / older schema); the
@@ -142,20 +140,15 @@ struct LedgerDiff {
   std::string ir_hash;              // committed model_ir_hash_<scenario>
   double committed_events_per_s = 0.0;
   double latest_events_per_s = 0.0;
-  /// Monte Carlo throughput gate: populated when the bench report commits a
-  /// `mc_best_trials_per_s` figure for the scenario (0 otherwise).
-  double committed_trials_per_s = 0.0;
-  double latest_trials_per_s = 0.0;
   double threshold_pct = 10.0;
   std::string message;  // human-readable verdict
 };
 
 /// Find the committed `model_ir_hash_<scenario>` and the scenario's
-/// `native_best_events_per_s` and/or `mc_best_trials_per_s` in `bench_json`
-/// (a BENCH_*.json text), locate the newest records in `records` whose
-/// ir_hash matches (events/s for single runs, trials/s for Monte Carlo
-/// batches), and flag a regression when either figure is more than
-/// `threshold_pct` percent below its committed counterpart.
+/// `native_best_events_per_s` in `bench_json` (a BENCH_*.json text), locate
+/// the newest record in `records` whose ir_hash matches, and flag a
+/// regression when its events/s is more than `threshold_pct` percent below
+/// the committed figure.
 LedgerDiff diff_latest_against_bench(const std::vector<LedgerRecord>& records,
                                      const std::string& bench_json,
                                      const std::string& scenario = "chains_200",

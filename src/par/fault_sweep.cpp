@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "par/cell_metrics.hpp"
-#include "simd/pack.hpp"
+#include "par/monte_carlo.hpp"
 
 namespace ecsim::sweep {
 
@@ -92,7 +92,7 @@ FaultMonteCarloResult run_fault_monte_carlo(const FaultMonteCarloSpec& spec,
   // function of its global index, so the cell list below is bit-identical
   // for any width/thread combination.
   const std::size_t width =
-      spec.batch_width > 0 ? spec.batch_width : simd::preferred_batch_width();
+      spec.batch_width > 0 ? spec.batch_width : kDefaultBatchWidth;
   const std::size_t tasks = (spec.trials + width - 1) / width;
   result.batch_width = width;
   const auto t0 = std::chrono::steady_clock::now();

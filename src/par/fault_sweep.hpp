@@ -78,9 +78,10 @@ struct FaultMonteCarloSpec {
   std::size_t trials = 32;
   std::string medium;  // "" = every medium
   std::uint64_t base_seed = 1;
-  /// Trials per BatchRunner task (0 = simd::preferred_batch_width()). Trial
-  /// t's fault seed stays base_seed + t regardless of width, so outcomes
-  /// are bit-identical at any batch width and thread count.
+  /// Trials per BatchRunner task (0 = kDefaultBatchWidth, declared in
+  /// par/monte_carlo.hpp). Trial t's fault seed stays base_seed + t
+  /// regardless of width, so outcomes are bit-identical at any batch width
+  /// and thread count.
   std::size_t batch_width = 0;
 };
 

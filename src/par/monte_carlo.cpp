@@ -6,7 +6,6 @@
 
 #include "exec/executive_vm.hpp"
 #include "latency/latency.hpp"
-#include "simd/pack.hpp"
 
 namespace ecsim::sweep {
 
@@ -49,7 +48,7 @@ MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
     math::fill_lanes_u64(streams, seeds);
   }
   const std::size_t width =
-      spec.batch_width > 0 ? spec.batch_width : simd::preferred_batch_width();
+      spec.batch_width > 0 ? spec.batch_width : kDefaultBatchWidth;
   const std::size_t tasks = (spec.trials + width - 1) / width;
 
   par::BatchRunner runner(batch);

@@ -17,6 +17,10 @@
 
 namespace ecsim::sweep {
 
+/// Trials per BatchRunner task when a spec leaves batch_width at 0 — for
+/// this VM Monte Carlo and for run_fault_monte_carlo alike.
+inline constexpr std::size_t kDefaultBatchWidth = 8;
+
 struct MonteCarloSpec {
   std::size_t trials = 100;
   std::size_t iterations = 50;  // VM iterations per trial
@@ -28,7 +32,7 @@ struct MonteCarloSpec {
   /// Sensor release period; 0 = the algorithm's period, falling back to the
   /// schedule makespan for aperiodic graphs.
   aaa::Time period = 0.0;
-  /// Trials per BatchRunner task (0 = simd::preferred_batch_width()).
+  /// Trials per BatchRunner task (0 = kDefaultBatchWidth).
   /// Seeds are drawn per *trial*, never per task, so the statistics are
   /// bit-identical for any batch width — the width only sets the task
   /// granularity the runner shards over.

@@ -18,36 +18,12 @@
 
 namespace ecsim::sim {
 
-class Context;
-
-/// Backend a Context delegates to. The scalar Simulator implements it
-/// directly; the batched SIMD engine (src/simd/batched_sim.hpp) implements it
-/// once per lane, which is what lets unchanged Block code run under either
-/// driver. The virtual hop replaces what was already an out-of-line
-/// cross-TU call per Context operation, so the scalar hot path pays nothing
-/// measurable for the indirection.
-class ExecHost {
- public:
-  virtual ~ExecHost() = default;
-
- protected:
-  friend class Context;
-  virtual std::span<const double> ctx_input(std::size_t block,
-                                            std::size_t port) const = 0;
-  virtual std::span<double> ctx_output(std::size_t block,
-                                       std::size_t port) = 0;
-  virtual std::span<const double> ctx_state(std::size_t block) const = 0;
-  virtual std::span<double> ctx_state_mut(std::size_t block) = 0;
-  virtual void ctx_emit(std::size_t block, std::size_t event_out, Time at) = 0;
-  virtual void ctx_schedule_self(std::size_t block, std::size_t event_in,
-                                 Time at) = 0;
-  virtual math::Rng& ctx_rng() = 0;
-  virtual Trace& ctx_trace() = 0;
-};
+class Simulator;
 
 /// Execution context handed to a block's computational functions. Resolves
 /// data-port reads through the model wiring, exposes the block's continuous
-/// state slice, and lets event handlers emit/schedule events.
+/// state slice, and lets event handlers emit/schedule events. The methods
+/// are defined in simulator.cpp against the Simulator's arena and driver.
 class Context {
  public:
   Time time() const { return time_; }
@@ -82,13 +58,13 @@ class Context {
   Trace& trace();
   std::size_t block_index() const { return block_; }
 
-  /// Built by an ExecHost (Simulator, batched lane host) around one call
-  /// into a Block's computational functions. Blocks never construct these.
-  Context(ExecHost* host, std::size_t block, Time time, bool in_event)
-      : host_(host), block_(block), time_(time), in_event_(in_event) {}
+  /// Built by the Simulator around one call into a Block's computational
+  /// functions. Blocks never construct these.
+  Context(Simulator* sim, std::size_t block, Time time, bool in_event)
+      : sim_(sim), block_(block), time_(time), in_event_(in_event) {}
 
  private:
-  ExecHost* host_;
+  Simulator* sim_;
   std::size_t block_;
   Time time_;
   bool in_event_;  // true when events may be emitted (init / on_event)
@@ -170,29 +146,6 @@ class Block {
   /// whole-network sweep). Blocks with continuous state are implicitly
   /// treated as time-varying and need not override this.
   virtual bool output_depends_on_time() const { return false; }
-
-  /// How this block's event handling varies across lockstep Monte Carlo
-  /// lanes (simd::BatchedSim, DESIGN.md §3.8). A uniform block's on_event
-  /// runs ONCE per batch instead of once per lane, so declare the strongest
-  /// class that truly holds:
-  ///  - kVarying  (default): behaviour may differ between trials — it reads
-  ///    the rng, data inputs, or state influenced by either. Always safe.
-  ///  - kLockstep: on_event is a deterministic function of the activation
-  ///    history and time only (mutable state allowed — e.g. a fixed-duration
-  ///    EventDelay's busy window). Valid while every activation reaches all
-  ///    live lanes; the batched driver evicts on the first partial-mask
-  ///    activation.
-  ///  - kPure: on_event is a pure function of (time, event_in) — no mutable
-  ///    state at all (Clock, TdmaGate, EventMerge). Valid under any mask.
-  /// Contract for both uniform classes: no ctx.rng(), no data-input reads,
-  /// no data-output writes, no continuous state, no trace records. The
-  /// lane-identity property suite runs every stock block through both the
-  /// batched and the scalar engine, so a wrong declaration shows up as a
-  /// digest mismatch.
-  enum class EventUniformity { kVarying, kLockstep, kPure };
-  virtual EventUniformity event_uniformity() const {
-    return EventUniformity::kVarying;
-  }
 
  protected:
   std::size_t add_input(std::size_t width = 1) {

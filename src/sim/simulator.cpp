@@ -8,18 +8,30 @@ namespace ecsim::sim {
 // ---- Context methods (declared in block.hpp) --------------------------------
 
 std::span<const double> Context::input(std::size_t port) const {
-  return host_->ctx_input(block_, port);
+  const ArenaSlice s = sim_->compiled_.input_slice(block_, port);
+  return std::span<const double>(sim_->driver_.arena() + s.offset, s.width);
 }
 
 std::span<double> Context::output(std::size_t port) {
-  return host_->ctx_output(block_, port);
+  const ArenaSlice s = sim_->compiled_.output_slice(block_, port);
+  return std::span<double>(sim_->driver_.arena() + s.offset, s.width);
 }
 
 std::span<const double> Context::state() const {
-  return host_->ctx_state(block_);
+  return std::span<const double>(
+      sim_->driver_.state(sim_->compiled_.state_offset(block_)),
+      sim_->model_.block(block_).continuous_state_size());
 }
 
-std::span<double> Context::state_mut() { return host_->ctx_state_mut(block_); }
+std::span<double> Context::state_mut() {
+  if (sim_->driver_.integrating()) {
+    throw std::logic_error(
+        "Context::state_mut: continuous state is read-only during integration");
+  }
+  return std::span<double>(
+      sim_->driver_.state_mut(sim_->compiled_.state_offset(block_)),
+      sim_->model_.block(block_).continuous_state_size());
+}
 
 void Context::emit(std::size_t event_out, Time delay) {
   if (!in_event_) {
@@ -27,7 +39,7 @@ void Context::emit(std::size_t event_out, Time delay) {
         "Context::emit: events may only be emitted from initialize()/on_event()");
   }
   if (delay < 0.0) throw std::invalid_argument("Context::emit: negative delay");
-  host_->ctx_emit(block_, event_out, time_ + delay);
+  sim_->driver_.emit_at(block_, event_out, time_ + delay);
 }
 
 void Context::schedule_self(std::size_t event_in, Time delay) {
@@ -38,12 +50,15 @@ void Context::schedule_self(std::size_t event_in, Time delay) {
   if (delay < 0.0) {
     throw std::invalid_argument("Context::schedule_self: negative delay");
   }
-  host_->ctx_schedule_self(block_, event_in, time_ + delay);
+  if (event_in >= sim_->model_.block(block_).num_event_inputs()) {
+    throw std::out_of_range("schedule_self: event input out of range");
+  }
+  sim_->driver_.schedule_at(block_, event_in, time_ + delay);
 }
 
-math::Rng& Context::rng() { return host_->ctx_rng(); }
+math::Rng& Context::rng() { return sim_->driver_.rng(); }
 
-Trace& Context::trace() { return host_->ctx_trace(); }
+Trace& Context::trace() { return sim_->trace_; }
 
 // ---- Simulator ---------------------------------------------------------------
 
@@ -101,46 +116,6 @@ void Simulator::derivatives(Engine& d, std::size_t b, double* dx) {
   Block& blk = model_.block(b);
   Context ctx(this, b, d.time(), /*in_event=*/false);
   blk.derivatives(ctx, std::span<double>(dx, blk.continuous_state_size()));
-}
-
-// ---- Context backends (ExecHost) ---------------------------------------------
-
-std::span<const double> Simulator::ctx_input(std::size_t block,
-                                             std::size_t port) const {
-  const ArenaSlice s = compiled_.input_slice(block, port);
-  return std::span<const double>(driver_.arena() + s.offset, s.width);
-}
-
-std::span<double> Simulator::ctx_output(std::size_t block, std::size_t port) {
-  const ArenaSlice s = compiled_.output_slice(block, port);
-  return std::span<double>(driver_.arena() + s.offset, s.width);
-}
-
-std::span<const double> Simulator::ctx_state(std::size_t block) const {
-  return std::span<const double>(
-      driver_.state(compiled_.state_offset(block)),
-      model_.block(block).continuous_state_size());
-}
-
-std::span<double> Simulator::ctx_state_mut(std::size_t block) {
-  if (driver_.integrating()) {
-    throw std::logic_error(
-        "Context::state_mut: continuous state is read-only during integration");
-  }
-  return std::span<double>(driver_.state_mut(compiled_.state_offset(block)),
-                           model_.block(block).continuous_state_size());
-}
-
-void Simulator::ctx_emit(std::size_t block, std::size_t event_out, Time at) {
-  driver_.emit_at(block, event_out, at);
-}
-
-void Simulator::ctx_schedule_self(std::size_t block, std::size_t event_in,
-                                  Time at) {
-  if (event_in >= model_.block(block).num_event_inputs()) {
-    throw std::out_of_range("schedule_self: event input out of range");
-  }
-  driver_.schedule_at(block, event_in, at);
 }
 
 double Simulator::output_value(const Block& b, std::size_t port,

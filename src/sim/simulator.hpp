@@ -12,7 +12,7 @@
 // the driver's Program over a CompiledModel: the layout (wiring resolution,
 // arena layout, topological orders, re-evaluation cones) comes from the
 // compile artifact, and the four kernels call the Block virtuals through
-// Context/ExecHost. By default re-evaluation is *incremental*: after
+// Context. By default re-evaluation is *incremental*: after
 // dispatching an event on block b only b's feedthrough cone is refreshed,
 // and between events only the dynamic (time/state-dependent) cone is
 // refreshed. SimOptions::full_refresh restores the whole-network sweep for
@@ -20,10 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "mathlib/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/block.hpp"
@@ -36,7 +34,7 @@
 
 namespace ecsim::sim {
 
-class Simulator : private ExecHost {
+class Simulator {
  public:
   /// Compiles the model (see CompiledModel for what that entails; throws on
   /// algebraic loops and width mismatches) and prepares a runner. The model
@@ -80,6 +78,7 @@ class Simulator : private ExecHost {
  private:
   using Engine = Driver<Simulator, EventQueue>;
   friend Engine;
+  friend class Context;  // resolves ports, state and emissions against us
 
   // The driver's Program: layout from the compile artifact, kernels through
   // the Block virtuals.
@@ -88,18 +87,6 @@ class Simulator : private ExecHost {
   void compute(Engine& d, std::size_t b);
   void on_event(Engine& d, std::size_t b, std::size_t port);
   void derivatives(Engine& d, std::size_t b, double* dx);
-
-  // Context backends (ExecHost).
-  std::span<const double> ctx_input(std::size_t block,
-                                    std::size_t port) const override;
-  std::span<double> ctx_output(std::size_t block, std::size_t port) override;
-  std::span<const double> ctx_state(std::size_t block) const override;
-  std::span<double> ctx_state_mut(std::size_t block) override;
-  void ctx_emit(std::size_t block, std::size_t event_out, Time at) override;
-  void ctx_schedule_self(std::size_t block, std::size_t event_in,
-                         Time at) override;
-  math::Rng& ctx_rng() override { return driver_.rng(); }
-  Trace& ctx_trace() override { return trace_; }
 
   CompiledModel compiled_;
   Model& model_;

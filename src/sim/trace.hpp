@@ -47,12 +47,6 @@ class Trace {
   void record_event(Time t, std::size_t block, std::size_t event_in) {
     events_.push_back(EventRecord{t, block, event_in});
   }
-  /// Bulk append of pre-built records (the batched engine's uniform runs
-  /// write one shared record block to every lockstep lane): one capacity
-  /// check + memcpy instead of a push per record.
-  void append_events(std::span<const EventRecord> records) {
-    events_.insert(events_.end(), records.begin(), records.end());
-  }
   /// Compatibility path for hand-built traces: registers `name` for `block`
   /// on first sight (first registration wins), then records.
   void record_event(Time t, std::size_t block, std::size_t event_in,

@@ -203,6 +203,9 @@ GraphOfDelays build_event_chain(sim::Model& model,
   };
 
   // Pass 2a: wire operation activations — sequencing + synchronization.
+  // in_rows lists each op's consumed dependencies in dependency-index
+  // order, which fixes the order of its Synchronization inputs.
+  const aaa::DepRows consumed = alg.in_rows();
   for (aaa::ProcId p = 0; p < sched.num_procs(); ++p) {
     const sim::Block* prev = &clock;  // iteration released by the period tick
     std::size_t prev_out = 0;
@@ -225,10 +228,9 @@ GraphOfDelays build_event_chain(sim::Model& model,
         // faster-than-WCET chain would sample early.
         sources.emplace_back(&clock, 0);
       }
-      const auto& deps = alg.dependencies();
-      for (std::size_t di = 0; di < deps.size(); ++di) {
-        if (deps[di].to != so.op) continue;
-        if (sched.of_op(deps[di].from).proc == p) continue;  // same-proc order
+      for (const std::size_t di : consumed.row(so.op)) {
+        const aaa::OpId from = alg.dependencies()[di].from;
+        if (sched.of_op(from).proc == p) continue;  // same-proc order
         sources.push_back(dep_arrival(di));
       }
       const OpNode& node = op_node.at(so.op);
@@ -251,6 +253,7 @@ GraphOfDelays build_event_chain(sim::Model& model,
 
   // Pass 2b: wire communication activations — producer (or previous hop)
   // ready + medium total order.
+  const aaa::HopLinks hops = aaa::link_hops(sched);
   for (aaa::MediumId m = 0; m < sched.num_media(); ++m) {
     const sim::Block* prev_on_medium = nullptr;
     for (std::size_t ci : sched.comms_on(m)) {
@@ -264,20 +267,14 @@ GraphOfDelays build_event_chain(sim::Model& model,
         ready = prod.completion;
         ready_out = prod.comp_out;
       } else {
-        for (std::size_t cj = 0; cj < sched.comms().size(); ++cj) {
-          const aaa::ScheduledComm& prev_hop = sched.comms()[cj];
-          if (prev_hop.dep_index == sc.dep_index &&
-              prev_hop.hop_index + 1 == sc.hop_index) {
-            // Arrival source, not the raw delay: a frame lost on the
-            // previous hop must never start this one.
-            ready = comm_arrival.at(cj).first;
-            ready_out = comm_arrival.at(cj).second;
-            break;
-          }
-        }
-        if (ready == nullptr) {
+        const std::size_t cj = hops.prev[ci];
+        if (cj == aaa::kNone) {
           throw std::logic_error("graph_of_delays: missing previous hop");
         }
+        // Arrival source, not the raw delay: a frame lost on the previous
+        // hop must never start this one.
+        ready = comm_arrival.at(cj).first;
+        ready_out = comm_arrival.at(cj).second;
       }
       blocks::EventDelay* ed = comm_delay.at(ci);
       // Under TDMA arbitration the transfer start snaps to the slot grid:

@@ -110,8 +110,9 @@ TEST(Adequation, CommAwareBeatsCommBlindOnCommHeavyGraph) {
   AlgorithmGraph alg("fanout", 10.0);
   const OpId src = alg.add_simple("src", OpKind::kSensor, 0.01);
   for (int i = 0; i < 8; ++i) {
-    const OpId f = alg.add_simple("f" + std::to_string(i), OpKind::kCompute,
-                                  0.02);
+    std::string name = "f";
+    name += std::to_string(i);
+    const OpId f = alg.add_simple(name, OpKind::kCompute, 0.02);
     alg.add_dependency(src, f, 50.0);
   }
   const auto arch = ArchitectureGraph::bus_architecture(4, 100.0, 0.005);
@@ -127,8 +128,9 @@ TEST(Adequation, MakespanNeverIncreasesWithIdenticalExtraProcessor) {
   AlgorithmGraph alg("wide", 10.0);
   const OpId src = alg.add_simple("src", OpKind::kSensor, 0.001);
   for (int i = 0; i < 6; ++i) {
-    const OpId f =
-        alg.add_simple("w" + std::to_string(i), OpKind::kCompute, 0.1);
+    std::string name = "w";
+    name += std::to_string(i);
+    const OpId f = alg.add_simple(name, OpKind::kCompute, 0.1);
     alg.add_dependency(src, f, 1.0);
   }
   const auto arch1 = ArchitectureGraph::bus_architecture(1, 1e9);

@@ -132,7 +132,11 @@ ArchitectureGraph tdma_bus() {
 /// the ends take three store-and-forward hops.
 ArchitectureGraph two_bus_chain() {
   ArchitectureGraph arch("chain");
-  for (int p = 0; p < 5; ++p) arch.add_processor("P" + std::to_string(p));
+  for (int p = 0; p < 5; ++p) {
+    std::string name = "P";
+    name += std::to_string(p);
+    arch.add_processor(name);
+  }
   const MediumId a = arch.add_medium("a", 1e5, 1e-5);
   const MediumId b = arch.add_medium("b", 5e4, 2e-5);
   const MediumId c = arch.add_medium("c", 2e5, 1e-5);
@@ -190,8 +194,9 @@ const std::vector<Case>& cases() {
        [] {
          ArchitectureGraph arch("hetero");
          for (int p = 0; p < 4; ++p) {
-           arch.add_processor("P" + std::to_string(p),
-                              p % 2 == 0 ? "cpu" : "dsp");
+           std::string name = "P";
+           name += std::to_string(p);
+           arch.add_processor(name, p % 2 == 0 ? "cpu" : "dsp");
          }
          const MediumId bus = arch.add_medium("bus", 1e5, 1e-5);
          for (ProcId p = 0; p < 4; ++p) arch.attach(p, bus);
@@ -259,7 +264,9 @@ const std::vector<Case>& cases() {
        [] {
          ArchitectureGraph arch("island");
          for (int p = 0; p < 3; ++p) {
-           arch.add_processor("P" + std::to_string(p));
+           std::string name = "P";
+           name += std::to_string(p);
+           arch.add_processor(name);
          }
          const MediumId bus = arch.add_medium("bus", 2e3, 1e-3);
          arch.attach(0, bus);

@@ -9,8 +9,8 @@
 # paths. Only wall-clock fields are masked: the `cell wall time` quantiles
 # and the `trials/s (... s)` throughput. Sockets and CSV files use relative
 # names inside a scratch directory, so paths print the same on every host.
-# The Monte Carlo transcripts print the auto batch width, which is 8 on the
-# default (scalar) and avx2 SIMD builds.
+# The Monte Carlo transcripts print the auto batch width
+# (sweep::kDefaultBatchWidth, 8).
 #
 # Usage: tests/cli/run_transcripts.sh <ecsim_flow> <repo-root> [--update [NAME...]]
 #   --update rewrites the goldens (all of them, or only the NAMEs given,

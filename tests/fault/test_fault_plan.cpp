@@ -146,7 +146,9 @@ TEST(FaultPlan, SubsetCouplingAcrossProbabilities) {
     for (std::size_t it = 0; it < 256; ++it) {
       const bool l = alo.comm_effect(ci, it).lost;
       const bool h = ahi.comm_effect(ci, it).lost;
-      if (l) EXPECT_TRUE(h) << "comm " << ci << " iter " << it;
+      if (l) {
+        EXPECT_TRUE(h) << "comm " << ci << " iter " << it;
+      }
       lost_lo += l;
       lost_hi += h;
     }

@@ -32,35 +32,36 @@ LedgerRecord sample_record() {
   r.wall_s = 0.01712345678901234;
   r.events = 601202;
   r.events_per_s = 35118337.123456789;
-  r.trials_per_s = 4321.0987654321;
   r.metrics_json = "{\"counters\": {\"sim.events_dispatched\": 601202}}";
   return r;
 }
 
-/// A schema-v2 line as PR-8 builds wrote it: trials_per_s present,
-/// served_from_cache not yet invented (to_json_line already omits it for
-/// non-service records, so only the version number differs).
-std::string v2_json_line(const LedgerRecord& r) {
+/// `r` rendered with schema_version `version` instead of the current one.
+std::string json_line_as_version(const LedgerRecord& r, int version) {
   std::string line = to_json_line(r);
-  const auto pos = line.find("\"schema_version\": 3");
+  const std::string current = "\"schema_version\": 3";
+  const auto pos = line.find(current);
   EXPECT_NE(pos, std::string::npos);
-  line.replace(pos, std::string("\"schema_version\": 3").size(),
-               "\"schema_version\": 2");
+  line.replace(pos, current.size(),
+               "\"schema_version\": " + std::to_string(version));
   return line;
 }
 
-/// A schema-v1 line as PR-7 builds wrote it: no trials_per_s field either.
-std::string v1_json_line(const LedgerRecord& r) {
-  std::string line = v2_json_line(r);
-  const auto pos = line.find("\"schema_version\": 2");
+/// A schema-v2 line as PR-8 builds wrote it: served_from_cache not yet
+/// invented (to_json_line already omits it for non-service records), and
+/// the since-removed Monte Carlo `trials_per_s` field present.
+std::string v2_json_line(const LedgerRecord& r) {
+  std::string line = json_line_as_version(r, 2);
+  const std::string anchor = ", \"metrics\":";
+  const auto pos = line.find(anchor);
   EXPECT_NE(pos, std::string::npos);
-  line.replace(pos, std::string("\"schema_version\": 2").size(),
-               "\"schema_version\": 1");
-  const auto tp = line.find(", \"trials_per_s\":");
-  EXPECT_NE(tp, std::string::npos);
-  const auto tp_end = line.find(',', tp + 2);
-  line.erase(tp, tp_end - tp);
+  line.insert(pos, ", \"trials_per_s\": 4321.0987654321");
   return line;
+}
+
+/// A schema-v1 line as PR-7 builds wrote it.
+std::string v1_json_line(const LedgerRecord& r) {
+  return json_line_as_version(r, 1);
 }
 
 TEST(LedgerRecord, JsonLineRoundTripIsExact) {
@@ -86,7 +87,6 @@ TEST(LedgerRecord, JsonLineRoundTripIsExact) {
   EXPECT_DOUBLE_EQ(back.wall_s, r.wall_s);
   EXPECT_EQ(back.events, r.events);
   EXPECT_DOUBLE_EQ(back.events_per_s, r.events_per_s);
-  EXPECT_DOUBLE_EQ(back.trials_per_s, r.trials_per_s);
   EXPECT_EQ(back.served_from_cache, -1);
   EXPECT_EQ(back.metrics_json, r.metrics_json);
 }
@@ -104,7 +104,7 @@ TEST(LedgerRecord, ServedFromCacheTriStateRoundTrips) {
   }
 }
 
-TEST(LedgerRecord, V1LinesStillParseWithZeroTrialsPerS) {
+TEST(LedgerRecord, V1LinesStillParse) {
   const std::string v1 = v1_json_line(sample_record());
   LedgerRecord back;
   ASSERT_TRUE(parse_json_line(v1, back));
@@ -112,7 +112,6 @@ TEST(LedgerRecord, V1LinesStillParseWithZeroTrialsPerS) {
   EXPECT_EQ(back.model, "chains_200");
   EXPECT_EQ(back.seed, sample_record().seed);
   EXPECT_DOUBLE_EQ(back.events_per_s, sample_record().events_per_s);
-  EXPECT_DOUBLE_EQ(back.trials_per_s, 0.0);  // field is schema v2
 }
 
 TEST(Ledger, MixedV1V2V3FileRoundTrips) {
@@ -138,10 +137,11 @@ TEST(Ledger, MixedV1V2V3FileRoundTrips) {
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].schema_version, 1);
   EXPECT_EQ(got[0].model, "pr7-run");
-  EXPECT_DOUBLE_EQ(got[0].trials_per_s, 0.0);
   EXPECT_EQ(got[0].served_from_cache, -1);
+  // The v2 line's trials_per_s is skipped; every other field reads back.
   EXPECT_EQ(got[1].schema_version, 2);
-  EXPECT_DOUBLE_EQ(got[1].trials_per_s, sample_record().trials_per_s);
+  EXPECT_EQ(got[1].model, "pr8-run");
+  EXPECT_DOUBLE_EQ(got[1].events_per_s, sample_record().events_per_s);
   EXPECT_EQ(got[1].served_from_cache, -1);
   EXPECT_EQ(got[2].schema_version, 3);
   EXPECT_EQ(got[2].model, "svc-run");
@@ -380,58 +380,15 @@ TEST(LedgerDiffTest, MissingScenarioInBenchIsNotComparable) {
   EXPECT_FALSE(d.regression);
 }
 
-/// A BENCH_p8-shaped report: the scenario commits a Monte Carlo trials/s
-/// figure instead of a single-run events/s one.
-std::string synthetic_mc_bench_json(const std::string& ir_hash,
-                                    double mc_best) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"model_ir_hash_chains_200\": \"%s\",\n"
-                "  \"monte_carlo\": [\n"
-                "    {\"scenario\": \"servo\", \"mc_best_trials_per_s\": "
-                "1.0},\n"
-                "    {\"scenario\": \"chains_200\", "
-                "\"mc_best_trials_per_s\": %.17g}\n"
-                "  ]\n"
-                "}\n",
-                ir_hash.c_str(), mc_best);
-  return buf;
-}
-
-TEST(LedgerDiffTest, GatesMonteCarloThroughputAgainstCommittedFigure) {
-  const std::string bench = synthetic_mc_bench_json("0xmc1", 1000.0);
-  LedgerRecord slow = sample_record();
-  slow.ir_hash = "0xmc1";
-  slow.events_per_s = 0.0;  // MC record: no single-run figure
-  slow.trials_per_s = 850.0;  // 15% below committed: beyond the 10% gate
-  const LedgerDiff d =
-      diff_latest_against_bench({slow}, bench, "chains_200", 10.0);
-  EXPECT_TRUE(d.comparable);
-  EXPECT_TRUE(d.regression);
-  EXPECT_DOUBLE_EQ(d.committed_trials_per_s, 1000.0);
-  EXPECT_DOUBLE_EQ(d.latest_trials_per_s, 850.0);
-  EXPECT_NE(d.message.find("REGRESSION"), std::string::npos);
-
-  LedgerRecord ok = slow;
-  ok.trials_per_s = 950.0;  // 5% below: inside the gate
-  const LedgerDiff d2 =
-      diff_latest_against_bench({slow, ok}, bench, "chains_200", 10.0);
-  EXPECT_TRUE(d2.comparable);
-  EXPECT_FALSE(d2.regression);
-  EXPECT_DOUBLE_EQ(d2.latest_trials_per_s, 950.0);  // newest MC record wins
-}
-
 TEST(LedgerDiffTest, PerScenarioFiguresDoNotBleedAcrossEntries) {
   // chains_200's entry carries no committed figure at all; the servo entry
   // after it does. The lookup must not pick servo's figure up.
   const std::string bench =
       "{\n"
-      "  \"model_ir_hash_chains_200\": \"0xmc1\",\n"
-      "  \"monte_carlo\": [\n"
+      "  \"model_ir_hash_chains_200\": \"0xc200\",\n"
+      "  \"scenarios\": [\n"
       "    {\"scenario\": \"chains_200\"},\n"
-      "    {\"scenario\": \"servo\", \"mc_best_trials_per_s\": 1.0,\n"
-      "     \"native_best_events_per_s\": 1.0}\n"
+      "    {\"scenario\": \"servo\", \"native_best_events_per_s\": 1.0}\n"
       "  ]\n"
       "}\n";
   const LedgerDiff d =

@@ -40,11 +40,14 @@ struct CanFixture {
     for (std::size_t i = 0; i < n; ++i) prio[i] = i;
     std::shuffle(prio.begin(), prio.end(), rng);
     for (std::size_t i = 0; i < n; ++i) {
-      senders.push_back(alg.add_simple("s" + std::to_string(i),
-                                       aaa::OpKind::kSensor, wcet(rng),
-                                       "P0"));
-      receivers.push_back(alg.add_simple("r" + std::to_string(i),
-                                         aaa::OpKind::kActuator, 1e-4, "P1"));
+      std::string sender = "s";
+      sender += std::to_string(i);
+      std::string receiver = "r";
+      receiver += std::to_string(i);
+      senders.push_back(
+          alg.add_simple(sender, aaa::OpKind::kSensor, wcet(rng), "P0"));
+      receivers.push_back(
+          alg.add_simple(receiver, aaa::OpKind::kActuator, 1e-4, "P1"));
       alg.add_dependency(senders[i], receivers[i], size(rng), prio[i]);
     }
   }

@@ -58,10 +58,13 @@ TEST_P(SyncProperty, MatchesReferenceAndJoin) {
       const sim::Block* prev = nullptr;
       sim::Time prev_t = 0.0;
       for (sim::Time t : trains[i]) {
-        auto& d = m.add<EventDelay>(
-            "d" + std::to_string(i) + "_" + std::to_string(trial) + "_" +
-                std::to_string(t),
-            t - prev_t);
+        std::string name = "d";
+        name += std::to_string(i);
+        name += '_';
+        name += std::to_string(trial);
+        name += '_';
+        name += std::to_string(t);
+        auto& d = m.add<EventDelay>(name, t - prev_t);
         if (prev == nullptr) {
           // Kick off with a one-shot: a clock with huge period fires at 0.
           auto& kick = m.add<Clock>("kick" + d.name(), 1e9);

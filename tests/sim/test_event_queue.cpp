@@ -63,27 +63,30 @@ TEST(EventQueue, CarriesEventPort) {
   EXPECT_DOUBLE_EQ(e.time, 1.0);
 }
 
-TEST(EventQueue, PopSimultaneousDrainsExactlyTheTies) {
+TEST(EventQueue, PopNextAtDrainsExactlyTheTies) {
   EventQueue q;
   q.push(1.0, 0, 0);
   q.push(2.0, 9, 0);
   q.push(1.0, 1, 0);
   q.push(1.0, 2, 0);
   std::vector<ScheduledEvent> out;
-  EXPECT_EQ(q.pop_simultaneous(out), 3u);
+  ScheduledEvent e;
+  while (q.pop_next_at(1.0, e)) out.push_back(e);
   ASSERT_EQ(out.size(), 3u);
   // FIFO among the ties, exactly like popping one at a time.
   EXPECT_EQ(out[0].block, 0u);
   EXPECT_EQ(out[1].block, 1u);
   EXPECT_EQ(out[2].block, 2u);
+  // Refused once the ties are out: the later event stays queued.
   EXPECT_EQ(q.size(), 1u);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  // Appends to `out` rather than clearing it.
-  EXPECT_EQ(q.pop_simultaneous(out), 1u);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[3].block, 9u);
+  // An instant other than the head's pops nothing.
+  EXPECT_FALSE(q.pop_next_at(1.5, e));
+  EXPECT_EQ(q.size(), 1u);
+  ASSERT_TRUE(q.pop_next_at(2.0, e));
+  EXPECT_EQ(e.block, 9u);
   EXPECT_TRUE(q.empty());
-  EXPECT_THROW(q.pop_simultaneous(out), std::logic_error);
+  EXPECT_FALSE(q.pop_next_at(2.0, e));
 }
 
 TEST(EventQueue, ReservePreventsSteadyStateReallocation) {

@@ -58,8 +58,12 @@ TEST(Extract, DiscoversOpsAndTransitiveDeps) {
   EXPECT_EQ(alg.predecessors(a), std::vector<aaa::OpId>{c});
   // Data size taken from the producer annotation.
   for (const aaa::DataDep& d : alg.dependencies()) {
-    if (d.from == s) EXPECT_DOUBLE_EQ(d.size, 8.0);
-    if (d.from == c) EXPECT_DOUBLE_EQ(d.size, 4.0);
+    if (d.from == s) {
+      EXPECT_DOUBLE_EQ(d.size, 8.0);
+    }
+    if (d.from == c) {
+      EXPECT_DOUBLE_EQ(d.size, 4.0);
+    }
   }
 }
 

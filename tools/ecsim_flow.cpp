@@ -372,7 +372,7 @@ void print_daemon_meta(const svc::ResponseMeta& meta) {
 /// Flags of the request verbs (sweep, fault, montecarlo).
 struct RequestFlags {
   std::size_t threads = 0;      // 0 = hardware
-  std::size_t batch_width = 0;  // trials per task; 0 = auto (SIMD width)
+  std::size_t batch_width = 0;  // trials per task; 0 = kDefaultBatchWidth
   std::string csv_out, connect;
   backend::Kind bk = backend::Kind::kInterp;
 
@@ -396,9 +396,10 @@ std::string csv_of(const sweep::FaultMonteCarloResult& r) {
   return sweep::to_csv(r.cells);
 }
 
-/// Printed after an in-process Monte Carlo run. Trials here run one per
-/// scalar loop or executive, so no lane is ever evicted; the count is
-/// printed for parity with the simulator-level batched MC.
+/// Printed after an in-process Monte Carlo run. Every trial runs on its own
+/// scalar loop or executive, so the eviction count is always 0; the line
+/// keeps that field so its format stays stable for scripts and the golden
+/// transcripts that read it.
 template <class Result>
 std::string batch_line(const Result& r) {
   char buf[128];
