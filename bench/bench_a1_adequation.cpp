@@ -14,8 +14,10 @@
 // route hops), not O(|E|), and a commit re-evaluates only the ready ops it
 // can affect), and every run of a graph gives the same makespan and
 // candidate counts. On the CAN bus, VM ns per instance at 800 ops is at most 2x that
-// at 100 ops (a bus commit reads the frames that can win, not every slot),
-// and two VM runs of a graph give identical instances. Runs via
+// at 100 ops (every communicator, CAN included, steps through its static
+// transfer order, so a bus commit is O(1)); on every bus, two VM runs of a
+// graph give identical instances and reproduce the schedule
+// (check_wcet_conformance). Runs via
 // `ctest -C bench` (bench_a1_adequation_guard); the process exits nonzero
 // on failure and writes BENCH_a1.json.
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/codegen.hpp"
 #include "bench_common.hpp"
+#include "exec/conformance.hpp"
 #include "exec/executive_vm.hpp"
 #include "mathlib/rng.hpp"
 #include "obs/metrics.hpp"
@@ -207,14 +210,17 @@ struct VmPoint {
   double best_ms = std::numeric_limits<double>::infinity();
   std::size_t instances = 0;  // op + comm instances of one run
   bool deterministic = true;  // two runs gave identical instances
+  bool conforms = true;       // the run reproduced the schedule
 };
+
+constexpr double kVmPeriod = 12.0;
 
 /// The run section (g) times: schedule_large's WCET check, 20 iterations at
 /// a 12 s period.
 exec::VmResult wcet_run(const VmCase& c, const aaa::ArchitectureGraph& arch) {
   exec::VmOptions opts;
   opts.iterations = 20;
-  opts.period = 12.0;
+  opts.period = kVmPeriod;
   return exec::run_executives(*c.alg, arch, c.sched, c.code, opts);
 }
 
@@ -259,6 +265,9 @@ bool vm_scaling(bench::JsonReport& report) {
       points[k].instances = first.ops.size() + first.comms.size();
       points[k].deterministic =
           !first.deadlock && same_instances(first, wcet_run(c, arch));
+      points[k].conforms =
+          exec::check_wcet_conformance(*c.alg, arch, c.sched, first, kVmPeriod)
+              .ok;
     }
     // Sizes take turns within each repetition, as in (f).
     for (int r = 0; r < kReps; ++r) {
@@ -276,10 +285,11 @@ bool vm_scaling(bench::JsonReport& report) {
     for (std::size_t k = 0; k < cases.size(); ++k) {
       const VmPoint& pt = points[k];
       ns[k] = 1e6 * pt.best_ms / static_cast<double>(pt.instances);
-      pass = pass && pt.deterministic;
-      std::printf("%10s %6zu %12.3f %12zu %14.1f%s\n", bus_name(bus),
+      pass = pass && pt.deterministic && pt.conforms;
+      std::printf("%10s %6zu %12.3f %12zu %14.1f%s%s\n", bus_name(bus),
                   kSizes[k], pt.best_ms, pt.instances, ns[k],
-                  pt.deterministic ? "" : "  DIVERGED");
+                  pt.deterministic ? "" : "  DIVERGED",
+                  pt.conforms ? "" : "  NONCONFORMING");
       report.begin_object();
       report.field("bus", std::string(bus_name(bus)));
       report.field("ops", kSizes[k]);
@@ -288,6 +298,7 @@ bool vm_scaling(bench::JsonReport& report) {
       report.field("ns_per_instance", ns[k]);
       report.field("deterministic",
                    std::string(pt.deterministic ? "yes" : "NO"));
+      report.field("conforms", std::string(pt.conforms ? "yes" : "NO"));
       report.end_object();
     }
     const double growth = ns.back() / ns.front();
@@ -300,7 +311,8 @@ bool vm_scaling(bench::JsonReport& report) {
   }
   report.end_array();
   std::printf("\nguard: VM ns/instance growth <= %.0fx on CAN, identical "
-              "instances across runs — %s\n\n",
+              "instances across runs and WCET conformance on every bus — "
+              "%s\n\n",
               kMaxGrowth, pass ? "PASS" : "FAIL");
   return pass;
 }

@@ -141,7 +141,8 @@ done
 REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode"
                   "line-by-line port" "BatchedSim" "ECSIM_SIMD"
                   "pop_simultaneous" "event_uniformity"
-                  "lockstep Monte Carlo")
+                  "lockstep Monte Carlo" "CanIndex" "advance_can"
+                  "arbitrates live")
 for feature in "${REMOVED_FEATURES[@]}"; do
   stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
     grep -viE "deleted|removed" || true)

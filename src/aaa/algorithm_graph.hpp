@@ -62,11 +62,12 @@ struct DataDep {
   OpId to = 0;
   double size = 1.0;
   /// Message priority for arbitrated media: lower value = higher priority
-  /// (CAN identifier order). Under kCanPriority it decides contended
-  /// arbitration; under owner-slot TDMA it selects the owner slot
-  /// (priority % slots). kNone = "unset": consumers fall back to the
-  /// dependency's index in the graph, so declaration order is the default
-  /// priority order and existing graphs keep their behavior.
+  /// (CAN identifier order). Under owner-slot TDMA it selects the owner
+  /// slot (priority % slots); under kCanPriority the schedule's static
+  /// frame order governs and the priority moves no instant. kNone =
+  /// "unset": consumers fall back to the dependency's index in the graph,
+  /// so declaration order is the default priority order and existing
+  /// graphs keep their behavior.
   std::size_t priority = kNone;
 };
 

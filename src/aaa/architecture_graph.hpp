@@ -37,10 +37,10 @@ struct Medium {
   std::size_t tdma_slots = 1;
   /// Worst-case non-preemptive blocking (kCanPriority only): the longest
   /// time a ready frame can wait behind one already-transmitting lower
-  /// priority (or background) frame. Charged per frame by the adequation as
-  /// part of the arbitration-aware WCET AND by the exec VM before each
-  /// transmission (so WCET runs reproduce the static schedule); contention
-  /// among the modeled frames themselves is resolved exactly by both.
+  /// priority (or background) frame. Charged per frame before its start —
+  /// start = max(ready + blocking, bus free) — by the adequation, the exec
+  /// VM and the graph of delays alike; the modeled frames themselves go in
+  /// the schedule's static order on the bus, so WCET runs reproduce it.
   Time can_blocking = 0.0;
   /// Fraction of the raw bandwidth consumed by interfering background
   /// traffic, in [0, 1). Effective bandwidth = bandwidth * (1 - load).

@@ -141,28 +141,12 @@ GraphOfDelays build_event_chain(sim::Model& model,
   for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
     const aaa::ScheduledComm& sc = sched.comms()[ci];
     const aaa::DataDep& dep = alg.dependencies()[sc.dep_index];
-    const aaa::Medium& hop_medium = arch.medium(sc.hop.medium);
-    const aaa::Time dur = hop_medium.transfer_time(dep.size);
+    const aaa::Time dur = arch.medium(sc.hop.medium).transfer_time(dep.size);
     const std::string comm_name = alg.op(dep.from).name + ">" +
                                   alg.op(dep.to).name + "#" +
                                   std::to_string(sc.hop_index);
-    // Under CAN priority arbitration the frame may additionally wait behind
-    // one non-preemptible lower-priority (or background) frame for up to
-    // can_blocking: WCET replay (bcet_fraction >= 1) charges the full
-    // blocking — matching the adequation's arbitration-aware WCET exactly —
-    // while jitter studies draw the access delay uniformly from the busy
-    // window [dur, dur + blocking]. Occupancy is faithful either way: the
-    // blocking IS another frame holding the bus.
-    blocks::DurationSpec comm_spec = blocks::constant_duration(dur);
-    if (hop_medium.arbitration == aaa::Arbitration::kCanPriority &&
-        hop_medium.can_blocking > 0.0) {
-      comm_spec = opts.bcet_fraction >= 1.0
-                      ? blocks::constant_duration(dur + hop_medium.can_blocking)
-                      : blocks::uniform_duration(
-                            dur, dur + hop_medium.can_blocking);
-    }
     auto& ed = model.add<blocks::EventDelay>(opts.prefix + "comm/" + comm_name,
-                                             comm_spec);
+                                             blocks::constant_duration(dur));
     comm_delay[ci] = &ed;
     comm_arrival[ci] = {&ed, ed.event_out()};
     if (armed != nullptr) {
@@ -184,22 +168,21 @@ GraphOfDelays build_event_chain(sim::Model& model,
 
   // Completion source of the data of dependency `di` as it arrives at the
   // consumer: the final hop's arrival (cross-processor) or the producer's
-  // delay (same processor).
+  // delay (same processor). The final hop of each dependency is the highest
+  // comm index among its highest hop_index, filed in one ascending pass.
+  std::vector<std::size_t> final_hop(alg.dependencies().size(), aaa::kNone);
+  for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
+    std::size_t& best = final_hop[sched.comms()[ci].dep_index];
+    if (best == aaa::kNone ||
+        sched.comms()[ci].hop_index >= sched.comms()[best].hop_index) {
+      best = ci;
+    }
+  }
   auto dep_arrival =
       [&](std::size_t di) -> std::pair<const sim::Block*, std::size_t> {
-    const aaa::DataDep& dep = alg.dependencies()[di];
-    const OpNode& prod = op_node.at(dep.from);
-    std::pair<const sim::Block*, std::size_t> source{prod.completion,
-                                                     prod.comp_out};
-    std::size_t best_hop = 0;
-    for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
-      const aaa::ScheduledComm& sc = sched.comms()[ci];
-      if (sc.dep_index == di && sc.hop_index >= best_hop) {
-        best_hop = sc.hop_index;
-        source = comm_arrival.at(ci);
-      }
-    }
-    return source;
+    if (final_hop[di] != aaa::kNone) return comm_arrival.at(final_hop[di]);
+    const OpNode& prod = op_node.at(alg.dependencies()[di].from);
+    return {prod.completion, prod.comp_out};
   };
 
   // Pass 2a: wire operation activations — sequencing + synchronization.
@@ -276,10 +259,28 @@ GraphOfDelays build_event_chain(sim::Model& model,
         ready = comm_arrival.at(cj).first;
         ready_out = comm_arrival.at(cj).second;
       }
+      const aaa::Medium& medium = arch.medium(m);
+      if (medium.arbitration == aaa::Arbitration::kCanPriority &&
+          medium.can_blocking > 0.0) {
+        // Under CAN the frame may first wait behind one non-preemptible
+        // lower-priority (or background) frame for up to can_blocking. The
+        // adequation charges that wait before the bus-order join —
+        // start = max(ready + blocking, bus free) — so delay readiness, not
+        // the transfer: WCET replay charges the full blocking, jitter studies
+        // draw it from [0, blocking].
+        const aaa::Time blocking = medium.can_blocking;
+        auto& wait = model.add<blocks::EventDelay>(
+            opts.prefix + "can/comm" + std::to_string(ci),
+            opts.bcet_fraction >= 1.0
+                ? blocks::constant_duration(blocking)
+                : blocks::uniform_duration(0.0, blocking));
+        model.connect_event(*ready, ready_out, wait, wait.event_in());
+        ready = &wait;
+        ready_out = wait.event_out();
+      }
       blocks::EventDelay* ed = comm_delay.at(ci);
       // Under TDMA arbitration the transfer start snaps to the slot grid:
       // insert a gate between readiness and the transfer delay.
-      const aaa::Medium& medium = arch.medium(m);
       const sim::Block* transfer_entry = ed;
       std::size_t transfer_entry_in = ed->event_in();
       if (medium.arbitration == aaa::Arbitration::kTdma) {

@@ -177,8 +177,8 @@ const std::vector<Case>& cases() {
        [] { return golden(dag(8, 100), two_bus_chain()); }},
       {"two_bus_chain_300", 0xaa426caca80524feull,
        [] { return golden(dag(9, 300), two_bus_chain()); }},
-      // Explicit message priorities reorder CAN arbitration and TDMA owner
-      // slots away from declaration order.
+      // Explicit message priorities move TDMA owner slots away from
+      // declaration order; CAN schedules do not read them.
       {"can_tdma_priorities_120", 0x9ebcc8f42c550855ull,
        [] {
          const AlgorithmGraph alg = edited(

@@ -33,10 +33,11 @@ struct DistributedChain {
 };
 
 // Digests of the generated executives and of a WCET VM run over multi-hop
-// routes (store-and-forward through P1 and P3, CAN arbitration on the last
-// link), captured before the hop links became one indexed pass. Pins the
-// last-hop recv placement in generate_executives and the previous-hop
-// wiring of the VM's communicators.
+// routes (store-and-forward through P1 and P3, CAN on the last link). The
+// executives' digest was captured before the hop links became one indexed
+// pass, the run's once CAN ran its communicator sequence in static order.
+// Pins the last-hop recv placement in generate_executives and the
+// previous-hop wiring of the VM's communicators.
 TEST(ExecutiveVm, MultiHopExecutivesAndRunMatchCapturedDigests) {
   math::Rng rng(9);
   const AlgorithmGraph alg = testing::random_dag(rng, 120);
@@ -65,7 +66,9 @@ TEST(ExecutiveVm, MultiHopExecutivesAndRunMatchCapturedDigests) {
   opts.iterations = 4;
   opts.period = 4.0 * sched.makespan();
   const VmResult vm = run_executives(alg, arch, sched, code, opts);
-  ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
+  const ConformanceReport rep =
+      check_wcet_conformance(alg, arch, sched, vm, opts.period);
+  ASSERT_TRUE(rep.ok) << rep.violations;
   testing::Fnv1a run;
   for (const OpInstance& oi : vm.ops) {
     run.add(static_cast<std::uint64_t>(oi.op));
@@ -78,7 +81,7 @@ TEST(ExecutiveVm, MultiHopExecutivesAndRunMatchCapturedDigests) {
     run.add(ci.end);
   }
   EXPECT_EQ(src.value(), 0x7751b75af70d17cfull);
-  EXPECT_EQ(run.value(), 0xc5ce6d5d8397b5b2ull);
+  EXPECT_EQ(run.value(), 0xa9583ffb0aa6f262ull);
 }
 
 /// Folds everything a VM run reports: op and comm instances, injections,
@@ -128,22 +131,31 @@ void run_and_fold(testing::Fnv1a& h, const AlgorithmGraph& alg,
   add_run(h, vm);
 }
 
-// Digests of CAN-arbitrated VM runs, captured from the arbitration that
-// rescanned every slot of the bus on each commit. They pin the exact
-// outcome of live arbitration (winner choice with its 1e-12 tolerance,
-// deferral while an unsignalled sender could contest, the forced commit at
-// global quiescence, loss propagation across CAN hops) for any index that
-// replaces the rescans.
-TEST(ExecutiveVm, CanArbitrationMatchesCapturedDigests) {
+/// The same for an exact-WCET run, which must also reproduce the schedule.
+void run_wcet_and_fold(testing::Fnv1a& h, const AlgorithmGraph& alg,
+                       const ArchitectureGraph& arch, const Schedule& sched,
+                       const GeneratedCode& code, const VmOptions& opts) {
+  const VmResult vm = run_executives(alg, arch, sched, code, opts);
+  const ConformanceReport rep =
+      check_wcet_conformance(alg, arch, sched, vm, opts.period);
+  ASSERT_TRUE(rep.ok) << rep.violations;
+  add_run(h, vm);
+}
+
+// Digests of VM runs over CAN buses, captured once CAN ran its communicator
+// sequences in the schedule's static order (DESIGN.md §3.10). They pin the
+// CAN blocking charge before each start, background load, loss propagation
+// across CAN hops and the tracks a traced run writes.
+TEST(ExecutiveVm, CanStaticOrderMatchesCapturedDigests) {
   struct Bus {
     double blocking;
     double load;
     std::uint64_t expected;
   };
-  const Bus buses[] = {{0.0, 0.0, 0x3f9f1a67cae8b856ull},
-                       {0.0, 0.3, 0x4933fbf083e22ca3ull},
-                       {5e-4, 0.0, 0x19b2ef49f88ce7eeull},
-                       {5e-4, 0.3, 0x3d3da38f2a38ec03ull}};
+  const Bus buses[] = {{0.0, 0.0, 0xc2b919c9481d0d72ull},
+                       {0.0, 0.3, 0x5af1c4f8a53c9529ull},
+                       {5e-4, 0.0, 0xdc6ecd94b09ebb58ull},
+                       {5e-4, 0.3, 0x3245adc3ebeb7fa6ull}};
   for (const Bus& bus : buses) {
     auto arch = aaa::ArchitectureGraph::bus_architecture(4, 1e5, 1e-5);
     arch.set_can(0, bus.blocking);
@@ -156,10 +168,11 @@ TEST(ExecutiveVm, CanArbitrationMatchesCapturedDigests) {
       const GeneratedCode code = aaa::generate_executives(alg, arch, sched);
       VmOptions opts;
       opts.iterations = 4;
+      opts.period = sched.makespan();
+      run_wcet_and_fold(h, alg, arch, sched, code, opts);
       // Shorter than the makespan: iterations overlap, so frames of the
       // next iteration are signalled while the bus still serves this one.
       opts.period = 0.75 * sched.makespan();
-      run_and_fold(h, alg, arch, sched, code, opts);
       opts.exec_time = uniform_fraction_exec_time(0.3);
       opts.seed = n;
       run_and_fold(h, alg, arch, sched, code, opts);
@@ -201,8 +214,8 @@ TEST(ExecutiveVm, CanArbitrationMatchesCapturedDigests) {
       .op_overrun("op7", 0.5, 2.0)
       .node_stop("P3", 0.2 * sched.makespan(), 0.4 * sched.makespan());
   const std::pair<fault::DegradationPolicy, std::uint64_t> policies[] = {
-      {fault::DegradationPolicy::kHoldLastSample, 0x903dbcfea2fd9bafull},
-      {fault::DegradationPolicy::kSkipCycle, 0x701eebb02d34a30bull}};
+      {fault::DegradationPolicy::kHoldLastSample, 0x7b6935bceec78940ull},
+      {fault::DegradationPolicy::kSkipCycle, 0xfa254d3033a8a399ull}};
   for (const auto& [policy, expected] : policies) {
     opts.fault_policy = policy;
     testing::Fnv1a h;
@@ -236,7 +249,7 @@ TEST(ExecutiveVm, CanArbitrationMatchesCapturedDigests) {
       h.add(e.arg);
     }
     EXPECT_EQ(tracer.dropped(), 0u);
-    EXPECT_EQ(h.value(), 0xff8c0c26f282cd5full);
+    EXPECT_EQ(h.value(), 0xac0a3f47aa56e17eull);
   }
 }
 

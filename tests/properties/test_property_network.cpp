@@ -1,20 +1,28 @@
 // Property tests for the arbitrated network media (DESIGN/docs/networks.md):
-// under CAN priority arbitration the executive VM's bus timeline must be
-// work-conserving and priority-faithful for ANY message set and ANY actual
-// execution times; under owner-slot TDMA every transfer must start exactly
-// on its owner's instant. Randomized over message counts, sizes, priorities
-// and execution-time draws.
+// every medium, CAN included, runs its communicator sequence in the
+// schedule's static order, so on random multi-processor DAGs the WCET
+// executive-VM run and the WCET graph of delays both reproduce the schedule
+// on the immediate, owner-slot TDMA and CAN buses, and a run below WCET
+// never ends an operation later than the WCET run. Under owner-slot TDMA
+// every transfer must start exactly on its owner's instant. Randomized over
+// graph sizes, message counts, sizes, priorities and execution-time draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "aaa/adequation.hpp"
 #include "aaa/codegen.hpp"
+#include "blocks/discrete.hpp"
 #include "exec/conformance.hpp"
 #include "exec/executive_vm.hpp"
+#include "random_graphs.hpp"
+#include "sim/simulator.hpp"
+#include "translate/graph_of_delays.hpp"
 
 namespace ecsim {
 namespace {
@@ -53,75 +61,159 @@ struct CanFixture {
   }
 };
 
-/// Runs the VM with below-WCET execution times and checks, frame by frame
-/// along the bus timeline:
-///   work conservation — every transfer starts at max(bus free, frame
-///   ready); the bus never idles while a known frame is pending;
-///   priority faithfulness — within an iteration, if a frame was already
-///   ready when a later-transmitted frame started, the transmitted frame
-///   carried the smaller CAN identifier (higher priority).
-TEST(CanArbitrationProperty, WorkConservingAndPriorityFaithful) {
-  constexpr double kEps = 1e-9;
-  for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
-    CanFixture f(6, seed);
-    const Schedule sched = adequate(f.alg, f.arch);
-    sched.validate(f.alg, f.arch);
-    const aaa::GeneratedCode code = generate_executives(f.alg, f.arch, sched);
-    exec::VmOptions opts;
-    opts.iterations = 8;
-    opts.period = f.alg.period();
-    opts.seed = seed * 7 + 1;
-    opts.exec_time = exec::uniform_fraction_exec_time(0.3);
-    const exec::VmResult vm =
-        exec::run_executives(f.alg, f.arch, sched, code, opts);
-    ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
-    ASSERT_EQ(vm.comms.size(), 6u * 8u);
+/// One bus of the conformance properties: its name and the architecture.
+struct Bus {
+  std::string name;
+  ArchitectureGraph arch;
+};
 
-    // Frame ready instant = its sender's completion in that iteration (the
-    // kSend executes at the op's end, advancing no time).
-    const auto ready_of = [&](const exec::CommInstance& ci) {
-      const OpId sender =
-          f.alg.dependencies()[sched.comms()[ci.comm].dep_index].from;
-      for (const exec::OpInstance& oi : vm.ops) {
-        if (oi.op == sender && oi.iteration == ci.iteration) return oi.end;
-      }
-      ADD_FAILURE() << "no sender instance for comm " << ci.comm;
-      return 0.0;
-    };
-    const auto prio_of = [&](const exec::CommInstance& ci) {
-      return f.alg.dep_priority(sched.comms()[ci.comm].dep_index);
-    };
-
-    // vm.comms is in bus commit order for the single medium.
-    double bus_free = 0.0;
-    for (const exec::CommInstance& ci : vm.comms) {
-      EXPECT_NEAR(ci.start, std::max(bus_free, ready_of(ci)), kEps)
-          << "bus idled (or time-travelled) before comm " << ci.comm
-          << " iter " << ci.iteration << " (seed " << seed << ")";
-      EXPECT_GE(ci.start, bus_free - kEps) << "overlapping transfers";
-      bus_free = ci.end;
+/// Four processors on one 1e5/1e-5 bus — immediate, owner-slot TDMA, and
+/// CAN with blocking {0, 5e-4} x background load {0, 0.3} — plus a chain
+/// P0 -a- P1 -b- P2,P3 -c- P4 whose routes cross CAN on b and c, so frames
+/// forward over up to three hops. The TDMA slot is a power of two so the
+/// slot grid stays exact across periods.
+std::vector<Bus> conformance_buses() {
+  std::vector<Bus> buses;
+  buses.push_back(
+      {"immediate", ArchitectureGraph::bus_architecture(4, 1e5, 1e-5)});
+  buses.push_back({"tdma", ArchitectureGraph::bus_architecture(4, 1e5, 1e-5)});
+  buses.back().arch.set_tdma(0, 1.0 / 4096.0, 4);
+  for (const double blocking : {0.0, 5e-4}) {
+    for (const double load : {0.0, 0.3}) {
+      auto arch = ArchitectureGraph::bus_architecture(4, 1e5, 1e-5);
+      arch.set_can(0, blocking);
+      arch.set_background_load(0, load);
+      std::string name = "can blocking ";
+      name += std::to_string(blocking) + " load " + std::to_string(load);
+      buses.push_back({std::move(name), std::move(arch)});
     }
-    for (std::size_t i = 0; i < vm.comms.size(); ++i) {
-      for (std::size_t j = i + 1; j < vm.comms.size(); ++j) {
-        const exec::CommInstance& won = vm.comms[i];
-        const exec::CommInstance& lost = vm.comms[j];
-        if (won.iteration != lost.iteration) continue;
-        if (ready_of(lost) < won.start - kEps) {
-          EXPECT_LT(prio_of(won), prio_of(lost))
-              << "frame " << lost.comm << " was ready before frame "
-              << won.comm << " started yet had higher priority (seed "
-              << seed << ")";
-        }
+  }
+  ArchitectureGraph chain("chain");
+  for (char p = '0'; p < '5'; ++p) chain.add_processor(std::string{'P', p});
+  const aaa::MediumId a = chain.add_medium("a", 1e5, 1e-5);
+  const aaa::MediumId b = chain.add_medium("b", 5e4, 2e-5);
+  const aaa::MediumId c = chain.add_medium("c", 2e5, 1e-5);
+  chain.set_can(b, 5e-4);
+  chain.set_background_load(b, 0.3);
+  chain.set_can(c, 1e-4);
+  for (const auto& [p, m] : {std::pair{0, a}, {1, a}, {1, b}, {2, b}, {3, b},
+                             {3, c}, {4, c}}) {
+    chain.attach(static_cast<aaa::ProcId>(p), m);
+  }
+  buses.push_back({"can multi-hop", std::move(chain)});
+  return buses;
+}
+
+/// Random DAGs of 8-400 ops with a period far above their makespans.
+constexpr double kPeriod = 12.0;
+constexpr std::size_t kIterations = 3;
+
+template <typename Check>
+void for_each_scenario(Check check) {
+  for (const Bus& bus : conformance_buses()) {
+    for (const std::size_t n : {8u, 16u, 32u, 64u, 150u, 400u}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        math::Rng rng(1000 * seed + n);
+        const AlgorithmGraph alg = testing::random_dag(rng, n, kPeriod);
+        const Schedule sched = adequate(alg, bus.arch);
+        ASSERT_LT(sched.makespan(), kPeriod / 2);
+        SCOPED_TRACE(bus.name + ", " + std::to_string(n) + " ops, seed " +
+                     std::to_string(seed));
+        check(alg, bus.arch, sched);
       }
     }
   }
 }
 
+exec::VmResult run_wcet(const AlgorithmGraph& alg,
+                        const ArchitectureGraph& arch, const Schedule& sched,
+                        const aaa::GeneratedCode& code) {
+  exec::VmOptions opts;
+  opts.iterations = kIterations;
+  opts.period = kPeriod;
+  return exec::run_executives(alg, arch, sched, code, opts);
+}
+
+TEST(CommunicatorOrderProperty, WcetRunEqualsScheduleOnEveryBus) {
+  std::size_t max_hop = 0;
+  for_each_scenario([&](const AlgorithmGraph& alg,
+                        const ArchitectureGraph& arch, const Schedule& sched) {
+    for (const aaa::ScheduledComm& sc : sched.comms()) {
+      max_hop = std::max(max_hop, sc.hop_index);
+    }
+    const aaa::GeneratedCode code = generate_executives(alg, arch, sched);
+    const exec::VmResult vm = run_wcet(alg, arch, sched, code);
+    const exec::ConformanceReport rep =
+        exec::check_wcet_conformance(alg, arch, sched, vm, kPeriod);
+    EXPECT_TRUE(rep.ok) << rep.violations;
+    EXPECT_EQ(rep.checked_instances, alg.num_operations() * kIterations);
+    EXPECT_EQ(rep.checked_comm_instances, sched.comms().size() * kIterations);
+  });
+  EXPECT_EQ(max_hop, 2u) << "the chain's three-hop routes went unexercised";
+}
+
+TEST(CommunicatorOrderProperty, BelowWcetRunNeverEndsLater) {
+  for_each_scenario([](const AlgorithmGraph& alg,
+                       const ArchitectureGraph& arch, const Schedule& sched) {
+    const aaa::GeneratedCode code = generate_executives(alg, arch, sched);
+    const exec::VmResult wcet = run_wcet(alg, arch, sched, code);
+    std::vector<double> wcet_end(alg.num_operations() * kIterations, -1.0);
+    for (const exec::OpInstance& oi : wcet.ops) {
+      wcet_end[oi.op * kIterations + oi.iteration] = oi.end;
+    }
+    exec::VmOptions opts;
+    opts.iterations = kIterations;
+    opts.period = kPeriod;
+    opts.seed = alg.num_operations();
+    opts.exec_time = exec::uniform_fraction_exec_time(0.2);
+    const exec::VmResult fast =
+        exec::run_executives(alg, arch, sched, code, opts);
+    ASSERT_FALSE(fast.deadlock) << fast.deadlock_info;
+    ASSERT_EQ(fast.ops.size(), wcet_end.size());
+    for (const exec::OpInstance& oi : fast.ops) {
+      EXPECT_LE(oi.end, wcet_end[oi.op * kIterations + oi.iteration] + 1e-12)
+          << alg.op(oi.op).name << " iteration " << oi.iteration;
+    }
+  });
+}
+
+TEST(CommunicatorOrderProperty, GraphOfDelaysEqualsScheduleUnderWcet) {
+  for_each_scenario([](const AlgorithmGraph& alg,
+                       const ArchitectureGraph& arch, const Schedule& sched) {
+    sim::Model m;
+    const translate::GraphOfDelays god =
+        translate::build_graph_of_delays(m, alg, arch, sched, {});
+    std::map<std::string, OpId, std::less<>> counter_op;
+    for (OpId op = 0; op < alg.num_operations(); ++op) {
+      const std::string name = "done/" + alg.op(op).name;
+      translate::wire_completion(m, god, op,
+                                 m.add<blocks::EventCounter>(name), 0);
+      counter_op.emplace(name, op);
+    }
+    sim::Simulator s(
+        m, sim::SimOptions{.end_time = kIterations * kPeriod - kPeriod / 2});
+    s.run();
+    std::vector<std::vector<double>> done(alg.num_operations());
+    for (const sim::EventRecord& e : s.trace().events()) {
+      const auto it = counter_op.find(s.trace().block_name(e.block));
+      if (it != counter_op.end()) done[it->second].push_back(e.time);
+    }
+    for (OpId op = 0; op < alg.num_operations(); ++op) {
+      ASSERT_EQ(done[op].size(), kIterations) << alg.op(op).name;
+      for (std::size_t k = 0; k < kIterations; ++k) {
+        EXPECT_NEAR(done[op][k],
+                    sched.of_op(op).end + static_cast<double>(k) * kPeriod,
+                    1e-12)
+            << alg.op(op).name << " iteration " << k;
+      }
+    }
+  });
+}
+
 /// The same message set on an immediate bus vs a CAN bus with zero
-/// background blocking: CAN's dynamic arbitration is work conserving, so
-/// its busy period can never end LATER than the static-order replay of the
-/// immediate bus (which may leave gaps a pending frame did not fit into),
-/// even though arbitration may reorder the frames in between.
+/// background blocking: CAN runs the same static medium order and charges
+/// nothing beyond the transfer times, so its busy period can never end
+/// LATER than the immediate bus's.
 TEST(CanArbitrationProperty, BusyPeriodNoWorseThanImmediateBusUnderWcet) {
   for (const std::uint64_t seed : {3u, 9u}) {
     CanFixture f(5, seed);
@@ -143,7 +235,7 @@ TEST(CanArbitrationProperty, BusyPeriodNoWorseThanImmediateBusUnderWcet) {
     ArchitectureGraph immediate =
         ArchitectureGraph::bus_architecture(2, 1e5, 0.0);
     EXPECT_LE(last_end(f.alg, f.arch), last_end(f.alg, immediate) + 1e-9)
-        << "CAN arbitration must not add idle time (seed " << seed << ")";
+        << "CAN must not add idle time (seed " << seed << ")";
   }
 }
 
