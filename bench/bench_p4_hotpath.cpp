@@ -1,11 +1,9 @@
 // EXP-P4: zero-allocation steady-state hot path (DESIGN.md §3.4). Reports
 // the absolute steady-state throughput of the interpreter's hot path —
-// integrator workspaces + function_ref dispatch, flat 4-ary event queue with
-// batched tie draining, preallocated block/matrix scratch — and its
+// integrator workspaces + function_ref dispatch, the lane event queue
+// drained an instant at a time, preallocated block/matrix scratch — and its
 // steady-state allocation counts, on the 200-chain event workload and the
-// RK4 servo loop. (The original A/B against the former allocating path is
-// kept on record in the committed BENCH_p4.json; that baseline no longer
-// exists in the code.)
+// RK4 servo loop.
 //
 // GUARD: determinism of the hot path — two consecutive runs of one
 // Simulator give identical traces and the expected event counts (601 000 on
@@ -117,8 +115,8 @@ ScenarioStats measure(sim::Model& m, const sim::SimOptions& opts, int reps) {
 
 int experiment() {
   bench::banner("EXP-P4", "(hot-path memory discipline, DESIGN.md §3.4)",
-                "Steady-state throughput of the workspace integrator + 4-ary "
-                "batched event queue, and allocations per steady-state run.");
+                "Steady-state throughput of the workspace integrator + lane "
+                "event queue, and allocations per steady-state run.");
   bench::JsonReport report("EXP-P4");
   struct Scenario {
     const char* name;
@@ -130,7 +128,6 @@ int experiment() {
   {
     sim::SimOptions opts;
     opts.end_time = 1.0;
-    opts.reserve_queue = 1024;
     scenarios.push_back({"chains_200", make_chains(200), opts, 601'000});
   }
   {
@@ -196,25 +193,6 @@ BENCHMARK(BM_SteadyStateRun)
     ->Arg(200)
     ->ArgName("chains")
     ->Unit(benchmark::kMillisecond);
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  sim::EventQueue q;
-  q.reserve(depth);
-  // Steady churn at constant depth: push a scattered time, pop the min.
-  std::uint64_t s = 0x2545f4914f6cdd1dull;
-  for (std::size_t i = 0; i < depth; ++i) {
-    q.push(static_cast<sim::Time>(i % 97), i, 0);
-  }
-  for (auto _ : state) {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    q.push(static_cast<sim::Time>(s % 97), 0, 0);
-    benchmark::DoNotOptimize(q.pop());
-  }
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(4096)->ArgName("depth");
 
 }  // namespace
 

@@ -10,7 +10,8 @@
 #      into a fresh cache leaves exactly 2 modules (one per bus scenario,
 #      not one per model) and prints the interpreter's tables;
 #   4. hold the EXP-P6 perf guard (native >= 1.5x interpreter events/s on
-#      chains_200, traces identical), run via `ctest -C bench`;
+#      servo_rk4, traces identical on servo_rk4 and chains_200), run via
+#      `ctest -C bench`;
 #   5. survive with the generated .so compiled and dlopen()ed under
 #      ASan+UBSan (the module inherits the build's sanitizer flags through
 #      ECSIM_NATIVE_FLAGS — see src/CMakeLists.txt).

@@ -7,8 +7,8 @@
 #   2. pass the ledger round-trip/diff suites and the tracer/metrics merge
 #      edge cases (empty shards, duplicate interned names, self-merge);
 #   3. hold the EXP-O2 perf guard (attached-but-disabled obs <= 2% overhead
-#      on the native path, >= 1.5x interpreter events/s retained), run via
-#      `ctest -C bench`;
+#      on the native path on chains_200, >= 1.5x interpreter events/s
+#      retained on servo_rk4), run via `ctest -C bench`;
 #   4. gate regressions at the CLI: `ecsim_flow ledger diff` must exit 1
 #      for a ledger whose newest chains_200 record is >10% below the
 #      committed BENCH figure, and 0 for a healthy one;

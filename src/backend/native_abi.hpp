@@ -16,6 +16,9 @@
 // private to a block travels in NativeRunOptions::params, and the cache key
 // is the shape hash, so re-parameterised models (a retuned controller, a
 // different bus load) reuse one compiled module.
+//
+// ABI v4 drops NativeRunOptions' event-queue capacity hint: a module drains
+// the interpreter's own sim::EventQueue, which sizes itself.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +28,7 @@
 
 namespace ecsim::backend {
 
-inline constexpr int kNativeAbiVersion = 3;
+inline constexpr int kNativeAbiVersion = 4;
 
 /// POD mirror of the sim::SimOptions subset the native backend supports
 /// (observability rides along through `obs` since ABI v2).
@@ -41,7 +44,6 @@ struct NativeRunOptions {
   int full_refresh = 0;
   std::size_t reserve_events = 0;
   std::size_t reserve_signals = 0;
-  std::size_t reserve_queue = 0;
   /// Observability callback table (borrowed, may be null). Null, or a table
   /// whose tracer/metrics are both null, runs the module with telemetry
   /// compiled to nothing — the guarded ≤2% attached-but-disabled overhead

@@ -295,7 +295,6 @@ std::size_t run_native_module(const NativeModule& mod,
   n.full_refresh = o.full_refresh ? 1 : 0;
   n.reserve_events = o.reserve_events;
   n.reserve_signals = o.reserve_signals;
-  n.reserve_queue = o.reserve_queue;
   n.obs = obs;
   n.params = params.data();
   n.n_params = params.size();

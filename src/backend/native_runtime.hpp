@@ -6,18 +6,17 @@
 // compute / on_event / derivatives with literal arena offsets) — and runs
 // it through run_program<Program>.
 //
-// There is no engine loop here: Engine<Program> is sim::Driver, the one
-// event loop the interpreter runs too (sim/driver.hpp), instantiated over
-// the module's tables and the LaneQueue below. Telemetry flows through the
-// NativeRunOptions::obs callback table into the driver's hooks, the same
-// hooks an instrumented interpreter run latches. Everything order-sensitive
-// is therefore either shared code (the loop, the same-instant lane,
-// sim::integrate() stepping the same workspace, math::Rng and sim::Trace —
-// unity-compiled into the module from the interpreter's own sources) or
-// order-equivalent by construction: LaneQueue pops the identical strict
-// (time, seq) total order sim::EventQueue pops, just without the heap. A
-// native run is bit-identical to an interpreter run of the same IR (asserted
-// by the interp-vs-native property suite).
+// There is no engine loop and no event queue here: Engine<Program> is
+// sim::Driver, the one event loop the interpreter runs too (sim/driver.hpp),
+// instantiated over the module's tables, and it drains the interpreter's own
+// sim::EventQueue. Telemetry flows through the NativeRunOptions::obs
+// callback table into the driver's hooks, the same hooks an instrumented
+// interpreter run latches. Everything order-sensitive is therefore shared
+// code (the loop, the queue, the same-instant lane, sim::integrate()
+// stepping the same workspace, math::Rng and sim::Trace — unity-compiled
+// into the module from the interpreter's own sources), and a native run is
+// bit-identical to an interpreter run of the same IR (asserted by the
+// interp-vs-native property suite).
 #pragma once
 
 #include <algorithm>
@@ -35,7 +34,6 @@
 #include "mathlib/matrix.hpp"
 #include "mathlib/rng.hpp"
 #include "sim/driver.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/port.hpp"
 #include "sim/trace.hpp"
 
@@ -155,163 +153,6 @@ class ParamReader {
   std::size_t pos_ = 0;
 };
 
-/// Event queue specialized for generated modules. The driver's emit and
-/// schedule_self compute an event's time as `eval_time_ + delay` where
-/// eval_time_ never decreases across pushes and each call site's delay is
-/// (nearly) constant, so the push stream decomposes into a handful of
-/// non-decreasing runs. The queue exploits that: it keeps a few FIFO lanes,
-/// appends each push to the first lane whose tail is not later than the new
-/// event (patience-style run decomposition — every lane stays sorted in
-/// (time, seq) by construction, no matter how call-site delays round), and
-/// pops the minimum among the lane heads: O(lanes) push and pop with no
-/// sifting and no element movement. A push older than every lane tail opens
-/// a new lane; past kMaxLanes it falls to a conventional binary-heap side
-/// channel, so the structure is exact for arbitrary models, merely fastest
-/// for the common monotone case.
-///
-/// Pop order is bitwise identical to sim::EventQueue's: seq numbers are
-/// assigned in the same global push order, each lane head is its lane's
-/// (time, seq) minimum by the monotone-append invariant, the heap top is the
-/// side channel's minimum, and every pop takes the global minimum across
-/// those candidates — the same strict total order on (time, seq) the 4-ary
-/// heap pops in. The interp-vs-native property suite asserts this trace
-/// identity on every scenario it generates.
-class LaneQueue {
- public:
-  static constexpr std::size_t kMaxLanes = 16;
-
-  void clear() {
-    // Lanes persist across runs (delay classes are structural, buffers keep
-    // their capacity); only the contents and the FIFO counter reset.
-    for (Lane& l : lanes_) {
-      l.buf.clear();
-      l.head = 0;
-    }
-    heap_.clear();
-    next_seq_ = 0;
-    live_ = 0;
-  }
-  void reserve(std::size_t n) { heap_.reserve(n); }
-  bool empty() const { return live_ == 0; }
-  std::size_t size() const { return live_; }
-
-  /// Hot path, forced inline into the generated emit/on_event code: scan the
-  /// (few) lanes for one whose tail is not later than the new event — a
-  /// drained lane accepts anything — and append. Lane creation and overflow
-  /// drop to the cold out-of-line push_slow, keeping the inlined footprint
-  /// small enough that the generated switch bodies stay in the I-cache. The
-  /// new event carries the largest seq so far, so "tail not later" reduces
-  /// to a tail-time comparison and the appended lane stays (time, seq)
-  /// sorted.
-  [[gnu::always_inline]] inline void push(sim::Time at, std::size_t block,
-                                          std::size_t event_in) {
-    const sim::ScheduledEvent ev{at, next_seq_++, block, event_in};
-    ++live_;
-    for (Lane& l : lanes_) {
-      if (l.head == l.buf.size()) {
-        l.buf.clear();  // window fully drained: restart the ring
-        l.head = 0;
-      } else if (later(l.buf.back(), ev)) {
-        continue;  // appending here would break the lane's sortedness
-      }
-      l.buf.push_back(ev);
-      return;
-    }
-    push_slow(ev);
-  }
-
-  /// Earliest pending event time; queue must be non-empty.
-  sim::Time next_time() const {
-    const sim::ScheduledEvent* best = nullptr;
-    for (const Lane& l : lanes_) {
-      if (l.head < l.buf.size()) {
-        const sim::ScheduledEvent* h = &l.buf[l.head];
-        if (best == nullptr || later(*best, *h)) best = h;
-      }
-    }
-    if (!heap_.empty()) {
-      const sim::ScheduledEvent* h = &heap_.front();
-      if (best == nullptr || later(*best, *h)) best = h;
-    }
-    if (best == nullptr) throw std::logic_error("LaneQueue::next_time: empty");
-    return best->time;
-  }
-
-  /// Remove the earliest pending event if its time is exactly `t`; one
-  /// argmin scan, no element movement. Same contract as
-  /// sim::EventQueue::pop_next_at: the driver drains one instant by calling
-  /// this in a loop and dispatching each event as it pops; an event pushed
-  /// mid-drain with a different time fails the exact == t check and waits
-  /// for the next outer iteration.
-  bool pop_next_at(sim::Time t, sim::ScheduledEvent& out) {
-    Lane* best_lane = nullptr;
-    const sim::ScheduledEvent* best = nullptr;
-    for (Lane& l : lanes_) {
-      if (l.head < l.buf.size()) {
-        const sim::ScheduledEvent* h = &l.buf[l.head];
-        if (best == nullptr || later(*best, *h)) {
-          best = h;
-          best_lane = &l;
-        }
-      }
-    }
-    if (!heap_.empty() &&
-        (best == nullptr || later(*best, heap_.front()))) [[unlikely]] {
-      if (heap_.front().time != t) return false;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      out = heap_.back();
-      heap_.pop_back();
-      --live_;
-      return true;
-    }
-    if (best == nullptr || best->time != t) return false;
-    out = *best;
-    ++best_lane->head;
-    --live_;
-    return true;
-  }
-
- private:
-  struct Lane {
-    std::size_t head = 0;  // buf[head..) is the live FIFO window
-    std::vector<sim::ScheduledEvent> buf;
-  };
-
-  /// a should pop after b.
-  static bool later(const sim::ScheduledEvent& a, const sim::ScheduledEvent& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-  struct Later {
-    bool operator()(const sim::ScheduledEvent& a,
-                    const sim::ScheduledEvent& b) const {
-      return later(a, b);
-    }
-  };
-
-  [[gnu::noinline]] void heap_push(const sim::ScheduledEvent& ev) {
-    heap_.push_back(ev);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  /// Cold: the event predates every lane tail — open a new run (or overflow
-  /// to the heap past kMaxLanes).
-  [[gnu::noinline]] void push_slow(const sim::ScheduledEvent& ev) {
-    if (lanes_.size() < kMaxLanes) {
-      lanes_.emplace_back();
-      lanes_.back().buf.reserve(64);
-      lanes_.back().buf.push_back(ev);
-      return;
-    }
-    heap_push(ev);
-  }
-
-  std::vector<Lane> lanes_;
-  std::vector<sim::ScheduledEvent> heap_;  // Later{} min-heap side channel
-  std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-};
-
 /// The layout half of a generated Program (sim::Driver's `layout()`),
 /// served from the constexpr tables the generator emits as static members
 /// of `P`: every accessor is a constant-foldable array view.
@@ -345,9 +186,9 @@ struct Tables {
 };
 
 /// The engine of a generated module: the one sim::Driver loop over the
-/// module's tables and kernels, on the LaneQueue.
+/// module's tables and kernels.
 template <class Program>
-using Engine = sim::Driver<Program, LaneQueue>;
+using Engine = sim::Driver<Program>;
 
 /// A module's whole run (what ecsim_native_run calls): read the block-
 /// private values — a table that does not fit this module's shape fails the
@@ -372,7 +213,6 @@ std::size_t run_program(const NativeRunOptions& o, sim::Trace& trace) {
   so.full_refresh = o.full_refresh != 0;
   so.reserve_events = o.reserve_events;
   so.reserve_signals = o.reserve_signals;
-  so.reserve_queue = o.reserve_queue;
 
   Engine<Program> engine(prog);
   engine.bind_trace(&trace);

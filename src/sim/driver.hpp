@@ -19,8 +19,8 @@
 //    event_sinks(b, out) and block_names();
 //  - four kernels taking the driver: init(d), compute(d, b),
 //    on_event(d, b, port) and derivatives(d, b, dx).
-// `Queue` is the event queue (push, next_time, pop_next_at, size, clear,
-// reserve): sim::EventQueue for the interpreter, rt::LaneQueue for modules.
+// The event queue is the same for both: sim::EventQueue (FIFO lanes plus a
+// heap side channel, sim/event_queue.hpp).
 //
 // Telemetry flows through one obs::NativeObsTable (obs/obs_table.hpp) for
 // both engines, latched once by init_obs(): per-run span, integration
@@ -72,10 +72,6 @@ struct SimOptions {
   /// period x event fan-out). 0 keeps whatever capacity the trace has.
   std::size_t reserve_events = 0;
   std::size_t reserve_signals = 0;
-  /// Event-queue capacity hint: upper bound on simultaneously *pending*
-  /// events (typically the number of periodic sources x fan-out, not the
-  /// total event count). 0 keeps whatever capacity the queue has.
-  std::size_t reserve_queue = 0;
   /// Observability (both borrowed, may be null; see DESIGN.md §3.2). The
   /// tracer receives wall-clock spans (compile, integration segments, cone
   /// refreshes) and sim-time instants (event dispatches, incl. S/H
@@ -87,7 +83,7 @@ struct SimOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-template <class Program, class Queue>
+template <class Program>
 class Driver {
  public:
   explicit Driver(Program& prog)
@@ -158,7 +154,6 @@ class Driver {
     queue_.clear();
     lane_.clear();
     lane_active_ = false;
-    if (o.reserve_queue > 0) queue_.reserve(o.reserve_queue);
     iws_.resize(lay.total_state());
     trace_->clear();
     trace_->reserve(o.reserve_events, o.reserve_signals);
@@ -393,7 +388,7 @@ class Driver {
   ObsHooks obs_;
   std::vector<ScheduledEvent> lane_;
   Trace* trace_ = nullptr;
-  Queue queue_;
+  EventQueue queue_;
   math::Rng rng_{1};
   IntegratorWorkspace iws_;
 };

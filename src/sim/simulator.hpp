@@ -76,7 +76,7 @@ class Simulator {
   const CompiledModel& compiled() const { return compiled_; }
 
  private:
-  using Engine = Driver<Simulator, EventQueue>;
+  using Engine = Driver<Simulator>;
   friend Engine;
   friend class Context;  // resolves ports, state and emissions against us
 

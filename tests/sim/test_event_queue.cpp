@@ -5,6 +5,8 @@
 #include <chrono>
 #include <vector>
 
+#include "support/alloc_counter.hpp"
+
 namespace ecsim::sim {
 namespace {
 
@@ -89,18 +91,62 @@ TEST(EventQueue, PopNextAtDrainsExactlyTheTies) {
   EXPECT_FALSE(q.pop_next_at(2.0, e));
 }
 
-TEST(EventQueue, ReservePreventsSteadyStateReallocation) {
+TEST(EventQueue, ClearKeepsCapacityForRefill) {
   EventQueue q;
-  q.reserve(1000);
+  for (std::size_t i = 0; i < 1000; ++i) q.push(static_cast<Time>(i), i, 0);
   const std::size_t cap = q.capacity();
   ASSERT_GE(cap, 1000u);
-  for (std::size_t i = 0; i < 1000; ++i) q.push(static_cast<Time>(i), i, 0);
-  EXPECT_EQ(q.capacity(), cap);
   q.clear();
   // clear() keeps the backing storage, so a re-run re-fills in place.
   EXPECT_EQ(q.capacity(), cap);
   for (std::size_t i = 0; i < 1000; ++i) q.push(static_cast<Time>(i), i, 0);
   EXPECT_EQ(q.capacity(), cap);
+}
+
+TEST(EventQueue, LaneMemoryIsBoundedByPendingEvents) {
+  // A 1 ms clock feeding a 2.5 ms delay: at most a few events pending at a
+  // time, but the lane carrying the delayed events always holds one, so it
+  // is never fully drained. Its footprint must follow the pending events,
+  // not the 4e6 events pushed through it, and once warm the traffic must
+  // run without allocating.
+  constexpr std::size_t kInstants = 2'000'000;
+  EventQueue q;
+  std::size_t clock_ticks = 0;
+  std::size_t delayed = 0;
+  Time last = 0.0;
+  const auto run_until = [&](std::size_t ticks) {
+    ScheduledEvent e;
+    while (clock_ticks < ticks) {
+      const Time t = q.next_time();
+      ASSERT_GE(t, last);
+      last = t;
+      while (q.pop_next_at(t, e)) {
+        if (e.block == 1) {
+          ++delayed;
+          continue;
+        }
+        ++clock_ticks;
+        q.push(static_cast<Time>(clock_ticks) * 1e-3, 0, 0);
+        q.push(t + 2.5e-3, 1, 0);
+      }
+      ASSERT_LE(q.size(), 4u);
+    }
+  };
+  q.push(0.0, 0, 0);
+  run_until(kInstants / 2);
+  {
+    ecsim::testing::AllocProbe probe;
+    run_until(kInstants);
+    if (ecsim::testing::alloc_guard_enabled()) {
+      EXPECT_EQ(probe.allocations(), 0u)
+          << "warm queue allocated on steady periodic traffic";
+    }
+  }
+  EXPECT_EQ(clock_ticks, kInstants);
+  EXPECT_GE(delayed, kInstants - 3);
+  EXPECT_LE(q.capacity(), 1024u)
+      << "queue holds room for " << q.capacity() << " events with "
+      << q.size() << " pending";
 }
 
 TEST(EventQueue, ClearOnMillionEventQueueIsNearInstant) {
@@ -110,7 +156,6 @@ TEST(EventQueue, ClearOnMillionEventQueueIsNearInstant) {
   // a loaded CI host.
   constexpr std::size_t kN = 1'000'000;
   EventQueue q;
-  q.reserve(kN);
   std::uint64_t s = 0x9e3779b97f4a7c15ull;  // cheap deterministic scatter
   for (std::size_t i = 0; i < kN; ++i) {
     s ^= s << 13;
