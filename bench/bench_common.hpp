@@ -38,7 +38,7 @@ inline translate::LoopSpec servo_loop(double ts = 0.01, double t_end = 1.0) {
 /// Format a performance metric, collapsing diverged (unstable-loop) values
 /// to a readable marker instead of astronomical numbers.
 inline std::string metric(double v, const char* fmt = "%10.5f",
-                          double unstable_above = 1e3) {
+                          double unstable_above = sweep::kUnstableIae) {
   char buf[64];
   if (!(v < unstable_above)) return "  unstable";
   std::snprintf(buf, sizeof buf, fmt, v);

@@ -82,7 +82,7 @@ bool check_vm_transparency() {
   exec::VmOptions opts;
   opts.iterations = 50;
   opts.period = loop.ts;
-  opts.exec_time = exec::uniform_fraction_exec_time(0.5);
+  opts.bcet_fraction = 0.5;
   const exec::VmResult plain =
       exec::run_executives(alg, dist.arch, sched, code, opts);
 

@@ -43,8 +43,8 @@ void experiment() {
       exec::VmOptions opts;
       opts.iterations = 4;
       opts.period = 1.0;
-      opts.exec_time = exec::uniform_fraction_exec_time(0.05);
-      opts.branch_chooser = exec::uniform_branch_chooser();
+      opts.bcet_fraction = 0.05;
+      opts.branch = exec::BranchChoice::kUniform;
       opts.seed = rng.next_u64();
       const exec::VmResult vm =
           exec::run_executives(alg, arch, sched, code, opts);

@@ -120,7 +120,7 @@ int main() {
               wcet_run.deadlock ? "YES" : "no", conf.ok ? "exact" : "VIOLATED",
               conf.max_time_error, conf.checked_instances);
   exec::VmOptions rand_opts = vm_opts;
-  rand_opts.exec_time = exec::uniform_fraction_exec_time(0.4);
+  rand_opts.bcet_fraction = 0.4;
   const exec::VmResult rand_run =
       exec::run_executives(alg, arch, sched, code, rand_opts);
   const exec::ConformanceReport order =

@@ -143,7 +143,12 @@ REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode"
                   "pop_simultaneous" "event_uniformity"
                   "lockstep Monte Carlo" "CanIndex" "advance_can"
                   "arbitrates live" "LaneQueue" "4-ary"
-                  "BM_EventQueuePushPop")
+                  "BM_EventQueuePushPop" "ExecTimeFn" "BranchFn"
+                  "uniform_fraction_exec_time" "uniform_branch_chooser"
+                  "worst_case_branch_chooser" "DurationSampler"
+                  "custom_duration" "kCustom" "FaultDecider" "FaultAction"
+                  "fault_accounting" "run_ir" "vm_to_timeline"
+                  "vm_to_trace_json" "schedule_to_trace_json" "ir::to_json")
 for feature in "${REMOVED_FEATURES[@]}"; do
   stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
     grep -viE "deleted|removed" || true)

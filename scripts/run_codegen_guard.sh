@@ -9,6 +9,8 @@
 #   3. compile one module per model shape: a cold native `sweep network`
 #      into a fresh cache leaves exactly 2 modules (one per bus scenario,
 #      not one per model) and prints the interpreter's tables;
+#   3b. run a cold native `fault sweep` natively (no fallback: fault gates
+#      are data) and write the interpreter's CSV byte for byte;
 #   4. hold the EXP-P6 perf guard (native >= 1.5x interpreter events/s on
 #      servo_rk4, traces identical on servo_rk4 and chains_200), run via
 #      `ctest -C bench`;
@@ -59,6 +61,24 @@ cmp "${smoke}/native.csv" "${smoke}/interp.csv"
 diff <(grep -v -e '^cell wall time:' -e '^backend:' "${smoke}/native.txt") \
   <(grep -v '^cell wall time:' "${smoke}/interp.txt")
 echo "sweep network: 2 modules, output identical to the interpreter's"
+
+# 3b. Cold native EXP-F1 grid: the fault-gated distributed loop runs on the
+#     native backend (no fallback line, used=native) and its CSV matches the
+#     interpreter's byte for byte, fault counts included.
+ECSIM_NATIVE_CACHE="${smoke}/fault-cache" "${build_dir}/tools/ecsim_flow" \
+  fault sweep --backend=native --csv-out="${smoke}/fault-native.csv" \
+  > "${smoke}/fault-native.txt"
+"${build_dir}/tools/ecsim_flow" fault sweep --backend=interp \
+  --csv-out="${smoke}/fault-interp.csv" > "${smoke}/fault-interp.txt"
+if grep -q 'fallback' "${smoke}/fault-native.txt" ||
+   ! grep -q '^backend: requested=native used=native ' \
+     "${smoke}/fault-native.txt"; then
+  echo "cold native fault sweep did not run natively:" >&2
+  cat "${smoke}/fault-native.txt" >&2
+  exit 1
+fi
+cmp "${smoke}/fault-native.csv" "${smoke}/fault-interp.csv"
+echo "fault sweep: ran natively, CSV identical to the interpreter's"
 
 # 4. EXP-P6 perf guard (writes BENCH_p6.json into the build dir).
 ctest --test-dir "${build_dir}" -C bench -R bench_p6_codegen_guard \

@@ -8,7 +8,6 @@
 #include "backend/native_abi.hpp"
 #include "backend/native_backend.hpp"
 #include "backend/native_codegen.hpp"
-#include "blocks/to_model.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs_table.hpp"
 #include "sim/build_ir.hpp"
@@ -52,33 +51,32 @@ RunResult run_native(const NativeModule& mod, const NativeSource& src,
   return r;
 }
 
-/// The native attempt, shared by run() and run_ir(). Returns the result on
-/// success; on any non-semantic obstacle sets `reason` and returns nothing.
-/// `ir_hash_out` receives the IR hash whenever lowering succeeded (for the
-/// ledger record, even if a later stage fell back).
-template <class MakeIr>
-std::optional<RunResult> try_native(MakeIr&& make_ir, const RunOptions& o,
+/// The native attempt. Returns the result on success; on any non-semantic
+/// obstacle sets `reason` and returns nothing. `ir_hash_out` receives the IR
+/// hash whenever lowering succeeded (for the ledger record, even if a later
+/// stage fell back).
+std::optional<RunResult> try_native(sim::Model& model, const RunOptions& o,
                                     std::string& reason,
                                     std::string& ir_hash_out) {
-  const ir::Model* irm = nullptr;
+  ir::Model irm;
   try {
-    irm = make_ir();
+    irm = sim::build_ir(model);
   } catch (const std::exception& ex) {
     reason = std::string("codegen: lowering to IR failed: ") + ex.what();
     return std::nullopt;
   }
-  ir_hash_out = ir::hash_hex(*irm);
+  ir_hash_out = ir::hash_hex(irm);
   if (native_disabled()) {
     reason = "disabled: ECSIM_NATIVE_DISABLE is set";
     return std::nullopt;
   }
-  if (!ir::fully_described(*irm)) {
+  if (!ir::fully_described(irm)) {
     reason = "opaque: model contains blocks the IR cannot regenerate";
     return std::nullopt;
   }
   NativeSource source;
   try {
-    source = generate_native_source(*irm);
+    source = generate_native_source(irm);
   } catch (const std::exception& ex) {
     reason = std::string("codegen: ") + ex.what();
     return std::nullopt;
@@ -146,35 +144,11 @@ RunResult run(sim::Model& model, const RunOptions& opts) {
     return r;
   }
   std::string reason;
-  ir::Model irm;
-  auto make_ir = [&]() -> const ir::Model* {
-    irm = sim::build_ir(model);
-    return &irm;
-  };
-  if (auto r = try_native(make_ir, opts, reason, ir_hash)) {
+  if (auto r = try_native(model, opts, reason, ir_hash)) {
     stamp_ledger(opts, *r, ir_hash, seconds_since(t0));
     return std::move(*r);
   }
   count(opts.metrics, "backend.fallback." + category_of(reason));
-  RunResult r = run_interp(model, opts);
-  r.fallback_reason = reason;
-  stamp_ledger(opts, r, ir_hash, seconds_since(t0));
-  return r;
-}
-
-RunResult run_ir(const ir::Model& irm, const RunOptions& opts) {
-  const Clock::time_point t0 = Clock::now();
-  std::string reason;
-  std::string ir_hash = ir::hash_hex(irm);
-  if (opts.kind == Kind::kNative) {
-    auto make_ir = [&]() -> const ir::Model* { return &irm; };
-    if (auto r = try_native(make_ir, opts, reason, ir_hash)) {
-      stamp_ledger(opts, *r, ir_hash, seconds_since(t0));
-      return std::move(*r);
-    }
-    count(opts.metrics, "backend.fallback." + category_of(reason));
-  }
-  sim::Model model = blocks::to_model(irm);
   RunResult r = run_interp(model, opts);
   r.fallback_reason = reason;
   stamp_ledger(opts, r, ir_hash, seconds_since(t0));

@@ -6,7 +6,9 @@
 //
 // Fallback categories:
 //  - disabled: ECSIM_NATIVE_DISABLE is set;
-//  - opaque: the model is not fully described (user closures in the IR);
+//  - opaque: the model is not fully described — an EventSelect's condition
+//    mapping (the one user closure a block keeps) or an out-of-library
+//    block;
 //  - codegen: the generator rejected the IR;
 //  - toolchain: compile/dlopen/ABI-verify failed (compiler missing, ...).
 // Model-semantic errors (e.g. max_events exceeded) are NOT fallbacks: both
@@ -64,9 +66,5 @@ struct RunResult {
 /// Runs `model` on the requested backend. The model must stay alive and
 /// structurally unchanged for the duration of the call.
 RunResult run(sim::Model& model, const RunOptions& opts);
-
-/// Same, from an already-finalized IR (the model half of the pipeline is
-/// regenerated with blocks::to_model for the interpreter path).
-RunResult run_ir(const ir::Model& irm, const RunOptions& opts);
 
 }  // namespace ecsim::backend

@@ -126,8 +126,6 @@ class ParamReader {
         return blocks::branch_duration(std::move(wcets), fraction,
                                        index(2) != 0);
       }
-      case K::kCustom:
-        break;
     }
     fail("holds an unknown duration distribution");
   }

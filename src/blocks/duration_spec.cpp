@@ -31,8 +31,6 @@ double sample_duration(const DurationSpec& spec, math::Rng& rng) {
                  ? wcet
                  : rng.uniform(spec.bcet_fraction * wcet, wcet);
     }
-    case DurationSpec::Kind::kCustom:
-      return spec.sampler(rng);
   }
   throw std::logic_error("sample_duration: corrupt kind");
 }
@@ -98,14 +96,6 @@ DurationSpec branch_duration(std::vector<double> branch_wcets,
   s.branch_wcets = std::move(branch_wcets);
   s.bcet_fraction = bcet_fraction;
   s.random_branch = random_branch;
-  return s;
-}
-
-DurationSpec custom_duration(DurationSampler sampler) {
-  if (!sampler) throw std::invalid_argument("custom_duration: null sampler");
-  DurationSpec s;
-  s.kind = DurationSpec::Kind::kCustom;
-  s.sampler = std::move(sampler);
   return s;
 }
 

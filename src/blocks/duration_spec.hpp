@@ -1,27 +1,16 @@
-// DurationSpec: a *describable* execution-duration distribution. PR 6 note
-// (DESIGN.md §3.6): EventDelay used to be parameterized by an opaque
-// std::function sampler, which made every graph-of-delays model
-// unregenerable from IR. The common distributions are now data — a tagged
-// spec the IR can serialize and the native code generator can re-emit —
-// while fully custom closures remain available through kCustom (such blocks
-// stay opaque in the IR and force the interpreter backend).
+// DurationSpec: an execution-duration distribution as data (DESIGN.md §3.6)
+// — a tagged spec the IR can serialize and the native code generator can
+// re-emit, so every EventDelay is regenerable on any backend.
 //
-// Determinism contract: sample_duration() consumes the RNG in exactly the
-// same call sequence as the closures it replaced, so traces are
-// bit-identical across the refactor and across backends.
+// Determinism contract: sample_duration() consumes the RNG in one fixed
+// call sequence per kind, so traces are bit-identical across backends.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mathlib/rng.hpp"
 
 namespace ecsim::blocks {
-
-/// Samples one execution duration. Receives the simulator RNG so runs are
-/// seed-reproducible. The escape hatch for distributions the tagged spec
-/// cannot express.
-using DurationSampler = std::function<double(math::Rng&)>;
 
 struct DurationSpec {
   enum class Kind {
@@ -31,7 +20,6 @@ struct DurationSpec {
     kShiftedUniform,   ///< max(0, base + uniform(-jitter/2, jitter/2))
     kBranches,         ///< conditional op: pick a branch WCET, then uniform
                        ///< in [bcet_fraction * WCET, WCET]
-    kCustom,           ///< opaque user sampler
   };
 
   Kind kind = Kind::kConstant;
@@ -45,11 +33,6 @@ struct DurationSpec {
   std::vector<double> branch_wcets;  // kBranches
   double bcet_fraction = 1.0;        // kBranches
   bool random_branch = false;        // kBranches (else always branch 0)
-  DurationSampler sampler;           // kCustom
-
-  /// True when the distribution is data, not a closure — i.e. it can be
-  /// round-tripped through the IR and regenerated by any backend.
-  bool describable() const { return kind != Kind::kCustom; }
 };
 
 /// Draws one duration. Pure in (spec, rng state); the only RNG consumer.
@@ -72,7 +55,5 @@ DurationSpec shifted_uniform_duration(double base, double jitter);
 /// branch list, a negative WCET or bcet_fraction outside [0, 1].
 DurationSpec branch_duration(std::vector<double> branch_wcets,
                              double bcet_fraction, bool random_branch);
-/// Wraps an opaque sampler (spec stays non-describable). Throws on null.
-DurationSpec custom_duration(DurationSampler sampler);
 
 }  // namespace ecsim::blocks

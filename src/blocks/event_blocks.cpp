@@ -9,8 +9,7 @@ namespace ecsim::blocks {
 namespace {
 
 /// Attribute encoding of a DurationSpec ("dist" tag + per-kind parameters);
-/// blocks::duration_from_attrs is the inverse. kCustom has no encoding —
-/// callers mark the block opaque instead.
+/// blocks::duration_from_attrs is the inverse.
 void describe_duration(ir::BlockIr& out, const DurationSpec& s) {
   out.attrs.push_back(
       ir::Attr::of_int("dist", static_cast<long long>(s.kind)));
@@ -39,9 +38,6 @@ void describe_duration(ir::BlockIr& out, const DurationSpec& s) {
       out.attrs.push_back(
           ir::Attr::of_int("random_branch", s.random_branch ? 1 : 0));
       break;
-    case DurationSpec::Kind::kCustom:
-      out.opaque = true;
-      break;
   }
 }
 
@@ -52,15 +48,9 @@ EventDelay::EventDelay(std::string name, Time duration)
 
 EventDelay::EventDelay(std::string name, DurationSpec spec)
     : Block(std::move(name)), spec_(std::move(spec)) {
-  if (spec_.kind == DurationSpec::Kind::kCustom && !spec_.sampler) {
-    throw std::invalid_argument("EventDelay: null sampler");
-  }
   add_event_input();
   add_event_output();
 }
-
-EventDelay::EventDelay(std::string name, DurationSampler sampler)
-    : EventDelay(std::move(name), custom_duration(std::move(sampler))) {}
 
 void EventDelay::initialize(Context&) {
   busy_until_ = 0.0;
@@ -168,49 +158,22 @@ void EventMerge::describe(ir::BlockIr& out) const {
   out.kind = "EventMerge";
 }
 
-EventFault::EventFault(std::string name, FaultDecider decider)
-    : Block(std::move(name)), decider_(std::move(decider)) {
-  if (!decider_) throw std::invalid_argument("EventFault: null decider");
-  add_event_input();
-  add_event_output();
-}
-
 EventFault::EventFault(std::string name, fault::CommGate gate)
-    : Block(std::move(name)),
-      gate_(std::make_shared<const fault::CommGate>(std::move(gate))) {
-  const auto g = gate_;
-  decider_ = [g](std::size_t k, Time) -> FaultAction {
-    const fault::CommGateAction a = fault::comm_gate_decide(*g, k);
-    return {a.drop, a.defer};
-  };
+    : Block(std::move(name)), gate_(std::move(gate)) {
   add_event_input();
   add_event_output();
 }
 
-void EventFault::initialize(Context&) {
-  count_ = 0;
-  drops_ = 0;
-  defers_ = 0;
-}
+void EventFault::initialize(Context&) { count_ = 0; }
 
 void EventFault::on_event(Context& ctx, std::size_t) {
-  const FaultAction a = decider_(count_++, ctx.time());
-  if (a.drop) {
-    ++drops_;
-    return;
-  }
-  if (a.defer < 0.0) throw std::runtime_error("EventFault: negative defer");
-  if (a.defer > 0.0) ++defers_;
-  ctx.emit(0, a.defer);
+  const fault::CommGateAction a = fault::comm_gate_decide(gate_, count_++);
+  if (!a.drop) ctx.emit(0, a.defer);
 }
 
 void EventFault::describe(ir::BlockIr& out) const {
   out.kind = "EventFault";
-  if (gate_ == nullptr) {
-    out.opaque = true;  // arbitrary decider closure
-    return;
-  }
-  const fault::CommGate& g = *gate_;
+  const fault::CommGate& g = gate_;
   out.attrs.push_back(
       ir::Attr::of_int("seed", static_cast<long long>(g.seed)));
   out.attrs.push_back(ir::Attr::of_real("period", g.period));

@@ -6,11 +6,11 @@
 //  - EventSelect + a ConditionMapping function model conditioning (§3.2.2);
 //  - EventMerge fans several event streams into one.
 //
-// PR 6: the common duration distributions and the fault gates are now data
-// (blocks::DurationSpec, fault::CommGate) instead of opaque closures, so
-// these blocks describe() themselves into the IR and the native backend can
-// regenerate them. The closure constructors remain as escape hatches; blocks
-// built through them stay opaque and force the interpreter.
+// Durations and fault gates are data (blocks::DurationSpec, fault::CommGate),
+// so these blocks describe() themselves into the IR and the native backend
+// regenerates them. Only EventSelect's condition mapping stays a closure —
+// the paper's Condition Mapping is an arbitrary user function — and it keeps
+// its block opaque, on the interpreter.
 #pragma once
 
 #include <functional>
@@ -36,8 +36,6 @@ class EventDelay : public Block {
  public:
   EventDelay(std::string name, Time duration);
   EventDelay(std::string name, DurationSpec spec);
-  /// Opaque-sampler escape hatch (wraps the sampler in a kCustom spec).
-  EventDelay(std::string name, DurationSampler sampler);
 
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
@@ -114,29 +112,14 @@ class EventMerge : public Block {
   std::size_t event_out() const { return 0; }
 };
 
-/// What an EventFault does to one activation: swallow it, hold it back for
-/// `defer` time units, or (both fields neutral) forward it unchanged.
-struct FaultAction {
-  bool drop = false;
-  Time defer = 0.0;
-};
-
-/// Decides the fault action for activation number `k` (0-based count since
-/// initialize) arriving at sim time `now`. Pure functions of (k, now) keep
-/// the run deterministic; fault::ArmedFaultPlan provides exactly that.
-using FaultDecider = std::function<FaultAction(std::size_t k, Time now)>;
-
-/// Fault-injection gate for the graph of delays (DESIGN.md §3.5): applies a
-/// FaultDecider to every incoming event. Dropped events model message loss —
-/// the downstream Sample/Hold simply never activates that iteration and
-/// holds its last sample (realistic stale-data degradation). Deferred events
-/// model node outages and delivery delays.
+/// Fault-injection gate for the graph of delays (DESIGN.md §3.5): activation
+/// number k (0-based since initialize) gets fault::comm_gate_decide(gate, k),
+/// which matches ArmedFaultPlan::comm_effect bit-exactly. Dropped events
+/// model message loss — the downstream Sample/Hold simply never activates
+/// that iteration and holds its last sample (realistic stale-data
+/// degradation). Deferred events model delivery delays and duplicates.
 class EventFault : public Block {
  public:
-  /// Opaque decider (arbitrary user logic; block stays opaque in the IR).
-  EventFault(std::string name, FaultDecider decider);
-  /// Describable gate: decisions replay fault::comm_gate_decide(gate, k),
-  /// which matches ArmedFaultPlan::comm_effect bit-exactly.
   EventFault(std::string name, fault::CommGate gate);
 
   void initialize(Context& ctx) override;
@@ -145,16 +128,11 @@ class EventFault : public Block {
 
   std::size_t event_in() const { return 0; }
   std::size_t event_out() const { return 0; }
-  /// Activations swallowed / deferred so far (reset per run).
-  std::size_t drops() const { return drops_; }
-  std::size_t defers() const { return defers_; }
+  const fault::CommGate& gate() const { return gate_; }
 
  private:
-  FaultDecider decider_;
-  std::shared_ptr<const fault::CommGate> gate_;  // set iff describable
+  fault::CommGate gate_;
   std::size_t count_ = 0;
-  std::size_t drops_ = 0;
-  std::size_t defers_ = 0;
 };
 
 /// Forwards every n-th incoming event (those with index % n == phase) —

@@ -77,8 +77,6 @@ DurationSpec duration_from_attrs(const ir::BlockIr& b) {
       return branch_duration(vec_of(b, "branch_wcets"),
                              real_of(b, "bcet_fraction"),
                              int_of(b, "random_branch") != 0);
-    case DurationSpec::Kind::kCustom:
-      break;
   }
   bad(b, "unregenerable duration distribution (tag " + std::to_string(tag) +
              ")");

@@ -30,8 +30,8 @@ sim::Model to_model(const ir::Model& irm);
 std::unique_ptr<sim::Block> make_block(const ir::BlockIr& b);
 
 /// Decodes the "dist"-tagged duration attributes written by
-/// EventDelay::describe(). Throws std::invalid_argument on a kCustom tag
-/// (opaque by definition) or missing attributes.
+/// EventDelay::describe(). Throws std::invalid_argument on an unknown tag
+/// or missing attributes.
 DurationSpec duration_from_attrs(const ir::BlockIr& b);
 
 /// Decodes the gate attributes written by EventFault::describe().

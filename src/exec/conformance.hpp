@@ -30,10 +30,11 @@ struct ConformanceReport {
 /// always cover every instance.
 inline constexpr std::size_t kMaxListedViolations = 8;
 
-/// With exec_time == WCET and period >= makespan and all algorithm sources
-/// being sensors, every op instance and every comm instance of iteration k
-/// must start/end exactly at its schedule instant shifted by k*period.
-/// Verifies that.
+/// With execution times == WCET (VmOptions::bcet_fraction 1, conditional
+/// ops on BranchChoice::kWorstCase), period >= makespan and all sources
+/// of the algorithm being sensors, every op instance and every comm
+/// instance of iteration k must start/end exactly at its schedule instant
+/// shifted by k*period. Verifies that.
 ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
                                          const ArchitectureGraph& arch,
                                          const Schedule& sched,

@@ -1,6 +1,7 @@
 #include "exec/executive_vm.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "exec/channel.hpp"
@@ -25,35 +26,6 @@ std::vector<Time> VmResult::starts(OpId op) const {
     if (oi.op == op) out.push_back(oi.start);
   }
   return out;
-}
-
-ExecTimeFn uniform_fraction_exec_time(double lo_frac) {
-  return [lo_frac](const Operation&, Time wcet, math::Rng& rng) {
-    return wcet * rng.uniform(lo_frac, 1.0);
-  };
-}
-
-BranchFn uniform_branch_chooser() {
-  return [](const Operation& op, std::size_t, math::Rng& rng) {
-    return static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(op.branches.size()) - 1));
-  };
-}
-
-BranchFn worst_case_branch_chooser() {
-  return [](const Operation& op, std::size_t, math::Rng&) {
-    std::size_t worst = 0;
-    Time worst_wcet = -1.0;
-    for (std::size_t b = 0; b < op.branches.size(); ++b) {
-      Time w = 0.0;
-      for (const auto& [type, t] : op.branches[b].wcet) w = std::max(w, t);
-      if (w > worst_wcet) {
-        worst_wcet = w;
-        worst = b;
-      }
-    }
-    return worst;
-  };
 }
 
 namespace {
@@ -176,8 +148,21 @@ VmResult run_executives(const AlgorithmGraph& alg,
   // Pre-sample execution times and branches would couple RNG draws to the
   // interleaving of the advancing loop; instead draw on first execution of
   // each instance, which happens exactly once.
-  auto exec_time = [&](const Operation& op, Time wcet) {
-    return opts.exec_time ? opts.exec_time(op, wcet, rng) : wcet;
+  // Branch of a conditional instance from its branch WCETs on the host
+  // processor. kWorstCase takes the first largest: the branch the static
+  // schedule reserves (Operation::wcet_on).
+  auto choose_branch = [&](const std::vector<Time>& wcets) -> std::size_t {
+    switch (opts.branch) {
+      case BranchChoice::kFirst:
+        return 0;
+      case BranchChoice::kUniform:
+        return static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(wcets.size()) - 1));
+      case BranchChoice::kWorstCase:
+        break;
+    }
+    return static_cast<std::size_t>(
+        std::max_element(wcets.begin(), wcets.end()) - wcets.begin());
   };
 
   auto advance_proc = [&](std::size_t pi) -> bool {
@@ -221,13 +206,14 @@ VmResult run_executives(const AlgorithmGraph& alg,
         std::size_t branch = kNone;
         Time wcet;
         if (op.is_conditional()) {
-          branch = opts.branch_chooser ? opts.branch_chooser(op, cur.iter, rng)
-                                       : 0;
+          branch = choose_branch(ci.branch_wcets);
           wcet = ci.branch_wcets.at(branch);
         } else {
           wcet = ci.wcet;
         }
-        Time dur = exec_time(op, wcet);
+        Time dur = opts.bcet_fraction < 1.0
+                       ? wcet * rng.uniform(opts.bcet_fraction, 1.0)
+                       : wcet;
         // Transient overrun: inflate the actual execution time.
         if (faulting) {
           std::size_t fi = kNone;

@@ -6,7 +6,6 @@
 // to produce the sampling/actuation instants that exhibit jitter.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,13 +27,14 @@ using aaa::ProcId;
 using aaa::Schedule;
 using aaa::Time;
 
-/// Actual execution time of one operation instance given its WCET on the
-/// host processor. Default: exactly WCET.
-using ExecTimeFn =
-    std::function<Time(const Operation&, Time wcet, math::Rng&)>;
-/// Branch selector for conditional operations (per iteration).
-using BranchFn =
-    std::function<std::size_t(const Operation&, std::size_t iter, math::Rng&)>;
+/// Which branch a conditional operation takes at run time.
+enum class BranchChoice {
+  kFirst,      ///< always branch 0
+  kWorstCase,  ///< the branch with the largest WCET on the op's host
+               ///< processor — what the static schedule reserves;
+               ///< exact-WCET conformance runs use it
+  kUniform,    ///< uniformly random, drawn from the run's math::Rng
+};
 
 struct VmOptions {
   /// Number of schedule iterations (periods) to execute.
@@ -44,8 +44,10 @@ struct VmOptions {
   Time period = 0.0;
   /// Seed of the run's math::Rng (execution-time and branch draws).
   std::uint64_t seed = 1;
-  ExecTimeFn exec_time;     ///< null => exactly WCET
-  BranchFn branch_chooser;  ///< null => always branch 0
+  /// Actual execution time = wcet * uniform(bcet_fraction, 1.0), drawn on
+  /// the instance's first execution. 1.0 => exactly WCET, with no draw.
+  double bcet_fraction = 1.0;
+  BranchChoice branch = BranchChoice::kFirst;
   /// Declarative fault schedule (DESIGN.md §3.5). Empty = fault-free and
   /// bit-identical to a run without a plan. Faults apply at comm/op
   /// dispatch: message loss/delay/duplication on the media, transient
@@ -116,13 +118,5 @@ struct VmResult {
 VmResult run_executives(const AlgorithmGraph& alg,
                         const ArchitectureGraph& arch, const Schedule& sched,
                         const GeneratedCode& code, const VmOptions& opts);
-
-/// WCET-fraction sampler: actual = wcet * uniform(lo_frac, 1.0).
-ExecTimeFn uniform_fraction_exec_time(double lo_frac);
-/// Uniformly random branch.
-BranchFn uniform_branch_chooser();
-/// Always the branch with the largest WCET — what the static schedule
-/// reserves; use for exact-WCET conformance runs of conditional algorithms.
-BranchFn worst_case_branch_chooser();
 
 }  // namespace ecsim::exec

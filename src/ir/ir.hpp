@@ -73,7 +73,8 @@ struct BlockIr {
   std::vector<bool> feedthrough;  // per data input
   bool time_dependent = false;
   /// True when the block's behaviour is not reconstructible from `attrs`
-  /// (user closures: custom samplers, condition mappings, fault deciders).
+  /// (a user closure: EventSelect's condition mapping, or a block kind from
+  /// outside the library).
   bool opaque = false;
   std::vector<Attr> attrs;
 
@@ -208,9 +209,6 @@ std::string serialize(const Model& m);
 /// Parses the canonical text form; throws std::runtime_error with a line
 /// context on malformed input or an unsupported version.
 Model parse(const std::string& text);
-
-/// Human/tool-readable JSON rendering (dump only; not parsed back).
-std::string to_json(const Model& m);
 
 /// FNV-1a 64 over serialize(m): stable across processes and platforms.
 std::uint64_t hash(const Model& m);

@@ -609,182 +609,4 @@ std::string hash_hex(const Model& m) {
   return buf;
 }
 
-namespace {
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
-}
-
-void json_real(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void json_size_array(std::string& out, const std::vector<std::size_t>& v) {
-  out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    put_size(out, v[i]);
-  }
-  out += ']';
-}
-
-}  // namespace
-
-std::string to_json(const Model& m) {
-  std::string out;
-  out.reserve(8192);
-  out += "{\n  \"version\": ";
-  put_int(out, m.version);
-  out += ",\n  \"name\": ";
-  json_string(out, m.name);
-  out += ",\n  \"hash\": ";
-  json_string(out, hash_hex(m));
-  out += ",\n  \"blocks\": [\n";
-  for (std::size_t b = 0; b < m.blocks.size(); ++b) {
-    const BlockIr& blk = m.blocks[b];
-    out += "    {\"index\": ";
-    put_size(out, b);
-    out += ", \"kind\": ";
-    json_string(out, blk.kind);
-    out += ", \"name\": ";
-    json_string(out, blk.name);
-    out += ", \"in\": ";
-    json_size_array(out, blk.in_widths);
-    out += ", \"out\": ";
-    json_size_array(out, blk.out_widths);
-    out += ", \"ev_in\": ";
-    put_size(out, blk.n_event_in);
-    out += ", \"ev_out\": ";
-    put_size(out, blk.n_event_out);
-    out += ", \"state\": ";
-    put_size(out, blk.state_size);
-    out += ", \"time_dependent\": ";
-    out += blk.time_dependent ? "true" : "false";
-    out += ", \"opaque\": ";
-    out += blk.opaque ? "true" : "false";
-    out += ", \"attrs\": {";
-    for (std::size_t a = 0; a < blk.attrs.size(); ++a) {
-      const Attr& at = blk.attrs[a];
-      if (a > 0) out += ", ";
-      json_string(out, at.key);
-      out += ": ";
-      switch (at.kind) {
-        case Attr::Kind::kInt:
-          put_int(out, at.i);
-          break;
-        case Attr::Kind::kReal:
-          json_real(out, at.r);
-          break;
-        case Attr::Kind::kRealVec:
-        case Attr::Kind::kMatrix:
-          out += '[';
-          for (std::size_t i = 0; i < at.vec.size(); ++i) {
-            if (i > 0) out += ',';
-            json_real(out, at.vec[i]);
-          }
-          out += ']';
-          break;
-        case Attr::Kind::kString:
-          json_string(out, at.s);
-          break;
-      }
-    }
-    out += "}}";
-    out += b + 1 < m.blocks.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"data_wires\": [";
-  for (std::size_t i = 0; i < m.data_wires.size(); ++i) {
-    const WireIr& w = m.data_wires[i];
-    if (i > 0) out += ',';
-    out += '[';
-    put_size(out, w.from.block);
-    out += ',';
-    put_size(out, w.from.port);
-    out += ',';
-    put_size(out, w.to.block);
-    out += ',';
-    put_size(out, w.to.port);
-    out += ']';
-  }
-  out += "],\n  \"event_wires\": [";
-  for (std::size_t i = 0; i < m.event_wires.size(); ++i) {
-    const WireIr& w = m.event_wires[i];
-    if (i > 0) out += ',';
-    out += '[';
-    put_size(out, w.from.block);
-    out += ',';
-    put_size(out, w.from.port);
-    out += ',';
-    put_size(out, w.to.block);
-    out += ',';
-    put_size(out, w.to.port);
-    out += ']';
-  }
-  out += "],\n  \"layout\": {\"arena_size\": ";
-  put_size(out, m.layout.arena_size);
-  out += ", \"total_state\": ";
-  put_size(out, m.layout.total_state);
-  out += ", \"eval_order\": ";
-  json_size_array(out, m.layout.eval_order);
-  out += ", \"dynamic_cone\": ";
-  json_size_array(out, m.layout.dynamic_cone);
-  out += "},\n  \"schedule\": ";
-  if (!m.has_schedule) {
-    out += "null\n}\n";
-    return out;
-  }
-  out += "{\"period\": ";
-  json_real(out, m.schedule.period);
-  out += ", \"makespan\": ";
-  json_real(out, m.schedule.makespan);
-  out += ", \"executives\": [\n";
-  for (std::size_t e = 0; e < m.schedule.executives.size(); ++e) {
-    const ExecutiveIr& ex = m.schedule.executives[e];
-    out += "    {\"proc\": ";
-    put_size(out, ex.proc);
-    out += ", \"resource\": ";
-    json_string(out, ex.resource);
-    out += ", \"instrs\": [";
-    for (std::size_t i = 0; i < ex.instrs.size(); ++i) {
-      const InstrIr& in = ex.instrs[i];
-      if (i > 0) out += ", ";
-      out += "{\"kind\": ";
-      static const char* kKindNames[] = {"\"compute\"", "\"send\"", "\"recv\""};
-      out += kKindNames[static_cast<std::size_t>(in.kind)];
-      out += ", \"label\": ";
-      json_string(out, in.label);
-      if (in.kind == InstrIr::Kind::kCompute) {
-        out += ", \"wcet\": ";
-        if (in.branch_wcets.empty()) {
-          json_real(out, in.wcet);
-        } else {
-          out += '[';
-          for (std::size_t b = 0; b < in.branch_wcets.size(); ++b) {
-            if (b > 0) out += ',';
-            json_real(out, in.branch_wcets[b]);
-          }
-          out += ']';
-        }
-      }
-      out += '}';
-    }
-    out += "]}";
-    out += e + 1 < m.schedule.executives.size() ? ",\n" : "\n";
-  }
-  out += "  ]}\n}\n";
-  return out;
-}
-
 }  // namespace ecsim::ir

@@ -7,13 +7,11 @@
 
 #include "par/cell_metrics.hpp"
 #include "par/monte_carlo.hpp"
+#include "par/sweep.hpp"
 
 namespace ecsim::sweep {
 
 namespace {
-
-/// Same divergence threshold as the design-space sweeps (sweep.cpp).
-constexpr double kUnstableIae = 1e3;
 
 FaultCell evaluate_cell(const translate::LoopSpec& loop,
                         const translate::DistributedSpec& base,

@@ -66,10 +66,9 @@ MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
           // Decorrelated per-trial stream: the trial's draw sequence
           // depends only on (batch.seed, trial index).
           vm.seed = seeds[trial];
-          vm.exec_time = exec::uniform_fraction_exec_time(spec.bcet_fraction);
-          vm.branch_chooser = spec.random_branches
-                                  ? exec::uniform_branch_chooser()
-                                  : exec::worst_case_branch_chooser();
+          vm.bcet_fraction = spec.bcet_fraction;
+          vm.branch = spec.random_branches ? exec::BranchChoice::kUniform
+                                           : exec::BranchChoice::kWorstCase;
           vm.tracer = ctx.tracer;
           vm.metrics = ctx.metrics;
           vm.track_prefix = "trial" + std::to_string(trial) + "/";

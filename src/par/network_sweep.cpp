@@ -14,9 +14,6 @@ namespace ecsim::sweep {
 
 namespace {
 
-/// Divergence threshold shared with bench::metric and the other sweeps.
-constexpr double kUnstableIae = 1e3;
-
 aaa::ArchitectureGraph network_arch(const NetworkGrid& grid,
                                     NetworkScenario scenario, double load) {
   aaa::ArchitectureGraph arch = aaa::ArchitectureGraph::bus_architecture(

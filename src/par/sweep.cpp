@@ -13,10 +13,6 @@ namespace ecsim::sweep {
 
 namespace {
 
-/// Divergence threshold shared with bench::metric: IAE beyond this means
-/// the closed loop ran away and the raw number is meaningless.
-constexpr double kUnstableIae = 1e3;
-
 void measure(const translate::CosimOutcome& out, SweepCell& cell) {
   cell.iae = out.iae;
   cell.ise = out.ise;

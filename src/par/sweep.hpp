@@ -16,6 +16,11 @@
 
 namespace ecsim::sweep {
 
+/// The one divergence rule of every sweep (timing, architecture, network,
+/// fault) and of bench::metric: a cell whose IAE reaches this ran away, and
+/// its raw metrics are meaningless.
+inline constexpr double kUnstableIae = 1e3;
+
 /// One evaluated point of the design space. Grid coordinates the sweep did
 /// not vary stay 0.
 struct SweepCell {

@@ -35,6 +35,8 @@ struct LoopModel {
   std::size_t sample_trigger_in = 0;
   std::size_t probe_y = 0;  // block indices for trace lookup
   std::size_t probe_u = 0;
+  /// Graph-of-delays fault gates (distributed runs with a fault plan).
+  std::vector<const blocks::EventFault*> fault_gates;
 };
 
 LoopModel assemble_loop(const LoopSpec& spec) {
@@ -192,12 +194,9 @@ LoopModel assemble_loop(const LoopSpec& spec) {
 }
 
 /// Runs the assembled loop through the backend dispatcher and extracts the
-/// control/latency metrics. `interp_reason` non-empty pins the interpreter
-/// regardless of spec.backend and records why (e.g. distributed fault
-/// accounting, which reads interpreter block counters after the run).
-/// `fault_plan_hash` is a ledger annotation (fault::hash of the active plan).
+/// control/latency metrics. `fault_plan_hash` is a ledger annotation
+/// (fault::hash of the active plan).
 CosimOutcome simulate_and_measure(LoopModel& lm, const LoopSpec& spec,
-                                  const std::string& interp_reason = {},
                                   std::uint64_t fault_plan_hash = 0) {
   backend::RunOptions ro;
   ro.sim.end_time = spec.t_end;
@@ -207,16 +206,32 @@ CosimOutcome simulate_and_measure(LoopModel& lm, const LoopSpec& spec,
   ro.model_name = "loop";
   ro.fault_plan_hash = fault_plan_hash;
   ro.threads = spec.threads;
-  ro.kind = interp_reason.empty() ? spec.backend : backend::Kind::kInterp;
+  ro.kind = spec.backend;
   backend::RunResult r = backend::run(lm.model, ro);
   const sim::Trace& trace = r.trace;
 
   CosimOutcome out;
   out.backend_used = r.used;
-  out.backend_fallback = !interp_reason.empty() &&
-                                 spec.backend != backend::Kind::kInterp
-                             ? interp_reason
-                             : r.fallback_reason;
+  out.backend_fallback = r.fallback_reason;
+  // Fault accounting: a gate's k-th activation gets comm_gate_decide(gate,
+  // k), so replaying the decisions over the activation count the trace
+  // records gives the gates' drop/defer counts whichever backend ran.
+  if (!lm.fault_gates.empty()) {
+    std::vector<std::size_t> activations(lm.model.num_blocks(), 0);
+    for (const sim::EventRecord& e : trace.events()) ++activations[e.block];
+    for (const blocks::EventFault* gate : lm.fault_gates) {
+      const std::size_t n = activations[lm.model.index_of(*gate)];
+      for (std::size_t k = 0; k < n; ++k) {
+        const fault::CommGateAction a =
+            fault::comm_gate_decide(gate->gate(), k);
+        if (a.drop) {
+          ++out.messages_lost;
+        } else if (a.defer > 0.0) {
+          ++out.messages_deferred;
+        }
+      }
+    }
+  }
   out.y = trace.series(lm.probe_y);
   out.u = trace.series(lm.probe_u);
   out.step = control::step_info(out.y, spec.ref);
@@ -356,23 +371,11 @@ CosimOutcome run_distributed_loop(const LoopSpec& spec,
   wire_completion(lm.model, god, alg.find("act"), *lm.actuator,
                   lm.actuator->event_in());
 
-  // Fault accounting (messages_lost/deferred) reads the gates' interpreter
-  // block counters after the run, so fault-gated runs stay on the
-  // interpreter; condition bindings are opaque closures and would fall back
-  // anyway.
-  const std::string interp_reason =
-      god.fault_gates.empty()
-          ? std::string()
-          : "fault_accounting: distributed fault gates report drop/defer "
-            "counts through interpreter block state";
-  CosimOutcome out = simulate_and_measure(lm, spec, interp_reason,
-                                          fault::hash(dist.god.fault_plan));
+  lm.fault_gates = god.fault_gates;
+  CosimOutcome out =
+      simulate_and_measure(lm, spec, fault::hash(dist.god.fault_plan));
   out.makespan = sched.makespan();
   out.schedule_text = sched.to_string(alg, dist.arch);
-  for (const blocks::EventFault* gate : god.fault_gates) {
-    out.messages_lost += gate->drops();
-    out.messages_deferred += gate->defers();
-  }
   return out;
 }
 

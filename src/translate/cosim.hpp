@@ -50,10 +50,10 @@ struct LoopSpec {
   double disturbance_amplitude = 0.0;
   double disturbance_period = 1.0;
   /// Execution backend (DESIGN.md §3.6). kNative runs the loop through the
-  /// code generator when possible and falls back to the interpreter with a
-  /// recorded reason (CosimOutcome::backend_fallback) when not — e.g.
-  /// condition bindings (opaque closures), or distributed runs with fault
-  /// gates, whose message accounting reads interpreter block counters.
+  /// code generator, fault-gated distributed runs included, and falls back
+  /// to the interpreter with a recorded reason
+  /// (CosimOutcome::backend_fallback) only when it cannot — e.g. a
+  /// condition binding, whose mapping is an opaque closure.
   backend::Kind backend = backend::Kind::kInterp;
   /// Annotation only (no behavioural effect): worker-thread count of the
   /// surrounding sweep/batch, stamped into the run-ledger record so a
@@ -91,7 +91,9 @@ struct CosimOutcome {
   double makespan = 0.0;       // distributed runs only
   std::string schedule_text;   // distributed runs only
   /// Fault accounting (distributed runs with a GodOptions::fault_plan):
-  /// comm events dropped / deferred by the graph-of-delays fault gates.
+  /// comm events dropped / deferred by the graph-of-delays fault gates,
+  /// replayed from the gates' data over their activations in the trace, so
+  /// both backends report the same counts.
   std::size_t messages_lost = 0;
   std::size_t messages_deferred = 0;
   control::Series y;           // probed output trajectory

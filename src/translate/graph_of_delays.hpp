@@ -81,8 +81,10 @@ struct CompletionSource {
 struct GraphOfDelays {
   const sim::Block* clock = nullptr;  // period clock (event-chain mode only)
   std::map<aaa::OpId, CompletionSource> op_completion;
-  /// Fault gates inserted for GodOptions::fault_plan (empty when fault-free);
-  /// read their drops()/defers() after a run for loss accounting.
+  /// Fault gates inserted for GodOptions::fault_plan (empty when fault-free).
+  /// A gate's decisions are data (EventFault::gate()), so loss accounting
+  /// replays them over the activation count a run's trace records, on any
+  /// backend (fault_counts).
   std::vector<const blocks::EventFault*> fault_gates;
 };
 

@@ -2,16 +2,6 @@
 
 namespace ecsim::translate {
 
-namespace {
-
-std::string comm_label(const aaa::AlgorithmGraph& alg,
-                       const aaa::ScheduledComm& sc) {
-  const aaa::DataDep& dep = alg.dependencies()[sc.dep_index];
-  return alg.op(dep.from).name + "->" + alg.op(dep.to).name;
-}
-
-}  // namespace
-
 std::vector<obs::TimelineSlice> schedule_to_timeline(
     const aaa::AlgorithmGraph& alg, const aaa::ArchitectureGraph& arch,
     const aaa::Schedule& sched) {
@@ -36,60 +26,13 @@ std::vector<obs::TimelineSlice> schedule_to_timeline(
       const aaa::DataDep& dep = alg.dependencies()[sc.dep_index];
       out.push_back(obs::TimelineSlice{
           track,
-          comm_label(alg, sc),
+          alg.op(dep.from).name + "->" + alg.op(dep.to).name,
           sc.start,
           sc.end,
           {{"hop", static_cast<double>(sc.hop_index)}, {"size", dep.size}}});
     }
   }
   return out;
-}
-
-std::vector<obs::TimelineSlice> vm_to_timeline(
-    const aaa::AlgorithmGraph& alg, const aaa::ArchitectureGraph& arch,
-    const aaa::Schedule& sched, const exec::VmResult& vm,
-    const std::string& track_prefix) {
-  std::vector<obs::TimelineSlice> out;
-  out.reserve(vm.ops.size() + vm.comms.size());
-  for (const exec::OpInstance& oi : vm.ops) {
-    obs::TimelineSlice s{
-        track_prefix + "proc/" + arch.processor(oi.proc).name,
-        alg.op(oi.op).name,
-        oi.start,
-        oi.end,
-        {{"iteration", static_cast<double>(oi.iteration)}}};
-    if (oi.branch != aaa::kNone) {
-      s.args.emplace_back("branch", static_cast<double>(oi.branch));
-    }
-    out.push_back(std::move(s));
-  }
-  for (const exec::CommInstance& ci : vm.comms) {
-    const aaa::ScheduledComm& sc = sched.comms()[ci.comm];
-    out.push_back(obs::TimelineSlice{
-        track_prefix + "medium/" + arch.medium(sc.hop.medium).name,
-        comm_label(alg, sc),
-        ci.start,
-        ci.end,
-        {{"iteration", static_cast<double>(ci.iteration)}}});
-  }
-  return out;
-}
-
-std::string schedule_to_trace_json(const aaa::AlgorithmGraph& alg,
-                                   const aaa::ArchitectureGraph& arch,
-                                   const aaa::Schedule& sched) {
-  obs::JsonTraceWriter w;
-  w.add_slices(schedule_to_timeline(alg, arch, sched));
-  return w.str();
-}
-
-std::string vm_to_trace_json(const aaa::AlgorithmGraph& alg,
-                             const aaa::ArchitectureGraph& arch,
-                             const aaa::Schedule& sched,
-                             const exec::VmResult& vm) {
-  obs::JsonTraceWriter w;
-  w.add_slices(vm_to_timeline(alg, arch, sched, vm));
-  return w.str();
 }
 
 }  // namespace ecsim::translate

@@ -1,16 +1,15 @@
 // Timeline export of AAA artifacts (DESIGN.md §3.2): renders a static
-// adequation schedule or an executive-VM run as obs::TimelineSlices — one
-// track per processor and per communication medium — and, via
-// obs::JsonTraceWriter, as a Chrome trace-event / Perfetto file. This turns
-// the schedule Gantt of the paper's Figures 3-4 into an actual loadable
-// timeline instead of an ASCII listing.
+// adequation schedule as obs::TimelineSlices — one track per processor and
+// per communication medium — for obs::JsonTraceWriter to write as a Chrome
+// trace-event / Perfetto file. This turns the schedule Gantt of the paper's
+// Figures 3-4 into an actual loadable timeline instead of an ASCII listing.
+// Executive-VM runs record the same tracks live (exec::VmOptions::tracer).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "aaa/schedule.hpp"
-#include "exec/executive_vm.hpp"
 #include "obs/trace_json.hpp"
 
 namespace ecsim::translate {
@@ -21,22 +20,5 @@ namespace ecsim::translate {
 std::vector<obs::TimelineSlice> schedule_to_timeline(
     const aaa::AlgorithmGraph& alg, const aaa::ArchitectureGraph& arch,
     const aaa::Schedule& sched);
-
-/// VM run -> slices: every operation/communication *instance* with its
-/// actual start/end (args: iteration, taken branch when conditional).
-/// `track_prefix` namespaces the tracks like VmOptions::track_prefix.
-std::vector<obs::TimelineSlice> vm_to_timeline(
-    const aaa::AlgorithmGraph& alg, const aaa::ArchitectureGraph& arch,
-    const aaa::Schedule& sched, const exec::VmResult& vm,
-    const std::string& track_prefix = "");
-
-/// One-call JSON forms of the above (a complete trace-event document).
-std::string schedule_to_trace_json(const aaa::AlgorithmGraph& alg,
-                                   const aaa::ArchitectureGraph& arch,
-                                   const aaa::Schedule& sched);
-std::string vm_to_trace_json(const aaa::AlgorithmGraph& alg,
-                             const aaa::ArchitectureGraph& arch,
-                             const aaa::Schedule& sched,
-                             const exec::VmResult& vm);
 
 }  // namespace ecsim::translate

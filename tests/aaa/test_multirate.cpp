@@ -111,7 +111,7 @@ TEST(Multirate, ReleaseGatingHoldsUnderFastExecution) {
   exec::VmOptions opts;
   opts.iterations = 10;
   opts.period = alg.period();
-  opts.exec_time = exec::uniform_fraction_exec_time(0.05);
+  opts.bcet_fraction = 0.05;
   opts.seed = 31;
   const exec::VmResult vm = exec::run_executives(alg, arch, sched, code, opts);
   ASSERT_FALSE(vm.deadlock);

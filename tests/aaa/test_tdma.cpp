@@ -132,7 +132,7 @@ TEST(Tdma, EarlierCompletionStillSlotAligned) {
   exec::VmOptions opts;
   opts.iterations = 50;
   opts.period = f.alg.period();
-  opts.exec_time = exec::uniform_fraction_exec_time(0.2);
+  opts.bcet_fraction = 0.2;
   opts.seed = 99;
   const exec::VmResult vm =
       exec::run_executives(f.alg, f.arch, sched, code, opts);

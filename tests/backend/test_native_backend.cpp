@@ -6,6 +6,7 @@
 // toolchain or the model can't take the codegen path.
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,12 @@
 #include "control/delay_compensation.hpp"
 #include "control/lqr.hpp"
 #include "fault/comm_gate.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
+#include "par/fault_sweep.hpp"
+#include "par/sweep.hpp"
 #include "plants/dc_servo.hpp"
 #include "properties/random_graphs.hpp"
-#include "sim/build_ir.hpp"
 #include "translate/cosim.hpp"
 
 namespace {
@@ -143,16 +146,18 @@ TEST(NativeBackend, MissingCompilerFallsBackGracefully) {
   EXPECT_TRUE(r.trace == interp.trace);
 }
 
-// Opaque blocks (user closures) cannot be regenerated: clean fallback, not
-// a codegen crash.
+// An EventSelect's condition mapping is a user closure, so the block stays
+// opaque in the IR and cannot be regenerated: clean fallback, not a codegen
+// crash.
 TEST(NativeBackend, OpaqueModelFallsBack) {
   sim::Model m;
+  auto& cond = m.add<blocks::Constant>("cond", std::vector<double>{1.0});
   auto& clk = m.add<blocks::Clock>("clk", 1e-2);
-  auto& d = m.add<blocks::EventDelay>(
-      "custom", blocks::custom_duration([](math::Rng& r) {
-        return r.uniform(1e-4, 2e-4);
-      }));
-  m.connect_event(clk, 0, d, 0);
+  auto& sel = m.add_block(blocks::EventSelect::make_threshold("sel", 0.0));
+  auto& n = m.add<blocks::EventCounter>("n");
+  m.connect(cond, 0, sel, 0);
+  m.connect_event(clk, 0, sel, 0);
+  m.connect_event(sel, 1, n, 0);
   obs::MetricsRegistry reg;
   backend::RunOptions o = opts_for(backend::Kind::kNative, 0.1);
   o.metrics = &reg;
@@ -160,23 +165,7 @@ TEST(NativeBackend, OpaqueModelFallsBack) {
   EXPECT_EQ(r.used, backend::Kind::kInterp);
   EXPECT_EQ(r.fallback_reason.substr(0, 6), "opaque");
   EXPECT_EQ(reg.counter("backend.fallback.opaque").value(), 1u);
-}
-
-// The IR-level entry point: identical result from the IR alone (interpreter
-// path reconstructs the model with blocks::to_model).
-TEST(NativeBackend, RunIrMatchesRunModel) {
-  sim::Model m = blocks::examples::make_servo();
-  const ir::Model irm = sim::build_ir(m, "servo");
-  backend::RunResult a =
-      backend::run(m, opts_for(backend::Kind::kInterp, 0.5));
-  backend::RunResult b =
-      backend::run_ir(irm, opts_for(backend::Kind::kInterp, 0.5));
-  EXPECT_TRUE(a.trace == b.trace);
-  backend::RunResult c =
-      backend::run_ir(irm, opts_for(backend::Kind::kNative, 0.5));
-  ASSERT_EQ(c.used, backend::Kind::kNative)
-      << "fell back: " << c.fallback_reason;
-  EXPECT_TRUE(a.trace == c.trace);
+  EXPECT_GT(n.count(), 0u);
 }
 
 // Observability attached to the *sim* options rides through the ABI v2
@@ -268,20 +257,49 @@ TEST(CosimBackend, DistributedLoopNativeMatchesInterp) {
   EXPECT_EQ(native.cost, interp.cost);
 }
 
-// ...but arming a fault plan pins the interpreter: messages_lost/deferred
-// read the gates' interpreter block counters after the run, and that must
-// keep working (with the reason recorded, not silently).
-TEST(CosimBackend, FaultedDistributedLoopPinsInterpWithReason) {
-  translate::LoopSpec spec = servo_loop_spec();
-  spec.backend = backend::Kind::kNative;
+// ...and so is a faulted one: the fault gates are data, and the loss
+// accounting replays their decisions over the activation counts in the
+// trace. Every EXP-F1 cell (loss x delay on the bus) and a duplicate plan
+// run natively with the interpreter's trajectories and fault counts.
+TEST(CosimBackend, FaultedDistributedLoopNativeMatchesInterp) {
+  translate::LoopSpec spec = sweep::servo_loop();
   translate::DistributedSpec dist;
   dist.bind_ctrl = "P1";
-  dist.god.fault_plan.message_loss("bus", 0.3);
-  const translate::CosimOutcome out =
-      translate::run_distributed_loop(spec, dist);
-  EXPECT_EQ(out.backend_used, backend::Kind::kInterp);
-  EXPECT_EQ(out.backend_fallback.substr(0, 16), "fault_accounting");
-  EXPECT_GT(out.messages_lost, 0u);
+  std::vector<fault::FaultPlan> plans;
+  for (const double loss : {0.0, 0.05, 0.1, 0.2, 0.4}) {
+    for (const double delay : {0.0, 0.001, 0.002}) {
+      plans.push_back(sweep::fault_cell_plan("", loss, delay, 1.0, 1));
+    }
+  }
+  fault::FaultPlan dup;
+  dup.message_duplicate("bus", 0.3, 2);
+  plans.push_back(dup);
+
+  std::size_t lost = 0;
+  std::size_t deferred = 0;
+  for (const fault::FaultPlan& plan : plans) {
+    SCOPED_TRACE(fault::to_string(plan));
+    dist.god.fault_plan = plan;
+    spec.backend = backend::Kind::kInterp;
+    const translate::CosimOutcome interp =
+        translate::run_distributed_loop(spec, dist);
+    spec.backend = backend::Kind::kNative;
+    const translate::CosimOutcome native =
+        translate::run_distributed_loop(spec, dist);
+    ASSERT_EQ(native.backend_used, backend::Kind::kNative)
+        << "fell back: " << native.backend_fallback;
+    EXPECT_TRUE(native.backend_fallback.empty());
+    EXPECT_EQ(native.y, interp.y);
+    EXPECT_EQ(native.u, interp.u);
+    EXPECT_EQ(native.cost, interp.cost);
+    EXPECT_EQ(native.messages_lost, interp.messages_lost);
+    EXPECT_EQ(native.messages_deferred, interp.messages_deferred);
+    lost += native.messages_lost;
+    deferred += native.messages_deferred;
+  }
+  // The grid really faults: frames are lost and deferred somewhere in it.
+  EXPECT_GT(lost, 0u);
+  EXPECT_GT(deferred, 0u);
 }
 
 }  // namespace

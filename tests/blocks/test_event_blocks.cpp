@@ -13,7 +13,7 @@ using sim::Model;
 using sim::SimOptions;
 using sim::Simulator;
 
-TEST(DurationSamplers, Validation) {
+TEST(DurationSpecs, Validation) {
   EXPECT_THROW(constant_duration(-1.0), std::invalid_argument);
   EXPECT_THROW(uniform_duration(-1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(uniform_duration(2.0, 1.0), std::invalid_argument);
@@ -21,7 +21,7 @@ TEST(DurationSamplers, Validation) {
                std::invalid_argument);
 }
 
-TEST(DurationSamplers, UniformWithinBounds) {
+TEST(DurationSpecs, UniformWithinBounds) {
   math::Rng rng(3);
   const auto spec = uniform_duration(0.5, 1.5);
   for (int i = 0; i < 1000; ++i) {
@@ -31,7 +31,7 @@ TEST(DurationSamplers, UniformWithinBounds) {
   }
 }
 
-TEST(DurationSamplers, TruncatedNormalStaysInBoundsWithSaneMean) {
+TEST(DurationSpecs, TruncatedNormalStaysInBoundsWithSaneMean) {
   math::Rng rng(77);
   const auto spec = truncated_normal_duration(1.0, 0.3, 0.5, 1.5);
   double sum = 0.0;
@@ -205,13 +205,30 @@ TEST(EventDivider, CounterResetsBetweenRuns) {
   EXPECT_EQ(n.count(), first);
 }
 
+/// A gate over a 1 s period whose entries all trigger (probability 1):
+/// `losses` drop the frames of the listed iterations (one windowed entry
+/// each), and a `defer` delay applies to every frame.
+fault::CommGate scripted_gate(std::vector<std::size_t> losses, double defer) {
+  fault::CommGate g;
+  g.period = 1.0;
+  std::size_t fi = 0;
+  for (const std::size_t k : losses) {
+    const double t = static_cast<double>(k);
+    g.entries.push_back({fi++, fault::CommGateEntry::Kind::kLoss, 1.0, 0.0, 0,
+                         t - 0.5, t + 0.5});
+  }
+  if (defer != 0.0) {
+    g.entries.push_back({fi, fault::CommGateEntry::Kind::kDelay, 1.0, defer,
+                         0});
+  }
+  return g;
+}
+
 TEST(EventFault, DropsAndDefersPerDecider) {
   Model m;
   auto& clk = m.add<Clock>("clk", 1.0);
   // Drop every even activation, defer every odd one by 0.25 s.
-  auto& gate = m.add<EventFault>("gate", [](std::size_t k, double) {
-    return k % 2 == 0 ? FaultAction{true, 0.0} : FaultAction{false, 0.25};
-  });
+  auto& gate = m.add<EventFault>("gate", scripted_gate({0, 2, 4}, 0.25));
   auto& n = m.add<EventCounter>("n");
   m.connect_event(clk, 0, gate, gate.event_in());
   m.connect_event(gate, gate.event_out(), n, 0);
@@ -222,33 +239,47 @@ TEST(EventFault, DropsAndDefersPerDecider) {
   ASSERT_EQ(times.size(), 2u);
   EXPECT_NEAR(times[0], 1.25, 1e-12);
   EXPECT_NEAR(times[1], 3.25, 1e-12);
-  EXPECT_EQ(gate.drops(), 3u);
-  EXPECT_EQ(gate.defers(), 2u);
+  // Activation k gets comm_gate_decide(gate, k), a pure function of k.
+  EXPECT_EQ(s.trace().activation_times_by_name("gate").size(), 5u);
+  for (std::size_t k = 0; k < 5; ++k) {
+    const fault::CommGateAction a = fault::comm_gate_decide(gate.gate(), k);
+    EXPECT_EQ(a.drop, k % 2 == 0) << k;
+    EXPECT_EQ(a.defer, a.drop ? 0.0 : 0.25) << k;
+  }
 }
 
 TEST(EventFault, PassThroughIsTransparentAndCountersReset) {
   Model m;
   auto& clk = m.add<Clock>("clk", 1.0);
-  auto& gate = m.add<EventFault>(
-      "gate", [](std::size_t, double) { return FaultAction{}; });
+  auto& gate = m.add<EventFault>("gate", fault::CommGate{});
   auto& n = m.add<EventCounter>("n");
   m.connect_event(clk, 0, gate, gate.event_in());
   m.connect_event(gate, gate.event_out(), n, 0);
   Simulator s(m, SimOptions{.end_time = 3.0});
   s.run();
   EXPECT_EQ(n.count(), 4u);  // 0, 1, 2, 3 — nothing dropped or moved
-  EXPECT_EQ(gate.drops(), 0u);
-  EXPECT_EQ(gate.defers(), 0u);
-  s.run();  // counters are per-run state
-  EXPECT_EQ(gate.drops(), 0u);
-  EXPECT_EQ(n.count(), 4u);
+  EXPECT_EQ(s.trace().activation_times_by_name("n"),
+            (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+
+  // The activation count is per-run state: a gate dropping iteration 0
+  // drops the first tick of every run.
+  Model m2;
+  auto& clk2 = m2.add<Clock>("clk", 1.0);
+  auto& gate2 = m2.add<EventFault>("gate", scripted_gate({0}, 0.0));
+  auto& n2 = m2.add<EventCounter>("n");
+  m2.connect_event(clk2, 0, gate2, gate2.event_in());
+  m2.connect_event(gate2, gate2.event_out(), n2, 0);
+  Simulator s2(m2, SimOptions{.end_time = 3.0});
+  s2.run();
+  EXPECT_EQ(n2.count(), 3u);
+  s2.run();
+  EXPECT_EQ(n2.count(), 3u);
 }
 
 TEST(EventFault, NegativeDeferThrows) {
   Model m;
   auto& clk = m.add<Clock>("clk", 1.0);
-  auto& gate = m.add<EventFault>(
-      "gate", [](std::size_t, double) { return FaultAction{false, -1.0}; });
+  auto& gate = m.add<EventFault>("gate", scripted_gate({}, -1.0));
   auto& n = m.add<EventCounter>("n");
   m.connect_event(clk, 0, gate, gate.event_in());
   m.connect_event(gate, gate.event_out(), n, 0);

@@ -44,7 +44,7 @@ TEST(Conformance, RandomExecutionTimesStillPreserveOrder) {
     VmOptions opts;
     opts.iterations = 10;
     opts.period = f.alg.period();
-    opts.exec_time = uniform_fraction_exec_time(0.1);
+    opts.bcet_fraction = 0.1;
     opts.seed = seed;
     const VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
     const ConformanceReport rep =
@@ -76,7 +76,7 @@ TEST(Conformance, FlagsTimeMismatchWhenFasterThanWcet) {
   VmOptions opts;
   opts.iterations = 2;
   opts.period = f.alg.period();
-  opts.exec_time = uniform_fraction_exec_time(0.2);
+  opts.bcet_fraction = 0.2;
   const VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
   const ConformanceReport rep =
       check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period);
@@ -159,6 +159,49 @@ TEST(Conformance, ViolationTextListsEverythingUpToTheCap) {
   EXPECT_FALSE(rep.ok);
   EXPECT_EQ(rep.violations.find("more"), std::string::npos) << rep.violations;
   EXPECT_NE(rep.violations.find("iter"), std::string::npos);
+}
+
+// BranchChoice::kWorstCase runs the branch the schedule reserves on the
+// op's host processor. Here the branch WCET order differs between the CPU
+// and a DSP (b0 is worst on the DSP, b1 on the CPU), and the op is bound to
+// the CPU: the WCET run must take b1 and conform exactly.
+TEST(Conformance, WorstCaseBranchIsTheHostProcessorsWorstBranch) {
+  AlgorithmGraph alg("cond", 0.01);
+  const aaa::OpId s = alg.add_simple("sense", aaa::OpKind::kSensor, 1e-4, "P0");
+  aaa::Operation ctrl;
+  ctrl.name = "ctrl";
+  ctrl.kind = aaa::OpKind::kCompute;
+  ctrl.bound_processor = "P0";
+  aaa::Branch b0;
+  b0.name = "b0";
+  b0.wcet = {{"cpu", 1e-3}, {"dsp", 5e-3}};
+  aaa::Branch b1;
+  b1.name = "b1";
+  b1.wcet = {{"cpu", 3e-3}, {"dsp", 1e-3}};
+  ctrl.branches = {b0, b1};
+  const aaa::OpId c = alg.add_operation(std::move(ctrl));
+  const aaa::OpId a = alg.add_simple("act", aaa::OpKind::kActuator, 1e-4, "P0");
+  alg.add_dependency(s, c, 1.0);
+  alg.add_dependency(c, a, 1.0);
+  ArchitectureGraph arch = aaa::ArchitectureGraph::bus_architecture(1, 1e5);
+  arch.add_processor("D0", "dsp");
+  const Schedule sched = aaa::adequate(alg, arch);
+  const GeneratedCode code = aaa::generate_executives(alg, arch, sched);
+
+  VmOptions opts;
+  opts.iterations = 3;
+  opts.period = alg.period();
+  opts.branch = BranchChoice::kWorstCase;
+  const VmResult vm = run_executives(alg, arch, sched, code, opts);
+  for (const OpInstance& oi : vm.ops) {
+    if (oi.op == c) {
+      EXPECT_EQ(oi.branch, 1u);
+    }
+  }
+  const ConformanceReport rep =
+      check_wcet_conformance(alg, arch, sched, vm, opts.period);
+  EXPECT_TRUE(rep.ok) << rep.violations;
+  EXPECT_LT(rep.max_time_error, 1e-9);
 }
 
 }  // namespace

@@ -43,9 +43,7 @@ TEST(Deadlines, OverrunningExecutionIsDetected) {
   opts.iterations = 10;
   opts.period = 0.001;
   // Actual times 2x the WCET: 0.2+0.5 ms -> 1.4 ms > 1 ms period.
-  opts.exec_time = [](const aaa::Operation&, aaa::Time wcet, math::Rng&) {
-    return 2.0 * wcet;
-  };
+  opts.fault_plan.op_overrun("", 1.0, 2.0);
   const VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
   ASSERT_FALSE(vm.deadlock);  // overruns delay, they do not deadlock
   const DeadlineReport rep = check_deadlines(f.alg, vm, 0.001);
@@ -63,13 +61,14 @@ TEST(Deadlines, OccasionalOverrunOnlyDelaysSomeIterations) {
   VmOptions opts;
   opts.iterations = 50;
   opts.period = 0.001;
-  // Every 10th ctrl execution takes 3x its WCET.
-  opts.exec_time = [n = 0](const aaa::Operation& op, aaa::Time wcet,
-                           math::Rng&) mutable {
-    if (op.name == "ctrl" && ++n % 10 == 0) return 3.0 * wcet;
-    return wcet;
-  };
+  // Every 10th ctrl execution (iterations 9, 19, ...) takes 3x its WCET.
+  for (std::size_t k = 9; k < opts.iterations; k += 10) {
+    const double nominal = static_cast<double>(k) * opts.period;
+    opts.fault_plan.op_overrun("ctrl", 1.0, 3.0)
+        .window(nominal - opts.period / 2, nominal + opts.period / 2);
+  }
   const VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+  EXPECT_EQ(vm.op_overruns, 5u);
   const DeadlineReport rep = check_deadlines(f.alg, vm, 0.001);
   EXPECT_GT(rep.misses, 0u);
   EXPECT_LT(rep.misses, rep.checked_instances / 2);

@@ -173,7 +173,7 @@ TEST(ExecutiveVm, CanStaticOrderMatchesCapturedDigests) {
       // Shorter than the makespan: iterations overlap, so frames of the
       // next iteration are signalled while the bus still serves this one.
       opts.period = 0.75 * sched.makespan();
-      opts.exec_time = uniform_fraction_exec_time(0.3);
+      opts.bcet_fraction = 0.3;
       opts.seed = n;
       run_and_fold(h, alg, arch, sched, code, opts);
     }
@@ -204,7 +204,7 @@ TEST(ExecutiveVm, CanStaticOrderMatchesCapturedDigests) {
   VmOptions opts;
   opts.iterations = 6;
   opts.period = sched.makespan();
-  opts.exec_time = uniform_fraction_exec_time(0.3);
+  opts.bcet_fraction = 0.3;
   opts.seed = 11;
   opts.fault_plan.message_loss("a", 0.1)
       .message_loss("b", 0.15)
@@ -235,7 +235,7 @@ TEST(ExecutiveVm, CanStaticOrderMatchesCapturedDigests) {
     VmOptions traced;
     traced.iterations = 3;
     traced.period = s.makespan();
-    traced.exec_time = uniform_fraction_exec_time(0.3);
+    traced.bcet_fraction = 0.3;
     traced.tracer = &tracer;
     testing::Fnv1a h;
     run_and_fold(h, dag, can, s, gc, traced);
@@ -290,7 +290,7 @@ TEST(ExecutiveVm, ShorterExecutionTimesNeverLater) {
   wcet_opts.period = f.alg.period();
   const VmResult wcet = run_executives(f.alg, f.arch, f.sched, f.code, wcet_opts);
   VmOptions fast_opts = wcet_opts;
-  fast_opts.exec_time = uniform_fraction_exec_time(0.3);
+  fast_opts.bcet_fraction = 0.3;
   fast_opts.seed = 42;
   const VmResult fast = run_executives(f.alg, f.arch, f.sched, f.code, fast_opts);
   ASSERT_FALSE(fast.deadlock);
@@ -307,7 +307,7 @@ TEST(ExecutiveVm, SensorWaitsForPeriodRelease) {
   VmOptions opts;
   opts.iterations = 3;
   opts.period = 0.01;
-  opts.exec_time = uniform_fraction_exec_time(0.1);  // lots of slack
+  opts.bcet_fraction = 0.1;  // lots of slack
   const VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
   const auto starts = vm.starts(f.alg.find("sense"));
   ASSERT_EQ(starts.size(), 3u);
@@ -349,7 +349,7 @@ TEST(ExecutiveVm, ConditionalBranchesChangeDuration) {
   VmOptions opts;
   opts.iterations = 200;
   opts.period = 0.01;
-  opts.branch_chooser = uniform_branch_chooser();
+  opts.branch = BranchChoice::kUniform;
   opts.seed = 3;
   const VmResult vm = run_executives(alg, arch, sched, code, opts);
   ASSERT_FALSE(vm.deadlock);

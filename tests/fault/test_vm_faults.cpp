@@ -62,7 +62,7 @@ bool traces_identical(const VmResult& a, const VmResult& b) {
 TEST(VmFaults, ZeroProbabilityPlanIsBitTransparent) {
   Fixture f;
   VmOptions plain = Fixture::base_options();
-  plain.exec_time = uniform_fraction_exec_time(0.5);
+  plain.bcet_fraction = 0.5;
   VmOptions armed = plain;
   armed.fault_plan.message_loss("bus", 0.0);
   armed.fault_plan.op_overrun("ctrl", 0.0, 3.0);
@@ -148,7 +148,7 @@ TEST(VmFaults, OpOverrunInflatesExecutionTime) {
   Fixture f;
   VmOptions opts = Fixture::base_options();
   opts.fault_plan.op_overrun("ctrl", 1.0, 2.0);
-  const VmResult r = f.run(opts);  // null exec_time => exactly WCET
+  const VmResult r = f.run(opts);  // bcet_fraction 1 => exactly WCET
   EXPECT_FALSE(r.deadlock) << r.deadlock_info;
   EXPECT_EQ(r.op_overruns, opts.iterations);
   for (const OpInstance& oi : r.ops) {
@@ -188,7 +188,7 @@ TEST(VmFaults, WindowRestrictsInjectionsToNominalIterations) {
 TEST(VmFaults, SameSeedReplaysBitIdentically) {
   Fixture f;
   VmOptions opts = Fixture::base_options();
-  opts.exec_time = uniform_fraction_exec_time(0.4);
+  opts.bcet_fraction = 0.4;
   opts.fault_plan.seed = 99;
   opts.fault_plan.message_loss("bus", 0.3);
   opts.fault_plan.message_delay("bus", 0.3, 0.001);

@@ -85,7 +85,7 @@ TEST_P(FaultProperty, ZeroProbabilityPlansAreBitTransparent) {
     exec::VmOptions plain;
     plain.iterations = 6;
     plain.period = 1.0;
-    plain.exec_time = exec::uniform_fraction_exec_time(0.3);
+    plain.bcet_fraction = 0.3;
     plain.seed = GetParam() * 7 + static_cast<std::uint64_t>(trial);
     exec::VmOptions armed = plain;
     armed.fault_plan.message_loss("", 0.0);
@@ -107,7 +107,7 @@ TEST_P(FaultProperty, SameSeedReplaysAreBitIdentical) {
     exec::VmOptions opts;
     opts.iterations = 6;
     opts.period = 1.0;
-    opts.exec_time = exec::uniform_fraction_exec_time(0.3);
+    opts.bcet_fraction = 0.3;
     opts.seed = GetParam() * 11 + static_cast<std::uint64_t>(trial);
     opts.fault_plan = random_plan(rng);
     opts.fault_policy = trial % 2 == 0 ? DegradationPolicy::kHoldLastSample

@@ -165,7 +165,7 @@ TEST(CommunicatorOrderProperty, BelowWcetRunNeverEndsLater) {
     opts.iterations = kIterations;
     opts.period = kPeriod;
     opts.seed = alg.num_operations();
-    opts.exec_time = exec::uniform_fraction_exec_time(0.2);
+    opts.bcet_fraction = 0.2;
     const exec::VmResult fast =
         exec::run_executives(alg, arch, sched, code, opts);
     ASSERT_FALSE(fast.deadlock) << fast.deadlock_info;
@@ -267,7 +267,7 @@ TEST(TdmaOwnerSlotProperty, EveryTransferStartsOnItsOwnerInstant) {
     opts.iterations = 40;
     opts.period = f.alg.period();
     opts.seed = seed;
-    opts.exec_time = exec::uniform_fraction_exec_time(0.25);
+    opts.bcet_fraction = 0.25;
     const exec::VmResult vm =
         exec::run_executives(f.alg, f.arch, sched, code, opts);
     ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;

@@ -24,7 +24,7 @@ TEST_P(VmProperty, GeneratedCodeNeverDeadlocks) {
     VmOptions opts;
     opts.iterations = 8;
     opts.period = 1.0;
-    opts.exec_time = uniform_fraction_exec_time(0.05);
+    opts.bcet_fraction = 0.05;
     opts.seed = GetParam() * 31 + static_cast<std::uint64_t>(trial);
     const VmResult vm = run_executives(alg, arch, sched, code, opts);
     ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
@@ -65,7 +65,7 @@ TEST_P(VmProperty, CompletionTimesMonotoneInExecutionTimes) {
   const VmResult wcet_run = run_executives(alg, arch, sched, code, slow);
 
   VmOptions fast = slow;
-  fast.exec_time = uniform_fraction_exec_time(0.2);
+  fast.bcet_fraction = 0.2;
   fast.seed = GetParam();
   const VmResult fast_run = run_executives(alg, arch, sched, code, fast);
 

@@ -6,6 +6,7 @@
 
 #include "aaa/adequation.hpp"
 #include "aaa/codegen.hpp"
+#include "exec/executive_vm.hpp"
 
 namespace ecsim::translate {
 namespace {
@@ -65,49 +66,68 @@ TEST(ScheduleExport, VmSlicesCarryIterationsAndPrefix) {
   DistributedChain f;
   const aaa::GeneratedCode code =
       aaa::generate_executives(f.alg, f.arch, f.sched);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
   exec::VmOptions opts;
   opts.iterations = 3;
   opts.period = f.alg.period();
+  opts.tracer = &tracer;
+  opts.track_prefix = "wcet/";
   const exec::VmResult vm =
       exec::run_executives(f.alg, f.arch, f.sched, code, opts);
   ASSERT_FALSE(vm.deadlock);
 
-  const auto slices = vm_to_timeline(f.alg, f.arch, f.sched, vm, "wcet/");
-  EXPECT_EQ(slices.size(), vm.ops.size() + vm.comms.size());
-  // Every instance lands on a prefixed proc/ or medium/ track.
-  for (const obs::TimelineSlice& s : slices) {
-    EXPECT_TRUE(s.track.rfind("wcet/proc/", 0) == 0 ||
-                s.track.rfind("wcet/medium/", 0) == 0)
-        << s.track;
-    ASSERT_FALSE(s.args.empty());
-    EXPECT_EQ(s.args[0].first, "iteration");
-  }
-  // 3 iterations of "act" -> three slices with iterations 0, 1, 2.
+  // Every instance lands as a sim-domain span on a prefixed proc/ or
+  // medium/ track, with its iteration as the span's argument.
+  std::size_t spans = 0;
   std::vector<double> iters;
-  for (const obs::TimelineSlice& s : slices) {
-    if (s.name == "act") iters.push_back(s.args[0].second);
+  for (const obs::TraceEvent& e : tracer.snapshot()) {
+    if (e.phase != obs::Phase::kSpan ||
+        tracer.track_domain(e.track) != obs::Domain::kSim) {
+      continue;
+    }
+    ++spans;
+    const std::string& track = tracer.track_name(e.track);
+    EXPECT_TRUE(track.rfind("wcet/proc/", 0) == 0 ||
+                track.rfind("wcet/medium/", 0) == 0)
+        << track;
+    ASSERT_NE(e.arg_name, obs::kNoArg);
+    EXPECT_EQ(tracer.name(e.arg_name), "iteration");
+    if (tracer.name(e.name) == "act") iters.push_back(e.arg);
   }
+  EXPECT_EQ(spans, vm.ops.size() + vm.comms.size());
+  // 3 iterations of "act" -> three spans with iterations 0, 1, 2.
   std::sort(iters.begin(), iters.end());
   EXPECT_EQ(iters, (std::vector<double>{0.0, 1.0, 2.0}));
 }
 
 TEST(ScheduleExport, JsonFormsAreLoadableTraceDocuments) {
   DistributedChain f;
-  const std::string sched_doc = schedule_to_trace_json(f.alg, f.arch, f.sched);
+  obs::JsonTraceWriter sched_writer;
+  sched_writer.add_slices(schedule_to_timeline(f.alg, f.arch, f.sched));
+  const std::string sched_doc = sched_writer.str();
   EXPECT_NE(sched_doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(sched_doc.find("proc/P0"), std::string::npos);
   EXPECT_NE(sched_doc.find("\"ph\": \"X\""), std::string::npos);
 
+  // A VM run records the same tracks live through its tracer.
   const aaa::GeneratedCode code =
       aaa::generate_executives(f.alg, f.arch, f.sched);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
   exec::VmOptions opts;
   opts.iterations = 1;
   opts.period = f.alg.period();
+  opts.tracer = &tracer;
   const exec::VmResult vm =
       exec::run_executives(f.alg, f.arch, f.sched, code, opts);
-  const std::string vm_doc = vm_to_trace_json(f.alg, f.arch, f.sched, vm);
+  ASSERT_FALSE(vm.deadlock);
+  obs::JsonTraceWriter vm_writer;
+  vm_writer.add(tracer);
+  const std::string vm_doc = vm_writer.str();
   EXPECT_NE(vm_doc.find("\"name\": \"ctrl\""), std::string::npos);
   EXPECT_NE(vm_doc.find("sense->ctrl"), std::string::npos);
+  EXPECT_NE(vm_doc.find("\"iteration\""), std::string::npos);
 }
 
 TEST(ScheduleExport, VmTracerHooksRecordOpAndCommSpans) {

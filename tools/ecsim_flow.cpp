@@ -171,7 +171,7 @@ int cmd_simulate(const svc::WarmSpec& f, obs::Tracer* tracer,
   exec::VmOptions opts;
   opts.iterations = 50;
   opts.period = period;
-  opts.branch_chooser = exec::worst_case_branch_chooser();
+  opts.branch = exec::BranchChoice::kWorstCase;
   opts.tracer = tracer;
   opts.metrics = metrics;
   opts.track_prefix = "wcet/";
@@ -184,8 +184,8 @@ int cmd_simulate(const svc::WarmSpec& f, obs::Tracer* tracer,
               conf.max_time_error);
 
   exec::VmOptions rnd = opts;
-  rnd.exec_time = exec::uniform_fraction_exec_time(0.5);
-  rnd.branch_chooser = exec::uniform_branch_chooser();
+  rnd.bcet_fraction = 0.5;
+  rnd.branch = exec::BranchChoice::kUniform;
   rnd.track_prefix = "actual/";
   const exec::VmResult rnd_run = exec::run_executives(
       f.spec.algorithm, f.spec.architecture, f.sched, f.code, rnd);
