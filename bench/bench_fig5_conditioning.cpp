@@ -32,7 +32,7 @@ void experiment() {
             dist.wcet_sense = 1e-4;
             dist.wcet_act = 1e-4;
             dist.ctrl_branch_wcets = {0.5e-3, slow_branches[ctx.index] * 1e-3};
-            dist.god.random_branches = true;
+            dist.god.branch = aaa::BranchChoice::kUniform;
             return translate::run_distributed_loop(spec, dist);
           });
   for (std::size_t i = 0; i < slow_branches.size(); ++i) {
@@ -82,8 +82,8 @@ void experiment() {
   }
   std::printf(
       "\nWith the mapping bound to the error, the slow branch only fires "
-      "during the transient, so the conditioning penalty shrinks vs the "
-      "random-branch case — UNTIL the slow branch's own latency keeps the "
+      "during the transient, where the error is largest — UNTIL the slow "
+      "branch's own latency keeps the "
       "error above the threshold: at 8 ms the loop locks into the slow mode "
       "(100%% slow periods) and destabilizes. This self-reinforcing overload "
       "is precisely the kind of implementation/control interaction the "

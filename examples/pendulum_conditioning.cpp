@@ -53,7 +53,7 @@ int main() {
     dist.wcet_sense = 1e-4;
     dist.wcet_act = 1e-4;
     dist.ctrl_branch_wcets = {0.2e-3, slow_ms * 1e-3};
-    dist.god.random_branches = true;
+    dist.god.branch = aaa::BranchChoice::kUniform;
     const translate::CosimOutcome out =
         translate::run_distributed_loop(spec, dist);
     char label[32];

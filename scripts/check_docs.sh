@@ -148,7 +148,12 @@ REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode"
                   "worst_case_branch_chooser" "DurationSampler"
                   "custom_duration" "kCustom" "FaultDecider" "FaultAction"
                   "fault_accounting" "run_ir" "vm_to_timeline"
-                  "vm_to_trace_json" "schedule_to_trace_json" "ir::to_json")
+                  "vm_to_trace_json" "schedule_to_trace_json" "ir::to_json"
+                  "GodMode" "kTimetable" "TimetableClock" "build_timetable"
+                  "timetable mode" "random_branches" "random_branch"
+                  "kBranches" "branch_duration" "kTruncatedNormal"
+                  "truncated_normal" "fill_lanes_u64" "gate_mix"
+                  "reserve_events" "reserve_signals")
 for feature in "${REMOVED_FEATURES[@]}"; do
   stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
     grep -viE "deleted|removed" || true)

@@ -1,22 +1,10 @@
 #include "aaa/codegen.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace ecsim::aaa {
 
 namespace {
-
-struct TimedInstr {
-  Time time = 0.0;
-  // Tie-break at equal instants: recv (consume arrivals) < send (publish
-  // data of an op that just completed) < compute (start the next op). A
-  // send sorted after a compute starting at the same instant would hold the
-  // communicator hostage for that compute's whole duration.
-  int kind_rank = 0;  // recv(0) < send(1) < compute(2)
-  std::size_t order = 0;
-  Instr instr;
-};
 
 std::string comm_label(const AlgorithmGraph& alg, const Schedule& sched,
                        std::size_t comm_index) {
@@ -34,56 +22,49 @@ GeneratedCode generate_executives(const AlgorithmGraph& alg,
   GeneratedCode code;
   const std::size_t n_procs = sched.num_procs();
 
-  std::vector<std::vector<TimedInstr>> timed(n_procs);
-  for (std::size_t i = 0; i < sched.ops().size(); ++i) {
-    const ScheduledOp& so = sched.ops()[i];
-    Instr ins;
-    ins.kind = InstrKind::kCompute;
-    ins.op = so.op;
-    ins.label = alg.op(so.op).name;
-    timed[so.proc].push_back(TimedInstr{so.start, 2, i, std::move(ins)});
-  }
-  // Processor sequencers only interact with the first hop (signal that the
-  // data is available) and the last hop (wait for delivery) of each route;
-  // intermediate hops are forwarded autonomously by the communicators, which
-  // is also how the adequation models them. The send is a pure signal placed
-  // right after the producing compute — NOT at the transfer's start time,
-  // which can be later due to medium contention (an unrelated long compute
-  // scheduled in between would otherwise block the signal).
+  // Each processor runs its operations in the schedule's execution order.
+  // A compute is preceded by the waits for its cross-processor inputs (the
+  // last hop of each route delivering to it) and followed by the signals of
+  // its outputs (the first hop of each route leaving it), as SynDEx places
+  // its semaphores: a processor blocks only on the data its next operation
+  // consumes — exactly the synchronization the graph of delays models (paper
+  // §3.2.3) — and publishes data the moment it is produced. Intermediate
+  // hops are forwarded autonomously by the communicators, which is also how
+  // the adequation models them.
   const HopLinks hops = link_hops(sched);
+  std::vector<std::vector<std::size_t>> recvs(alg.num_operations());
+  std::vector<std::vector<std::size_t>> sends(alg.num_operations());
   for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
     const ScheduledComm& sc = sched.comms()[ci];
-    const bool is_last_hop = hops.next[ci] == kNone;
-    if (sc.hop_index == 0) {
-      const Time data_ready =
-          sched.of_op(alg.dependencies()[sc.dep_index].from).end;
-      Instr send;
-      send.kind = InstrKind::kSend;
-      send.comm = ci;
-      send.label = "send " + comm_label(alg, sched, ci);
-      timed[sc.hop.from_proc].push_back(
-          TimedInstr{data_ready, 1, ci, std::move(send)});
-    }
-    if (is_last_hop) {
-      Instr recv;
-      recv.kind = InstrKind::kRecv;
-      recv.comm = ci;
-      recv.label = "recv " + comm_label(alg, sched, ci);
-      timed[sc.hop.to_proc].push_back(
-          TimedInstr{sc.end, 0, ci, std::move(recv)});
-    }
+    const DataDep& dep = alg.dependencies()[sc.dep_index];
+    if (sc.hop_index == 0) sends[dep.from].push_back(ci);
+    if (hops.next[ci] == kNone) recvs[dep.to].push_back(ci);
   }
-
   for (ProcId p = 0; p < n_procs; ++p) {
-    std::sort(timed[p].begin(), timed[p].end(),
-              [](const TimedInstr& a, const TimedInstr& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.kind_rank != b.kind_rank) return a.kind_rank < b.kind_rank;
-                return a.order < b.order;
-              });
     ExecutiveProgram prog;
     prog.proc = p;
-    for (TimedInstr& t : timed[p]) prog.instrs.push_back(std::move(t.instr));
+    for (const std::size_t idx : sched.ops_on(p)) {
+      const OpId op = sched.ops()[idx].op;
+      for (const std::size_t ci : recvs[op]) {
+        Instr recv;
+        recv.kind = InstrKind::kRecv;
+        recv.comm = ci;
+        recv.label = "recv " + comm_label(alg, sched, ci);
+        prog.instrs.push_back(std::move(recv));
+      }
+      Instr compute;
+      compute.kind = InstrKind::kCompute;
+      compute.op = op;
+      compute.label = alg.op(op).name;
+      prog.instrs.push_back(std::move(compute));
+      for (const std::size_t ci : sends[op]) {
+        Instr send;
+        send.kind = InstrKind::kSend;
+        send.comm = ci;
+        send.label = "send " + comm_label(alg, sched, ci);
+        prog.instrs.push_back(std::move(send));
+      }
+    }
     code.programs.push_back(std::move(prog));
   }
 

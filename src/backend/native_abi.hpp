@@ -19,6 +19,9 @@
 //
 // ABI v4 drops NativeRunOptions' event-queue capacity hint: a module drains
 // the interpreter's own sim::EventQueue, which sizes itself.
+//
+// ABI v5 drops NativeRunOptions' trace capacity hints: the trace grows as
+// the run records.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +31,7 @@
 
 namespace ecsim::backend {
 
-inline constexpr int kNativeAbiVersion = 4;
+inline constexpr int kNativeAbiVersion = 5;
 
 /// POD mirror of the sim::SimOptions subset the native backend supports
 /// (observability rides along through `obs` since ABI v2).
@@ -42,8 +45,6 @@ struct NativeRunOptions {
   std::uint64_t seed = 1;
   std::size_t max_events = 20'000'000;
   int full_refresh = 0;
-  std::size_t reserve_events = 0;
-  std::size_t reserve_signals = 0;
   /// Observability callback table (borrowed, may be null). Null, or a table
   /// whose tracer/metrics are both null, runs the module with telemetry
   /// compiled to nothing — the guarded ≤2% attached-but-disabled overhead

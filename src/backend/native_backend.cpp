@@ -293,8 +293,6 @@ std::size_t run_native_module(const NativeModule& mod,
   n.seed = o.seed;
   n.max_events = o.max_events;
   n.full_refresh = o.full_refresh ? 1 : 0;
-  n.reserve_events = o.reserve_events;
-  n.reserve_signals = o.reserve_signals;
   n.obs = obs;
   n.params = params.data();
   n.n_params = params.size();

@@ -10,6 +10,7 @@
 
 #include "backend/native_abi.hpp"
 #include "blocks/duration_spec.hpp"
+#include "blocks/to_model.hpp"
 
 namespace ecsim::backend {
 
@@ -126,12 +127,10 @@ class Emitter {
   void fixed_param(const std::string& name, const BlockIr& b,
                    const std::vector<double>& v, std::size_t n);
   /// `std::vector<double> <name>`: length-prefixed (length is private).
-  void vec_param(const std::string& name, const std::vector<double>& v,
-                 std::size_t min_size = 0);
+  void vec_param(const std::string& name, const std::vector<double>& v);
   /// `ma::Matrix <name>`: rows, cols, then the row-major values.
   void matrix_param(const std::string& name, const BlockIr& b,
                     const char* key);
-  void push_vec(const std::vector<double>& v);
 
   void emit_block(std::size_t i);
 
@@ -181,17 +180,12 @@ void Emitter::fixed_param(const std::string& name, const BlockIr& b,
   params_.insert(params_.end(), v.begin(), v.end());
 }
 
-void Emitter::push_vec(const std::vector<double>& v) {
+void Emitter::vec_param(const std::string& name,
+                        const std::vector<double>& v) {
+  members_ += "  std::vector<double> " + name + ";\n";
+  load_ += "    rd.vec(" + name + ");\n";
   params_.push_back(static_cast<double>(v.size()));
   params_.insert(params_.end(), v.begin(), v.end());
-}
-
-void Emitter::vec_param(const std::string& name, const std::vector<double>& v,
-                        std::size_t min_size) {
-  members_ += "  std::vector<double> " + name + ";\n";
-  load_ += "    rd.vec(" + name +
-           (min_size > 0 ? ", " + lit(min_size) : std::string()) + ");\n";
-  push_vec(v);
 }
 
 void Emitter::matrix_param(const std::string& name, const BlockIr& b,
@@ -226,28 +220,6 @@ void Emitter::emit_block(std::size_t i) {
     case_open(event_);
     event_ += "        e.emit(" + B + ", 0, 0.0);\n";
     event_ += "        e.schedule_self(" + B + ", 0, " + period + ");\n";
-    case_close(event_);
-    return;
-  }
-  if (k == "TimetableClock") {
-    const std::string period = real_param(id + "period", real_of(b, "period"));
-    const std::vector<double>& offs = vec_of(b, "offsets");
-    if (offs.empty()) bad(b, "empty timetable");
-    vec_param(id + "offsets", offs, 1);
-    members_ += "  std::size_t " + id + "next = 0;\n";
-    members_ += "  std::size_t " + id + "cycle = 0;\n";
-    init_ += "    " + id + "next = 0; " + id + "cycle = 0;\n";
-    init_ += "    e.schedule_self(" + B + ", 0, " + id + "offsets.front());\n";
-    case_open(event_);
-    event_ += "        e.emit(" + B + ", 0, 0.0);\n";
-    event_ += "        const double now = static_cast<double>(" + id +
-              "cycle) * " + period + " + " + id + "offsets[" + id + "next];\n";
-    event_ += "        ++" + id + "next;\n";
-    event_ += "        if (" + id + "next == " + id + "offsets.size()) { " +
-              id + "next = 0; ++" + id + "cycle; }\n";
-    event_ += "        const double target = static_cast<double>(" + id +
-              "cycle) * " + period + " + " + id + "offsets[" + id + "next];\n";
-    event_ += "        e.schedule_self(" + B + ", 0, target - now);\n";
     case_close(event_);
     return;
   }
@@ -580,52 +552,30 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "EventDelay") {
+    const blocks::DurationSpec spec = blocks::duration_from_attrs(b);
     members_ += "  double " + id + "busy = 0.0;\n";
     init_ += "    " + id + "busy = 0.0;\n";
-    const long long tag = int_of(b, "dist");
-    using DK = blocks::DurationSpec::Kind;
     case_open(event_);
     event_ += "        const double now = e.time();\n";
     event_ += "        double start = now;\n";
     event_ += "        if (" + id + "busy > now) start = " + id + "busy;\n";
-    if (static_cast<DK>(tag) == DK::kConstant) {
+    if (spec.kind == blocks::DurationSpec::Kind::kConstant) {
       // Constant samplers consume no RNG and were validated >= 0 at
       // construction: a plain member, no sampler call.
-      real_param(id + "d", real_of(b, "value"));
+      real_param(id + "d", spec.value);
       event_ += "        const double d = " + id + "d;\n";
     } else {
       // Which distribution, and its values, are parameters: the sampler is
-      // rebuilt at load through the same validated factories
-      // blocks::duration_from_attrs uses (rt::ParamReader::duration).
+      // rebuilt at load from blocks::duration_params' encoding
+      // (rt::ParamReader::duration).
       members_ += "  bl::DurationSpec " + id + "spec;\n";
+      members_ += "  std::size_t " + id + "count = 0;\n";
       load_ += "    " + id + "spec = rd.duration();\n";
-      params_.push_back(static_cast<double>(tag));
-      switch (static_cast<DK>(tag)) {
-        case DK::kUniform:
-          params_.push_back(real_of(b, "bcet"));
-          params_.push_back(real_of(b, "wcet"));
-          break;
-        case DK::kTruncatedNormal:
-          params_.push_back(real_of(b, "mean"));
-          params_.push_back(real_of(b, "stddev"));
-          params_.push_back(real_of(b, "bcet"));
-          params_.push_back(real_of(b, "wcet"));
-          break;
-        case DK::kShiftedUniform:
-          params_.push_back(real_of(b, "base"));
-          params_.push_back(real_of(b, "jitter"));
-          break;
-        case DK::kBranches:
-          push_vec(vec_of(b, "branch_wcets"));
-          params_.push_back(real_of(b, "bcet_fraction"));
-          params_.push_back(int_of(b, "random_branch") != 0 ? 1.0 : 0.0);
-          break;
-        default:
-          bad(b, "unregenerable duration distribution (tag " +
-                     std::to_string(tag) + ")");
-      }
+      init_ += "    " + id + "count = 0;\n";
+      const std::vector<double> p = blocks::duration_params(spec);
+      params_.insert(params_.end(), p.begin(), p.end());
       event_ += "        const double d = bl::sample_duration(" + id +
-                "spec, e.rng());\n";
+                "spec, e.rng(), e.seed(), " + id + "count++);\n";
       event_ +=
           "        if (d < 0.0) throw std::runtime_error(\"EventDelay: "
           "sampler returned < 0\");\n";

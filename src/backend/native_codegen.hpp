@@ -14,7 +14,8 @@
 // the C ABI of backend/native_abi.hpp.
 //
 // Order-sensitive arithmetic is not re-derived: matrix blocks call the same
-// math::multiply_into kernels, samplers the same blocks::sample_duration,
+// math::multiply_into kernels, samplers the same blocks::sample_duration (and, through it,
+// aaa::draw_exec_time),
 // fault gates the same fault::comm_gate_decide — unity-compiled from the
 // interpreter's own sources — and every parameter is the same double the
 // interpreter holds, so a generated run is bit-identical to the interpreter
@@ -36,14 +37,15 @@ namespace ecsim::backend {
 /// module is built from — header or source, however deep in the include
 /// chain — recompiles the cached modules instead of loading a stale one.
 /// Keep it closed under quoted includes (a test checks).
-inline constexpr std::array<const char*, 19> kModuleRuntimeFiles{
-    "backend/native_abi.hpp",     "backend/native_runtime.hpp",
-    "blocks/duration_spec.hpp",   "fault/comm_gate.hpp",
-    "mathlib/function_ref.hpp",   "mathlib/matrix.hpp",
-    "mathlib/rng.hpp",            "obs/obs_table.hpp",
-    "sim/driver.hpp",             "sim/event_queue.hpp",
-    "sim/integrator.hpp",         "sim/port.hpp",
-    "sim/trace.hpp",              "blocks/duration_spec.cpp",
+inline constexpr std::array<const char*, 21> kModuleRuntimeFiles{
+    "aaa/exec_time.hpp",          "backend/native_abi.hpp",
+    "backend/native_runtime.hpp", "blocks/duration_spec.hpp",
+    "fault/comm_gate.hpp",        "mathlib/function_ref.hpp",
+    "mathlib/matrix.hpp",         "mathlib/rng.hpp",
+    "obs/obs_table.hpp",          "sim/driver.hpp",
+    "sim/event_queue.hpp",        "sim/integrator.hpp",
+    "sim/port.hpp",               "sim/trace.hpp",
+    "aaa/exec_time.cpp",          "blocks/duration_spec.cpp",
     "fault/comm_gate.cpp",        "mathlib/matrix.cpp",
     "mathlib/rng.cpp",            "sim/integrator.cpp",
     "sim/trace.cpp",

@@ -79,9 +79,9 @@ class ParamReader {
   }
 
   /// A length-prefixed vector (the length is block-private).
-  void vec(std::vector<double>& out, std::size_t min_size = 0) {
+  void vec(std::vector<double>& out) {
     const std::size_t n = index();
-    if (n < min_size || n > remaining()) fail("holds a bad vector length");
+    if (n > remaining()) fail("holds a bad vector length");
     out.assign(p_ + pos_, p_ + pos_ + n);
     pos_ += n;
   }
@@ -98,36 +98,14 @@ class ParamReader {
     pos_ += rows * cols;
   }
 
-  /// An EventDelay sampler: the DurationSpec::Kind tag, then the values of
-  /// the same validated factory blocks::duration_from_attrs calls.
+  /// An EventDelay sampler in blocks::duration_params' encoding, rebuilt
+  /// through the validated factories blocks::duration_from_attrs calls.
   blocks::DurationSpec duration() {
-    using K = blocks::DurationSpec::Kind;
-    switch (static_cast<K>(index())) {
-      case K::kConstant:
-        return blocks::constant_duration(real());
-      case K::kUniform: {
-        const double bcet = real();
-        return blocks::uniform_duration(bcet, real());
-      }
-      case K::kTruncatedNormal: {
-        const double mean = real();
-        const double stddev = real();
-        const double bcet = real();
-        return blocks::truncated_normal_duration(mean, stddev, bcet, real());
-      }
-      case K::kShiftedUniform: {
-        const double base = real();
-        return blocks::shifted_uniform_duration(base, real());
-      }
-      case K::kBranches: {
-        std::vector<double> wcets;
-        vec(wcets);
-        const double fraction = real();
-        return blocks::branch_duration(std::move(wcets), fraction,
-                                       index(2) != 0);
-      }
+    try {
+      return blocks::duration_from_params({p_, n_}, pos_);
+    } catch (const std::invalid_argument& e) {
+      fail(std::string("holds a bad duration: ") + e.what());
     }
-    fail("holds an unknown duration distribution");
   }
 
   /// Called after Program::load(): the table must be consumed exactly.
@@ -209,8 +187,6 @@ std::size_t run_program(const NativeRunOptions& o, sim::Trace& trace) {
   so.seed = o.seed;
   so.max_events = o.max_events;
   so.full_refresh = o.full_refresh != 0;
-  so.reserve_events = o.reserve_events;
-  so.reserve_signals = o.reserve_signals;
 
   Engine<Program> engine(prog);
   engine.bind_trace(&trace);

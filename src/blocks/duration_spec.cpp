@@ -1,36 +1,26 @@
 #include "blocks/duration_spec.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 namespace ecsim::blocks {
 
-double sample_duration(const DurationSpec& spec, math::Rng& rng) {
+double sample_duration(const DurationSpec& spec, math::Rng& rng,
+                       std::uint64_t seed, std::uint64_t k) {
   switch (spec.kind) {
     case DurationSpec::Kind::kConstant:
       return spec.value;
     case DurationSpec::Kind::kUniform:
       return rng.uniform(spec.bcet, spec.wcet);
-    case DurationSpec::Kind::kTruncatedNormal:
-      return rng.truncated_normal(spec.mean, spec.stddev, spec.bcet,
-                                  spec.wcet);
     case DurationSpec::Kind::kShiftedUniform:
       return std::max(
           0.0, spec.base + rng.uniform(-spec.jitter / 2.0, spec.jitter / 2.0));
-    case DurationSpec::Kind::kBranches: {
-      const std::size_t b =
-          spec.random_branch
-              ? static_cast<std::size_t>(rng.uniform_int(
-                    0,
-                    static_cast<std::int64_t>(spec.branch_wcets.size()) - 1))
-              : 0;
-      const double wcet = spec.branch_wcets[b];
-      return spec.bcet_fraction >= 1.0
-                 ? wcet
-                 : rng.uniform(spec.bcet_fraction * wcet, wcet);
-    }
+    case DurationSpec::Kind::kKeyed:
+      return aaa::draw_exec_time(spec.branch_wcets, spec.bcet_fraction,
+                                 spec.branch, seed, spec.key, k)
+          .duration;
   }
   throw std::logic_error("sample_duration: corrupt kind");
 }
@@ -54,20 +44,6 @@ DurationSpec uniform_duration(double bcet, double wcet) {
   return s;
 }
 
-DurationSpec truncated_normal_duration(double mean, double stddev, double bcet,
-                                       double wcet) {
-  if (bcet < 0.0 || wcet < bcet) {
-    throw std::invalid_argument("truncated_normal_duration: bad bounds");
-  }
-  DurationSpec s;
-  s.kind = DurationSpec::Kind::kTruncatedNormal;
-  s.mean = mean;
-  s.stddev = stddev;
-  s.bcet = bcet;
-  s.wcet = wcet;
-  return s;
-}
-
 DurationSpec shifted_uniform_duration(double base, double jitter) {
   if (jitter < 0.0) {
     throw std::invalid_argument("shifted_uniform_duration: negative jitter");
@@ -79,24 +55,96 @@ DurationSpec shifted_uniform_duration(double base, double jitter) {
   return s;
 }
 
-DurationSpec branch_duration(std::vector<double> branch_wcets,
-                             double bcet_fraction, bool random_branch) {
+DurationSpec keyed_duration(std::vector<double> branch_wcets,
+                            double bcet_fraction, aaa::BranchChoice branch,
+                            std::uint64_t key) {
   if (branch_wcets.empty()) {
-    throw std::invalid_argument("branch_duration: no branches");
+    throw std::invalid_argument("keyed_duration: no branches");
   }
   for (double w : branch_wcets) {
-    if (w < 0.0) throw std::invalid_argument("branch_duration: negative WCET");
+    if (!(w >= 0.0)) throw std::invalid_argument("keyed_duration: negative WCET");
   }
-  if (bcet_fraction < 0.0 || bcet_fraction > 1.0) {
+  if (!(bcet_fraction >= 0.0 && bcet_fraction <= 1.0)) {
     throw std::invalid_argument(
-        "branch_duration: bcet_fraction must be in [0,1]");
+        "keyed_duration: bcet_fraction must be in [0,1]");
   }
   DurationSpec s;
-  s.kind = DurationSpec::Kind::kBranches;
+  s.kind = DurationSpec::Kind::kKeyed;
   s.branch_wcets = std::move(branch_wcets);
   s.bcet_fraction = bcet_fraction;
-  s.random_branch = random_branch;
+  s.branch = branch;
+  s.key = key;
   return s;
+}
+
+std::vector<double> duration_params(const DurationSpec& s) {
+  std::vector<double> out{static_cast<double>(s.kind)};
+  switch (s.kind) {
+    case DurationSpec::Kind::kConstant:
+      out.push_back(s.value);
+      break;
+    case DurationSpec::Kind::kUniform:
+      out.insert(out.end(), {s.bcet, s.wcet});
+      break;
+    case DurationSpec::Kind::kShiftedUniform:
+      out.insert(out.end(), {s.base, s.jitter});
+      break;
+    case DurationSpec::Kind::kKeyed:
+      out.push_back(static_cast<double>(s.branch_wcets.size()));
+      out.insert(out.end(), s.branch_wcets.begin(), s.branch_wcets.end());
+      out.push_back(s.bcet_fraction);
+      out.push_back(static_cast<double>(s.branch));
+      out.push_back(static_cast<double>(s.key >> 32));
+      out.push_back(static_cast<double>(s.key & 0xffffffffULL));
+      break;
+  }
+  return out;
+}
+
+DurationSpec duration_from_params(std::span<const double> p,
+                                  std::size_t& pos) {
+  auto real = [&]() -> double {
+    if (pos >= p.size()) {
+      throw std::invalid_argument("duration_from_params: read past the end");
+    }
+    return p[pos++];
+  };
+  // A count, tag or 32-bit half: integral, >= 0 and < bound.
+  auto index = [&](double bound) -> std::size_t {
+    const double v = real();
+    if (!(v >= 0.0) || v >= bound || v != std::floor(v)) {
+      throw std::invalid_argument("duration_from_params: bad index");
+    }
+    return static_cast<std::size_t>(v);
+  };
+  using K = DurationSpec::Kind;
+  switch (static_cast<K>(index(8.0))) {
+    case K::kConstant:
+      return constant_duration(real());
+    case K::kUniform: {
+      const double bcet = real();
+      return uniform_duration(bcet, real());
+    }
+    case K::kShiftedUniform: {
+      const double base = real();
+      return shifted_uniform_duration(base, real());
+    }
+    case K::kKeyed: {
+      const std::size_t n = index(9007199254740992.0);
+      if (n > p.size() - pos) {
+        throw std::invalid_argument("duration_from_params: bad vector length");
+      }
+      std::vector<double> wcets(p.begin() + static_cast<std::ptrdiff_t>(pos),
+                                p.begin() + static_cast<std::ptrdiff_t>(pos + n));
+      pos += n;
+      const double fraction = real();
+      const auto branch = static_cast<aaa::BranchChoice>(index(3.0));
+      const std::uint64_t hi = index(4294967296.0);
+      const std::uint64_t key = (hi << 32) | index(4294967296.0);
+      return keyed_duration(std::move(wcets), fraction, branch, key);
+    }
+  }
+  throw std::invalid_argument("duration_from_params: unknown distribution");
 }
 
 }  // namespace ecsim::blocks

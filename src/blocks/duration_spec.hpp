@@ -2,58 +2,75 @@
 // — a tagged spec the IR can serialize and the native code generator can
 // re-emit, so every EventDelay is regenerable on any backend.
 //
-// Determinism contract: sample_duration() consumes the RNG in one fixed
-// call sequence per kind, so traces are bit-identical across backends.
+// Determinism contract: sample_duration() consumes the run RNG in one fixed
+// call sequence per kind, and kKeyed draws from its own keyed stream
+// (aaa::draw_exec_time), so traces are bit-identical across backends.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "aaa/exec_time.hpp"
 #include "mathlib/rng.hpp"
 
 namespace ecsim::blocks {
 
 struct DurationSpec {
+  /// The values are the IR's "dist" tags; tags of deleted kinds (2, 4) are
+  /// never reused.
   enum class Kind {
-    kConstant,         ///< always `value` (WCET mode)
-    kUniform,          ///< uniform in [bcet, wcet]
-    kTruncatedNormal,  ///< normal(mean, stddev) truncated to [bcet, wcet]
-    kShiftedUniform,   ///< max(0, base + uniform(-jitter/2, jitter/2))
-    kBranches,         ///< conditional op: pick a branch WCET, then uniform
-                       ///< in [bcet_fraction * WCET, WCET]
+    kConstant = 0,        ///< always `value` (WCET mode)
+    kUniform = 1,         ///< uniform in [bcet, wcet], from the run RNG
+    kShiftedUniform = 3,  ///< max(0, base + uniform(-jitter/2, jitter/2))
+    kKeyed = 5,           ///< an operation's execution time: the draw of
+                          ///< aaa::draw_exec_time keyed by (run seed, key,
+                          ///< activation index)
   };
 
   Kind kind = Kind::kConstant;
   double value = 0.0;                // kConstant
-  double bcet = 0.0;                 // kUniform, kTruncatedNormal
-  double wcet = 0.0;                 // kUniform, kTruncatedNormal
-  double mean = 0.0;                 // kTruncatedNormal
-  double stddev = 0.0;               // kTruncatedNormal
+  double bcet = 0.0;                 // kUniform
+  double wcet = 0.0;                 // kUniform
   double base = 0.0;                 // kShiftedUniform
   double jitter = 0.0;               // kShiftedUniform (peak-to-peak)
-  std::vector<double> branch_wcets;  // kBranches
-  double bcet_fraction = 1.0;        // kBranches
-  bool random_branch = false;        // kBranches (else always branch 0)
+  std::vector<double> branch_wcets;  // kKeyed
+  double bcet_fraction = 1.0;        // kKeyed
+  aaa::BranchChoice branch = aaa::BranchChoice::kFirst;  // kKeyed
+  std::uint64_t key = 0;             // kKeyed
 };
 
-/// Draws one duration. Pure in (spec, rng state); the only RNG consumer.
-double sample_duration(const DurationSpec& spec, math::Rng& rng);
+/// Draws the duration of activation number `k` (0-based) of a block run
+/// with seed `seed`. kUniform and kShiftedUniform consume `rng`; kKeyed
+/// reads only (seed, key, k).
+double sample_duration(const DurationSpec& spec, math::Rng& rng,
+                       std::uint64_t seed, std::uint64_t k);
 
 /// Constant-duration spec (WCET mode). Throws std::invalid_argument on a
 /// negative duration.
 DurationSpec constant_duration(double d);
 /// Uniform in [bcet, wcet]. Throws unless 0 <= bcet <= wcet.
 DurationSpec uniform_duration(double bcet, double wcet);
-/// Normal truncated to [bcet, wcet]. Throws unless 0 <= bcet <= wcet.
-DurationSpec truncated_normal_duration(double mean, double stddev, double bcet,
-                                       double wcet);
 /// max(0, base + uniform(-jitter/2, jitter/2)): a nominal latency with
 /// peak-to-peak jitter, clamped at zero. Throws on negative jitter.
 DurationSpec shifted_uniform_duration(double base, double jitter);
-/// Conditional-operation model: pick branch b (uniformly when
-/// `random_branch`, else always 0), then WCET mode when bcet_fraction >= 1
-/// or uniform in [bcet_fraction * wcet_b, wcet_b]. Throws on an empty
-/// branch list, a negative WCET or bcet_fraction outside [0, 1].
-DurationSpec branch_duration(std::vector<double> branch_wcets,
-                             double bcet_fraction, bool random_branch);
+/// An operation's execution time as the executive VM draws it: the branch
+/// by `branch`, then the WCET or uniform in [bcet_fraction * wcet, wcet],
+/// keyed by `key`. Throws on an empty branch list, a negative WCET or
+/// bcet_fraction outside [0, 1].
+DurationSpec keyed_duration(std::vector<double> branch_wcets,
+                            double bcet_fraction, aaa::BranchChoice branch,
+                            std::uint64_t key);
+
+/// The flat encoding of a spec in a native module's parameter table: the
+/// Kind tag, then the arguments of the kind's factory in order (a vector as
+/// its length then its values, an enum as its index, the 64-bit key as two
+/// exact 32-bit halves, high half first).
+std::vector<double> duration_params(const DurationSpec& s);
+/// Inverse of duration_params: decodes the spec that starts at p[pos]
+/// through the validated factories and advances `pos` past it. Throws
+/// std::invalid_argument when `p` holds no valid spec there.
+DurationSpec duration_from_params(std::span<const double> p, std::size_t& pos);
 
 }  // namespace ecsim::blocks

@@ -21,22 +21,18 @@ void describe_duration(ir::BlockIr& out, const DurationSpec& s) {
       out.attrs.push_back(ir::Attr::of_real("bcet", s.bcet));
       out.attrs.push_back(ir::Attr::of_real("wcet", s.wcet));
       break;
-    case DurationSpec::Kind::kTruncatedNormal:
-      out.attrs.push_back(ir::Attr::of_real("mean", s.mean));
-      out.attrs.push_back(ir::Attr::of_real("stddev", s.stddev));
-      out.attrs.push_back(ir::Attr::of_real("bcet", s.bcet));
-      out.attrs.push_back(ir::Attr::of_real("wcet", s.wcet));
-      break;
     case DurationSpec::Kind::kShiftedUniform:
       out.attrs.push_back(ir::Attr::of_real("base", s.base));
       out.attrs.push_back(ir::Attr::of_real("jitter", s.jitter));
       break;
-    case DurationSpec::Kind::kBranches:
+    case DurationSpec::Kind::kKeyed:
       out.attrs.push_back(ir::Attr::of_vec("branch_wcets", s.branch_wcets));
       out.attrs.push_back(
           ir::Attr::of_real("bcet_fraction", s.bcet_fraction));
       out.attrs.push_back(
-          ir::Attr::of_int("random_branch", s.random_branch ? 1 : 0));
+          ir::Attr::of_int("branch", static_cast<long long>(s.branch)));
+      out.attrs.push_back(
+          ir::Attr::of_int("key", static_cast<long long>(s.key)));
       break;
   }
 }
@@ -55,6 +51,7 @@ EventDelay::EventDelay(std::string name, DurationSpec spec)
 void EventDelay::initialize(Context&) {
   busy_until_ = 0.0;
   busy_hits_ = 0;
+  count_ = 0;
 }
 
 void EventDelay::on_event(Context& ctx, std::size_t) {
@@ -64,7 +61,7 @@ void EventDelay::on_event(Context& ctx, std::size_t) {
     start = busy_until_;
     ++busy_hits_;
   }
-  const Time d = sample_duration(spec_, ctx.rng());
+  const Time d = sample_duration(spec_, ctx.rng(), ctx.seed(), count_++);
   if (d < 0.0) throw std::runtime_error("EventDelay: sampler returned < 0");
   busy_until_ = start + d;
   ctx.emit(0, busy_until_ - now);

@@ -31,7 +31,9 @@ using sim::Time;
 /// Delays each incoming event by a (possibly random) execution duration.
 /// Non-reentrant like a processor operation: if an event arrives while a
 /// previous one is still "executing", the new execution starts when the
-/// previous finishes (busy queueing), preserving operation order.
+/// previous finishes (busy queueing), preserving operation order. Counts
+/// its activations since initialize: activation k of a kKeyed spec draws
+/// the execution time of iteration k (DESIGN.md §3.11).
 class EventDelay : public Block {
  public:
   EventDelay(std::string name, Time duration);
@@ -51,6 +53,7 @@ class EventDelay : public Block {
   DurationSpec spec_;
   Time busy_until_ = 0.0;
   std::size_t busy_hits_ = 0;
+  std::size_t count_ = 0;
 };
 
 /// Maps the current value of the condition input to the index of the event

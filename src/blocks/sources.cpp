@@ -22,45 +22,6 @@ void Clock::on_event(Context& ctx, std::size_t) {
   ctx.schedule_self(0, period_);
 }
 
-TimetableClock::TimetableClock(std::string name, Time period,
-                               std::vector<Time> offsets)
-    : Block(std::move(name)), period_(period), offsets_(std::move(offsets)) {
-  if (period <= 0.0) {
-    throw std::invalid_argument("TimetableClock: period must be > 0");
-  }
-  if (offsets_.empty()) {
-    throw std::invalid_argument("TimetableClock: offsets must be non-empty");
-  }
-  if (!std::is_sorted(offsets_.begin(), offsets_.end())) {
-    throw std::invalid_argument("TimetableClock: offsets must be sorted");
-  }
-  for (Time o : offsets_) {
-    if (o < 0.0 || o >= period_) {
-      throw std::invalid_argument("TimetableClock: offsets must be in [0, period)");
-    }
-  }
-  add_event_input();
-  add_event_output();
-}
-
-void TimetableClock::initialize(Context& ctx) {
-  next_ = 0;
-  cycle_ = 0;
-  ctx.schedule_self(0, offsets_.front());
-}
-
-void TimetableClock::on_event(Context& ctx, std::size_t) {
-  ctx.emit(0, 0.0);
-  const Time now = static_cast<Time>(cycle_) * period_ + offsets_[next_];
-  ++next_;
-  if (next_ == offsets_.size()) {
-    next_ = 0;
-    ++cycle_;
-  }
-  const Time target = static_cast<Time>(cycle_) * period_ + offsets_[next_];
-  ctx.schedule_self(0, target - now);
-}
-
 Constant::Constant(std::string name, std::vector<double> value)
     : Block(std::move(name)), value_(std::move(value)) {
   add_output(value_.size());
@@ -131,12 +92,6 @@ void Clock::describe(ir::BlockIr& out) const {
   out.kind = "Clock";
   out.attrs.push_back(ir::Attr::of_real("period", period_));
   out.attrs.push_back(ir::Attr::of_real("offset", offset_));
-}
-
-void TimetableClock::describe(ir::BlockIr& out) const {
-  out.kind = "TimetableClock";
-  out.attrs.push_back(ir::Attr::of_real("period", period_));
-  out.attrs.push_back(ir::Attr::of_vec("offsets", offsets_));
 }
 
 void Constant::describe(ir::BlockIr& out) const {

@@ -1,6 +1,5 @@
 // Signal and event sources: activation clocks (the paper's "clock generator"
-// of Fig. 2), timetable clocks (precomputed activation instants extracted
-// from a SynDEx schedule), and standard test signals.
+// of Fig. 2) and standard test signals.
 #pragma once
 
 #include <vector>
@@ -29,27 +28,6 @@ class Clock : public Block {
  private:
   Time period_;
   Time offset_;
-};
-
-/// Emits events at fixed offsets within a repeating hyperperiod:
-/// t = k*period + offsets[i] for all k >= 0 and all i. Used in "timetable
-/// mode" to replay the completion instants of a static SynDEx schedule.
-class TimetableClock : public Block {
- public:
-  /// `offsets` must be non-decreasing and each < period.
-  TimetableClock(std::string name, Time period, std::vector<Time> offsets);
-
-  void initialize(Context& ctx) override;
-  void on_event(Context& ctx, std::size_t event_in) override;
-  void describe(ir::BlockIr& out) const override;
-
-  std::size_t event_out() const { return 0; }
-
- private:
-  Time period_;
-  std::vector<Time> offsets_;
-  std::size_t next_ = 0;  // index of next offset
-  std::size_t cycle_ = 0;
 };
 
 /// Constant signal source.

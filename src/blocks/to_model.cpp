@@ -66,17 +66,17 @@ DurationSpec duration_from_attrs(const ir::BlockIr& b) {
       return constant_duration(real_of(b, "value"));
     case DurationSpec::Kind::kUniform:
       return uniform_duration(real_of(b, "bcet"), real_of(b, "wcet"));
-    case DurationSpec::Kind::kTruncatedNormal:
-      return truncated_normal_duration(real_of(b, "mean"),
-                                       real_of(b, "stddev"),
-                                       real_of(b, "bcet"), real_of(b, "wcet"));
     case DurationSpec::Kind::kShiftedUniform:
       return shifted_uniform_duration(real_of(b, "base"),
                                       real_of(b, "jitter"));
-    case DurationSpec::Kind::kBranches:
-      return branch_duration(vec_of(b, "branch_wcets"),
-                             real_of(b, "bcet_fraction"),
-                             int_of(b, "random_branch") != 0);
+    case DurationSpec::Kind::kKeyed: {
+      const long long branch = int_of(b, "branch");
+      if (branch < 0 || branch > 2) bad(b, "unknown branch choice");
+      return keyed_duration(vec_of(b, "branch_wcets"),
+                            real_of(b, "bcet_fraction"),
+                            static_cast<aaa::BranchChoice>(branch),
+                            static_cast<std::uint64_t>(int_of(b, "key")));
+    }
   }
   bad(b, "unregenerable duration distribution (tag " + std::to_string(tag) +
              ")");
@@ -116,10 +116,6 @@ std::unique_ptr<sim::Block> make_block(const ir::BlockIr& b) {
   if (k == "Clock") {
     return std::make_unique<Clock>(b.name, real_of(b, "period"),
                                    real_of(b, "offset"));
-  }
-  if (k == "TimetableClock") {
-    return std::make_unique<TimetableClock>(b.name, real_of(b, "period"),
-                                            vec_of(b, "offsets"));
   }
   if (k == "Constant") {
     return std::make_unique<Constant>(b.name, vec_of(b, "value"));

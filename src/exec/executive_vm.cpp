@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <sstream>
 
 #include "exec/channel.hpp"
@@ -49,7 +50,6 @@ VmResult run_executives(const AlgorithmGraph& alg,
                         const ArchitectureGraph& arch, const Schedule& sched,
                         const GeneratedCode& code, const VmOptions& opts) {
   VmResult result;
-  math::Rng rng(opts.seed);
   const std::size_t iters = opts.iterations;
 
   // Fault injection (DESIGN.md §3.5): arm once against this schedule. An
@@ -145,26 +145,6 @@ VmResult run_executives(const AlgorithmGraph& alg,
   result.ops.reserve(compute_instrs * iters);
   result.comms.reserve(sched.comms().size() * iters);
 
-  // Pre-sample execution times and branches would couple RNG draws to the
-  // interleaving of the advancing loop; instead draw on first execution of
-  // each instance, which happens exactly once.
-  // Branch of a conditional instance from its branch WCETs on the host
-  // processor. kWorstCase takes the first largest: the branch the static
-  // schedule reserves (Operation::wcet_on).
-  auto choose_branch = [&](const std::vector<Time>& wcets) -> std::size_t {
-    switch (opts.branch) {
-      case BranchChoice::kFirst:
-        return 0;
-      case BranchChoice::kUniform:
-        return static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(wcets.size()) - 1));
-      case BranchChoice::kWorstCase:
-        break;
-    }
-    return static_cast<std::size_t>(
-        std::max_element(wcets.begin(), wcets.end()) - wcets.begin());
-  };
-
   auto advance_proc = [&](std::size_t pi) -> bool {
     Cursor& cur = proc_cur[pi];
     const ir::ExecutiveIr& prog = sir.executives[pi];
@@ -203,17 +183,13 @@ VmResult run_executives(const AlgorithmGraph& alg,
             start = released;
           }
         }
-        std::size_t branch = kNone;
-        Time wcet;
-        if (op.is_conditional()) {
-          branch = choose_branch(ci.branch_wcets);
-          wcet = ci.branch_wcets.at(branch);
-        } else {
-          wcet = ci.wcet;
-        }
-        Time dur = opts.bcet_fraction < 1.0
-                       ? wcet * rng.uniform(opts.bcet_fraction, 1.0)
-                       : wcet;
+        const aaa::ExecDraw draw = aaa::draw_exec_time(
+            op.is_conditional() ? std::span<const double>(ci.branch_wcets)
+                                : std::span<const double>(&ci.wcet, 1),
+            opts.bcet_fraction, opts.branch, opts.seed, aaa::op_key(ins.op),
+            cur.iter);
+        const std::size_t branch = op.is_conditional() ? draw.branch : kNone;
+        Time dur = draw.duration;
         // Transient overrun: inflate the actual execution time.
         if (faulting) {
           std::size_t fi = kNone;
@@ -286,17 +262,22 @@ VmResult run_executives(const AlgorithmGraph& alg,
 
   // Occupy medium `mi` with comm `ci`, whose send signal is known at time
   // `signal`: resolves the start instant under the medium's arbitration
-  // (owner-slot-aware for TDMA; under CAN every frame first waits out the
-  // worst-case non-preemptive blocking of unmodeled background traffic, the
-  // same charge the adequation timeline carries, so the WCET run reproduces
-  // the static schedule), applies fault effects, and records the transfer.
+  // (owner-slot-aware for TDMA; under CAN every frame first waits behind
+  // unmodeled background traffic: the worst-case non-preemptive blocking in
+  // a WCET run, the same charge the adequation timeline carries, so the run
+  // reproduces the static schedule; below WCET a keyed draw in [0,
+  // blocking]), applies fault effects, and records the transfer.
   auto transmit = [&](std::size_t mi, std::size_t ci, Time signal) {
     Cursor& cur = medium_cur[mi];
     const aaa::ScheduledComm& sc = sched.comms()[ci];
     const DataDep& dep = alg.dependencies()[sc.dep_index];
     const aaa::Medium& medium = arch.medium(sir.communicators[mi].medium);
     if (medium.arbitration == aaa::Arbitration::kCanPriority) {
-      signal += medium.can_blocking;
+      const double f = opts.bcet_fraction < 1.0 ? 0.0 : 1.0;
+      signal += aaa::draw_exec_time({&medium.can_blocking, 1}, f,
+                                    BranchChoice::kFirst, opts.seed,
+                                    aaa::can_wait_key(ci), cur.iter)
+                    .duration;
     }
     const Time start = medium.earliest_start(
         std::max(cur.t, signal), alg.dep_priority(sc.dep_index));

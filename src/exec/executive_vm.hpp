@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "aaa/codegen.hpp"
+#include "aaa/exec_time.hpp"
 #include "fault/fault_plan.hpp"
-#include "mathlib/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
@@ -19,6 +19,7 @@ namespace ecsim::exec {
 
 using aaa::AlgorithmGraph;
 using aaa::ArchitectureGraph;
+using aaa::BranchChoice;
 using aaa::GeneratedCode;
 using aaa::kNone;
 using aaa::Operation;
@@ -27,25 +28,20 @@ using aaa::ProcId;
 using aaa::Schedule;
 using aaa::Time;
 
-/// Which branch a conditional operation takes at run time.
-enum class BranchChoice {
-  kFirst,      ///< always branch 0
-  kWorstCase,  ///< the branch with the largest WCET on the op's host
-               ///< processor — what the static schedule reserves;
-               ///< exact-WCET conformance runs use it
-  kUniform,    ///< uniformly random, drawn from the run's math::Rng
-};
-
 struct VmOptions {
   /// Number of schedule iterations (periods) to execute.
   std::size_t iterations = 1;
   /// Sensor release period: a sensor op of iteration k cannot start before
   /// k * period. 0 disables periodic release (free-running).
   Time period = 0.0;
-  /// Seed of the run's math::Rng (execution-time and branch draws).
+  /// Root of the execution-time and branch draws: op instance (op, k) takes
+  /// aaa::draw_exec_time keyed by (seed, aaa::op_key(op), k), the draw the
+  /// graph of delays' kKeyed EventDelays make (DESIGN.md §3.11).
   std::uint64_t seed = 1;
-  /// Actual execution time = wcet * uniform(bcet_fraction, 1.0), drawn on
-  /// the instance's first execution. 1.0 => exactly WCET, with no draw.
+  /// Actual execution time uniform in [bcet_fraction * wcet, wcet]; 1.0 =>
+  /// exactly WCET, with no draw. Below 1.0 the CAN blocking charged before
+  /// a frame is drawn too, uniform in [0, blocking], keyed by
+  /// aaa::can_wait_key(comm); at 1.0 the full blocking is charged.
   double bcet_fraction = 1.0;
   BranchChoice branch = BranchChoice::kFirst;
   /// Declarative fault schedule (DESIGN.md §3.5). Empty = fault-free and

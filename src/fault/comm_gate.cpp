@@ -4,19 +4,12 @@
 
 namespace ecsim::fault {
 
-namespace {
-
-// splitmix64 finalizer — must stay bit-identical to fault_plan.cpp's mix()
-// (the decision streams of the VM, the interpreter and the native backend
-// all hash the same coordinates).
-std::uint64_t gate_mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+double fault_draw(std::uint64_t seed, std::size_t fault, std::size_t entity,
+                  std::size_t iteration) {
+  return math::keyed_rng(seed ^ math::mix64(0x6661756c74ULL + fault),
+                         0x656e74ULL + entity, iteration)
+      .uniform();
 }
-
-}  // namespace
 
 CommGateAction comm_gate_decide(const CommGate& gate, std::size_t k) {
   bool lost = false;
@@ -25,10 +18,9 @@ CommGateAction comm_gate_decide(const CommGate& gate, std::size_t k) {
   const double nominal = static_cast<double>(k) * gate.period;
   for (const CommGateEntry& e : gate.entries) {
     if (nominal < e.t_start || nominal >= e.t_stop) continue;
-    math::Rng rng(gate_mix(gate.seed ^ gate_mix(0x6661756c74ULL + e.fault) ^
-                           gate_mix(0x656e74ULL + gate.comm_index) ^
-                           gate_mix(k)));
-    if (rng.uniform() >= e.probability) continue;
+    if (fault_draw(gate.seed, e.fault, gate.comm_index, k) >= e.probability) {
+      continue;
+    }
     switch (e.kind) {
       case CommGateEntry::Kind::kLoss:
         lost = true;

@@ -48,6 +48,14 @@ struct CommGateAction {
   double defer = 0.0;
 };
 
+/// The injection decision of `fault` on `entity` (a comm or op index) at
+/// `iteration`: uniform in [0, 1) from the stream keyed by (plan seed,
+/// fault, entity, iteration), so it never depends on how many draws other
+/// faults or entities made. The one decision rule of ArmedFaultPlan (the
+/// executive VM's) and of every gate.
+double fault_draw(std::uint64_t seed, std::size_t fault, std::size_t entity,
+                  std::size_t iteration);
+
 /// Pure function of (gate, k): replays the armed plan's comm_effect for
 /// this transfer — first triggered loss wins; triggered delays sum;
 /// triggered duplicates defer by extra copies of the transfer duration.

@@ -5,19 +5,10 @@
 #include <stdexcept>
 
 #include "fault/comm_gate.hpp"
-#include "mathlib/rng.hpp"
 
 namespace ecsim::fault {
 
 namespace {
-
-/// splitmix64 finalizer: the seed-scrambling primitive math::Rng itself uses.
-std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 const char* kind_name(FaultKind k) {
   switch (k) {
@@ -157,16 +148,6 @@ ArmedFaultPlan::ArmedFaultPlan(const FaultPlan& plan,
   }
 }
 
-double ArmedFaultPlan::decision(std::size_t fault, std::size_t entity,
-                                std::size_t iteration) const {
-  // One fresh stream per (fault, entity, iteration): the injection decision
-  // depends only on these coordinates and the plan seed, never on how many
-  // draws other faults or entities have made (see file comment).
-  math::Rng rng(mix(seed_ ^ mix(0x6661756c74ULL + fault) ^
-                    mix(0x656e74ULL + entity) ^ mix(iteration)));
-  return rng.uniform();
-}
-
 bool ArmedFaultPlan::in_window(const FaultSpec& f,
                                std::size_t iteration) const {
   const Time nominal = static_cast<Time>(iteration) * period_;
@@ -180,7 +161,9 @@ ArmedFaultPlan::CommEffect ArmedFaultPlan::comm_effect(
   for (const std::size_t fi : comm_faults_[comm_index]) {
     const FaultSpec& f = faults_[fi];
     if (!in_window(f, iteration)) continue;
-    if (decision(fi, comm_index, iteration) >= f.probability) continue;
+    if (fault_draw(seed_, fi, comm_index, iteration) >= f.probability) {
+      continue;
+    }
     switch (f.kind) {
       case FaultKind::kMessageLoss:
         if (!e.lost) {
@@ -246,7 +229,7 @@ double ArmedFaultPlan::op_factor(OpId op, std::size_t iteration,
   for (const std::size_t fi : op_faults_[op]) {
     const FaultSpec& f = faults_[fi];
     if (!in_window(f, iteration)) continue;
-    if (decision(fi, op, iteration) >= f.probability) continue;
+    if (fault_draw(seed_, fi, op, iteration) >= f.probability) continue;
     factor *= f.overrun_factor;
     if (fault_out != nullptr && *fault_out == kNone) *fault_out = fi;
   }

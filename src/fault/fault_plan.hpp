@@ -178,8 +178,6 @@ class ArmedFaultPlan {
   const std::vector<FaultSpec>& faults() const { return faults_; }
 
  private:
-  double decision(std::size_t fault, std::size_t entity,
-                  std::size_t iteration) const;
   bool in_window(const FaultSpec& f, std::size_t iteration) const;
 
   std::uint64_t seed_ = 0;

@@ -71,16 +71,6 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-double Rng::truncated_normal(double mean, double stddev, double lo, double hi) {
-  if (hi < lo) throw std::invalid_argument("truncated_normal: hi < lo");
-  for (int i = 0; i < 64; ++i) {
-    const double v = normal(mean, stddev);
-    if (v >= lo && v <= hi) return v;
-  }
-  const double v = normal(mean, stddev);
-  return v < lo ? lo : (v > hi ? hi : v);
-}
-
 void Rng::jump() {
   // Jump polynomial from the xoshiro256** reference implementation
   // (Blackman & Vigna): equivalent to 2^128 next_u64() calls.
@@ -134,14 +124,10 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-void fill_lanes_u64(std::vector<Rng>& streams,
-                    std::vector<std::uint64_t>& out) {
-  if (streams.size() != out.size()) {
-    throw std::invalid_argument("fill_lanes_u64: size mismatch");
-  }
-  for (std::size_t l = 0; l < streams.size(); ++l) {
-    out[l] = streams[l].next_u64();
-  }
+std::uint64_t mix64(std::uint64_t z) { return splitmix64(z); }
+
+Rng keyed_rng(std::uint64_t seed, std::uint64_t key, std::uint64_t k) {
+  return Rng(mix64(seed ^ mix64(key) ^ mix64(k)));
 }
 
 }  // namespace ecsim::math

@@ -27,9 +27,6 @@ class Rng {
   double normal(double mean, double stddev);
   /// Bernoulli with probability p of true.
   bool bernoulli(double p);
-  /// Truncated normal in [lo, hi] by rejection (falls back to clamping
-  /// after 64 rejections to stay O(1)).
-  double truncated_normal(double mean, double stddev, double lo, double hi);
   /// Pick an index in [0, weights.size()) with probability ~ weights[i].
   std::size_t categorical(const std::vector<double>& weights);
 
@@ -52,15 +49,15 @@ class Rng {
   double spare_ = 0.0;
 };
 
-/// Draw one u64 from each stream into out[l] — one lane-interleaved "row"
-/// of draws across a batch. Because split() streams are non-overlapping and
-/// independently stateful, W rows drawn this way are byte-identical to each
-/// stream drawing its W values sequentially — the invariant that lets the
-/// VM Monte Carlo (par/monte_carlo.cpp) draw a chunk's per-trial seeds in
-/// one row without the chunk width changing any trial's seed
-/// (property-tested in tests/mathlib/test_rng.cpp).
-/// `streams` and `out` must have equal sizes.
-void fill_lanes_u64(std::vector<Rng>& streams,
-                    std::vector<std::uint64_t>& out);
+/// splitmix64 finalizer: the seed scrambler Rng's constructor applies.
+std::uint64_t mix64(std::uint64_t z);
+
+/// A fresh stream keyed by (seed, key, k): Rng(mix64(seed ^ mix64(key) ^
+/// mix64(k))). A key is a domain constant plus an entity id; k is the
+/// iteration (or activation) index. What a keyed stream yields depends on
+/// these coordinates alone, never on how many draws other keys made, so
+/// every engine asking the same key draws the same values whatever order it
+/// visits the keys in (fault decisions, execution times, branch choices).
+Rng keyed_rng(std::uint64_t seed, std::uint64_t key, std::uint64_t k);
 
 }  // namespace ecsim::math

@@ -45,7 +45,9 @@ MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
   std::vector<std::uint64_t> seeds(spec.trials);
   {
     std::vector<math::Rng> streams = math::Rng(batch.seed).split(spec.trials);
-    math::fill_lanes_u64(streams, seeds);
+    for (std::size_t i = 0; i < spec.trials; ++i) {
+      seeds[i] = streams[i].next_u64();
+    }
   }
   const std::size_t width =
       spec.batch_width > 0 ? spec.batch_width : kDefaultBatchWidth;
@@ -67,8 +69,7 @@ MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
           // depends only on (batch.seed, trial index).
           vm.seed = seeds[trial];
           vm.bcet_fraction = spec.bcet_fraction;
-          vm.branch = spec.random_branches ? exec::BranchChoice::kUniform
-                                           : exec::BranchChoice::kWorstCase;
+          vm.branch = spec.branch;
           vm.tracer = ctx.tracer;
           vm.metrics = ctx.metrics;
           vm.track_prefix = "trial" + std::to_string(trial) + "/";

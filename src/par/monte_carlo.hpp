@@ -1,6 +1,7 @@
 // Monte Carlo execution-time analysis over the executive VM (DESIGN.md
 // §3.3): many VM runs of one static schedule, each drawing actual execution
-// times (and optionally branches) from its own decorrelated RNG stream, and
+// times (and optionally branches) under its own seed from a decorrelated
+// stream family, and
 // the per-trial latency/jitter statistics reduced across trials in trial
 // order. This turns the single "actual times" run of EXP-F1 into a
 // distributional statement — how much latency/jitter does the
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "aaa/codegen.hpp"
+#include "aaa/exec_time.hpp"
 #include "mathlib/stats.hpp"
 #include "par/batch_runner.hpp"
 
@@ -24,11 +26,10 @@ inline constexpr std::size_t kDefaultBatchWidth = 8;
 struct MonteCarloSpec {
   std::size_t trials = 100;
   std::size_t iterations = 50;  // VM iterations per trial
-  /// Actual execution time ~ uniform(bcet_fraction, 1.0) * WCET.
+  /// Actual execution time ~ uniform(bcet_fraction * WCET, WCET).
   double bcet_fraction = 0.5;
-  /// Conditional ops draw a uniformly random branch per iteration (else the
-  /// worst-case branch the schedule reserves).
-  bool random_branches = true;
+  /// Branch a conditional op takes per iteration.
+  aaa::BranchChoice branch = aaa::BranchChoice::kUniform;
   /// Sensor release period; 0 = the algorithm's period, falling back to the
   /// schedule makespan for aperiodic graphs.
   aaa::Time period = 0.0;

@@ -55,6 +55,9 @@ class Context {
   void schedule_self(std::size_t event_in, Time delay);
 
   math::Rng& rng();
+  /// Seed of the current run (SimOptions::seed): the key root of draws that
+  /// must not depend on the order blocks consume the run RNG in.
+  std::uint64_t seed() const;
   Trace& trace();
   std::size_t block_index() const { return block_; }
 

@@ -67,11 +67,6 @@ struct SimOptions {
   /// cone. The two paths must produce bit-identical traces; keeping the old
   /// sweep behind a flag makes that an assertable property.
   bool full_refresh = false;
-  /// Trace capacity hints so long runs don't reallocate mid-trace. Size
-  /// them from the horizon and activation periods (e.g. end_time / tick
-  /// period x event fan-out). 0 keeps whatever capacity the trace has.
-  std::size_t reserve_events = 0;
-  std::size_t reserve_signals = 0;
   /// Observability (both borrowed, may be null; see DESIGN.md §3.2). The
   /// tracer receives wall-clock spans (compile, integration segments, cone
   /// refreshes) and sim-time instants (event dispatches, incl. S/H
@@ -146,6 +141,7 @@ class Driver {
     } run_span{obs_, obs_.tracing ? tab->now_us(tab->tracer) : 0.0};
 
     // Reset run state (including the RNG: same seed => same realization).
+    seed_ = o.seed;
     rng_ = math::Rng(o.seed);
     time_ = 0.0;
     x_.assign(lay.total_state(), 0.0);
@@ -156,7 +152,6 @@ class Driver {
     lane_active_ = false;
     iws_.resize(lay.total_state());
     trace_->clear();
-    trace_->reserve(o.reserve_events, o.reserve_signals);
     events_dispatched_ = 0;
     std::fill(arena_.begin(), arena_.end(), 0.0);
     full_refresh_ = o.full_refresh;
@@ -243,6 +238,8 @@ class Driver {
   /// Time of the evaluation in progress (the kernels' "now").
   Time time() const { return eval_time_; }
   math::Rng& rng() { return rng_; }
+  /// The run's seed (SimOptions::seed).
+  std::uint64_t seed() const { return seed_; }
   Trace& trace() { return *trace_; }
   /// Continuous state as blocks see it right now (an integration stage's
   /// trial state while integrating, the committed state otherwise).
@@ -390,6 +387,7 @@ class Driver {
   Trace* trace_ = nullptr;
   EventQueue queue_;
   math::Rng rng_{1};
+  std::uint64_t seed_ = 1;
   IntegratorWorkspace iws_;
 };
 

@@ -58,6 +58,8 @@ void Context::schedule_self(std::size_t event_in, Time delay) {
 
 math::Rng& Context::rng() { return sim_->driver_.rng(); }
 
+std::uint64_t Context::seed() const { return sim_->driver_.seed(); }
+
 Trace& Context::trace() { return sim_->trace_; }
 
 // ---- Simulator ---------------------------------------------------------------

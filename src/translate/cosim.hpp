@@ -77,7 +77,7 @@ struct DistributedSpec {
   /// |ref - y| exceeds this threshold — data-driven conditioning through the
   /// paper's Condition Mapping instead of random branches.
   std::optional<double> ctrl_condition_threshold;
-  GodOptions god;  // mode, bcet_fraction, random_branches
+  GodOptions god;  // bcet_fraction, branch, conditions, fault plan
 };
 
 struct CosimOutcome {

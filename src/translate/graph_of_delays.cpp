@@ -14,11 +14,11 @@ namespace ecsim::translate {
 
 namespace {
 
-/// Duration model for one operation on one processor type: uniform in
-/// [bcet_fraction * WCET, WCET], with the WCET taken from a random branch
-/// for conditional operations. Pure data (blocks::DurationSpec), so the
-/// resulting EventDelay is describable in the IR.
-blocks::DurationSpec make_op_duration(const aaa::Operation& op,
+/// Duration model of operation `id` on one processor type: the executive
+/// VM's keyed draw (aaa::draw_exec_time), the branch WCETs taken on that
+/// type. Pure data (blocks::DurationSpec), so the resulting EventDelay is
+/// describable in the IR. An unconditional op at WCET stays a constant.
+blocks::DurationSpec make_op_duration(aaa::OpId id, const aaa::Operation& op,
                                       const std::string& proc_type,
                                       const GodOptions& opts) {
   const double f = opts.bcet_fraction;
@@ -28,43 +28,36 @@ blocks::DurationSpec make_op_duration(const aaa::Operation& op,
   if (!op.is_conditional()) {
     const aaa::Time wcet = op.wcet_on(proc_type);
     if (f >= 1.0) return blocks::constant_duration(wcet);
-    return blocks::uniform_duration(f * wcet, wcet);
+    return blocks::keyed_duration({wcet}, f, opts.branch, aaa::op_key(id));
   }
   std::vector<double> branch_wcets;
   branch_wcets.reserve(op.branches.size());
   for (const aaa::Branch& br : op.branches) {
     branch_wcets.push_back(br.wcet.at(proc_type));
   }
-  return blocks::branch_duration(std::move(branch_wcets), f,
-                                 opts.random_branches);
+  return blocks::keyed_duration(std::move(branch_wcets), f, opts.branch,
+                                aaa::op_key(id));
 }
 
-GraphOfDelays build_timetable(sim::Model& model, const aaa::AlgorithmGraph& alg,
-                              const aaa::Schedule& sched,
-                              const GodOptions& opts) {
-  GraphOfDelays god;
+}  // namespace
+
+GraphOfDelays build_graph_of_delays(sim::Model& model,
+                                    const aaa::AlgorithmGraph& alg,
+                                    const aaa::ArchitectureGraph& arch,
+                                    const aaa::Schedule& sched,
+                                    const GodOptions& opts) {
   const aaa::Time period = alg.period();
-  for (const aaa::ScheduledOp& so : sched.ops()) {
-    if (so.end >= period) {
-      throw std::runtime_error(
-          "graph_of_delays (timetable): operation completes exactly at or "
-          "past the period boundary; use event-chain mode");
-    }
-    auto& clk = model.add<blocks::TimetableClock>(
-        opts.prefix + "tt/" + alg.op(so.op).name, period,
-        std::vector<sim::Time>{so.end});
-    god.op_completion[so.op] = CompletionSource{&clk, clk.event_out()};
+  if (period <= 0.0) {
+    throw std::runtime_error(
+        "build_graph_of_delays: algorithm graph needs a period");
   }
-  return god;
-}
-
-GraphOfDelays build_event_chain(sim::Model& model,
-                                const aaa::AlgorithmGraph& alg,
-                                const aaa::ArchitectureGraph& arch,
-                                const aaa::Schedule& sched,
-                                const GodOptions& opts) {
+  if (sched.makespan() > period + 1e-12) {
+    throw std::runtime_error(
+        "build_graph_of_delays: schedule makespan exceeds the period (the "
+        "real-time constraint is violated; choose a faster architecture or a "
+        "longer period)");
+  }
   GraphOfDelays god;
-  const aaa::Time period = alg.period();
   auto& clock = model.add<blocks::Clock>(opts.prefix + "clock", period);
   god.clock = &clock;
 
@@ -109,7 +102,9 @@ GraphOfDelays build_event_chain(sim::Model& model,
         const blocks::DurationSpec dur =
             opts.bcet_fraction >= 1.0
                 ? blocks::constant_duration(wcet)
-                : blocks::uniform_duration(opts.bcet_fraction * wcet, wcet);
+                : blocks::keyed_duration({wcet}, opts.bcet_fraction,
+                                         aaa::BranchChoice::kFirst,
+                                         aaa::bound_branch_key(so.op, b));
         auto& ed = model.add<blocks::EventDelay>(
             opts.prefix + "op/" + op.name + "/" + op.branches[b].name, dur);
         model.connect_event(sel, b, ed, ed.event_in());
@@ -121,7 +116,8 @@ GraphOfDelays build_event_chain(sim::Model& model,
       continue;
     }
     auto& ed = model.add<blocks::EventDelay>(
-        opts.prefix + "op/" + op.name, make_op_duration(op, type, opts));
+        opts.prefix + "op/" + op.name,
+        make_op_duration(so.op, op, type, opts));
     op_node[so.op] = OpNode{&ed, ed.event_in(), &ed, ed.event_out()};
     god.op_completion[so.op] = CompletionSource{&ed, ed.event_out()};
   }
@@ -267,13 +263,15 @@ GraphOfDelays build_event_chain(sim::Model& model,
         // adequation charges that wait before the bus-order join —
         // start = max(ready + blocking, bus free) — so delay readiness, not
         // the transfer: WCET replay charges the full blocking, jitter studies
-        // draw it from [0, blocking].
+        // draw it from [0, blocking] with the executive VM's keyed draw.
         const aaa::Time blocking = medium.can_blocking;
         auto& wait = model.add<blocks::EventDelay>(
             opts.prefix + "can/comm" + std::to_string(ci),
             opts.bcet_fraction >= 1.0
                 ? blocks::constant_duration(blocking)
-                : blocks::uniform_duration(0.0, blocking));
+                : blocks::keyed_duration({blocking}, 0.0,
+                                         aaa::BranchChoice::kFirst,
+                                         aaa::can_wait_key(ci)));
         model.connect_event(*ready, ready_out, wait, wait.event_in());
         ready = &wait;
         ready_out = wait.event_out();
@@ -306,35 +304,6 @@ GraphOfDelays build_event_chain(sim::Model& model,
     }
   }
   return god;
-}
-
-}  // namespace
-
-GraphOfDelays build_graph_of_delays(sim::Model& model,
-                                    const aaa::AlgorithmGraph& alg,
-                                    const aaa::ArchitectureGraph& arch,
-                                    const aaa::Schedule& sched,
-                                    const GodOptions& opts) {
-  const aaa::Time period = alg.period();
-  if (period <= 0.0) {
-    throw std::runtime_error(
-        "build_graph_of_delays: algorithm graph needs a period");
-  }
-  if (sched.makespan() > period + 1e-12) {
-    throw std::runtime_error(
-        "build_graph_of_delays: schedule makespan exceeds the period (the "
-        "real-time constraint is violated; choose a faster architecture or a "
-        "longer period)");
-  }
-  if (opts.mode == GodMode::kTimetable) {
-    if (!opts.fault_plan.empty()) {
-      throw std::invalid_argument(
-          "build_graph_of_delays: fault injection requires event-chain mode "
-          "(timetable clocks replay fixed instants)");
-    }
-    return build_timetable(model, alg, sched, opts);
-  }
-  return build_event_chain(model, alg, arch, sched, opts);
 }
 
 void wire_completion(sim::Model& model, const GraphOfDelays& god, aaa::OpId op,

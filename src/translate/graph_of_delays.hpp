@@ -6,10 +6,14 @@
 //   - sequencing  (§3.2.1): one EventDelay per operation, chained in the
 //     per-processor total order;
 //   - conditioning (§3.2.2): conditional operations draw their duration from
-//     the taken branch (random branch per activation), producing the jitter
-//     the paper describes;
+//     the taken branch (chosen per activation by GodOptions::branch),
+//     producing the jitter the paper describes;
 //   - synchronization (§3.2.3): a Synchronization block joins the
 //     per-processor chain with incoming inter-processor communications.
+// Every execution time below WCET, every branch choice and every CAN
+// blocking wait is the executive VM's keyed draw (aaa::draw_exec_time,
+// DESIGN.md §3.11), so under the same seed the graph completes every
+// operation at the instants the executives do.
 // The S/H blocks of the original (ideal) design are then re-wired from the
 // activation clock to the completion events of their sensor/actuator
 // operations — no change to the control design itself, exactly the workflow
@@ -20,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "aaa/exec_time.hpp"
 #include "aaa/schedule.hpp"
 #include "blocks/event_blocks.hpp"
 #include "fault/fault_plan.hpp"
@@ -37,24 +42,15 @@ struct ConditionBinding {
   blocks::ConditionMapping mapping;
 };
 
-enum class GodMode {
-  /// Replay the WCET schedule instants with timetable clocks (cheap, exact
-  /// under the stroboscopic-per-operation assumption).
-  kTimetable,
-  /// Full event-chain translation (EventDelay/EventSelect/Synchronization);
-  /// supports execution-time variation and conditioning jitter.
-  kEventChain,
-};
-
 struct GodOptions {
-  GodMode mode = GodMode::kEventChain;
   /// Actual execution time of each operation instance is drawn uniformly
-  /// from [bcet_fraction * WCET, WCET]; 1.0 = deterministic WCET.
+  /// from [bcet_fraction * WCET, WCET]; 1.0 = deterministic WCET. Below 1.0
+  /// each CAN blocking wait is drawn from [0, blocking] too.
   double bcet_fraction = 1.0;
-  /// Conditional operations take a uniformly random branch per activation.
-  /// When false, branch 0 is always taken. Ignored for operations that have
-  /// a ConditionBinding in `conditions`.
-  bool random_branches = true;
+  /// Branch a conditional operation takes per activation (the executive
+  /// VM's VmOptions::branch). Ignored for operations that have a
+  /// ConditionBinding in `conditions`.
+  aaa::BranchChoice branch = aaa::BranchChoice::kUniform;
   /// Data-driven conditioning (§3.2.2, Fig. 5): operation name -> binding.
   /// Bound operations are translated as EventSelect -> per-branch EventDelay
   /// -> EventMerge, with the select's condition input wired to the bound
@@ -65,8 +61,7 @@ struct GodOptions {
   /// consumer's Synchronization — the S/H fires one period later with the
   /// next delivered sample (realistic stale-data degradation), while the
   /// medium-order chain still sees the corrupted frame's occupancy.
-  /// Delay/duplication faults defer the arrival. Event-chain mode only:
-  /// a non-empty plan in timetable mode throws std::invalid_argument.
+  /// Delay/duplication faults defer the arrival.
   fault::FaultPlan fault_plan;
   /// Name prefix for all generated blocks.
   std::string prefix = "god/";
@@ -79,7 +74,7 @@ struct CompletionSource {
 };
 
 struct GraphOfDelays {
-  const sim::Block* clock = nullptr;  // period clock (event-chain mode only)
+  const sim::Block* clock = nullptr;  // period clock
   std::map<aaa::OpId, CompletionSource> op_completion;
   /// Fault gates inserted for GodOptions::fault_plan (empty when fault-free).
   /// A gate's decisions are data (EventFault::gate()), so loss accounting

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "aaa/adequation.hpp"
+#include "mathlib/rng.hpp"
+#include "properties/random_graphs.hpp"
 
 namespace ecsim::aaa {
 namespace {
@@ -67,6 +69,38 @@ TEST(Codegen, ProgramOrderMatchesScheduleOrder) {
   EXPECT_EQ(p1.instrs[0].kind, InstrKind::kRecv);
   EXPECT_EQ(p1.instrs[1].kind, InstrKind::kCompute);
   EXPECT_EQ(p1.instrs[2].kind, InstrKind::kSend);
+}
+
+TEST(Codegen, RecvsPrecedeTheirConsumerAndSendsFollowTheirProducer) {
+  // Random graphs on three processors: every recv is followed (after other
+  // recvs only) by the compute of its consumer, and every send is preceded
+  // (after other sends only) by the compute of its producer.
+  math::Rng rng(41);
+  const AlgorithmGraph alg = testing::random_dag(rng, 60);
+  const ArchitectureGraph arch =
+      ArchitectureGraph::bus_architecture(3, 1e4, 1e-5);
+  const Schedule sched = adequate(alg, arch);
+  const GeneratedCode code = generate_executives(alg, arch, sched);
+  std::size_t checked = 0;
+  for (const ExecutiveProgram& prog : code.programs) {
+    const std::vector<Instr>& in = prog.instrs;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (in[i].kind == InstrKind::kCompute) continue;
+      const DataDep& dep = alg.dependencies()[sched.comms()[in[i].comm].dep_index];
+      std::size_t j = i;
+      if (in[i].kind == InstrKind::kRecv) {
+        while (j < in.size() && in[j].kind == InstrKind::kRecv) ++j;
+        ASSERT_LT(j, in.size());
+        EXPECT_EQ(in[j].op, dep.to) << in[i].label;
+      } else {
+        while (j > 0 && in[j].kind == InstrKind::kSend) --j;
+        ASSERT_EQ(in[j].kind, InstrKind::kCompute) << in[i].label;
+        EXPECT_EQ(in[j].op, dep.from) << in[i].label;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 20u);
 }
 
 TEST(Codegen, SourceRendersSequencersAndSemaphores) {

@@ -257,6 +257,30 @@ TEST(CosimBackend, DistributedLoopNativeMatchesInterp) {
   EXPECT_EQ(native.cost, interp.cost);
 }
 
+// Below WCET too: every execution time and branch choice is the keyed
+// DurationSpec the executive VM draws (DESIGN.md §3.11), regenerated as
+// data, so a jittered loop with a conditional controller runs natively with
+// the interpreter's trajectories.
+TEST(CosimBackend, JitteredDistributedLoopNativeMatchesInterp) {
+  translate::LoopSpec spec = servo_loop_spec();
+  translate::DistributedSpec dist;
+  dist.bind_ctrl = "P1";
+  dist.ctrl_branch_wcets = {4e-4, 1.5e-3};
+  dist.god.bcet_fraction = 0.4;
+  dist.god.branch = aaa::BranchChoice::kUniform;
+  const translate::CosimOutcome interp =
+      translate::run_distributed_loop(spec, dist);
+  spec.backend = backend::Kind::kNative;
+  const translate::CosimOutcome native =
+      translate::run_distributed_loop(spec, dist);
+  ASSERT_EQ(native.backend_used, backend::Kind::kNative)
+      << "fell back: " << native.backend_fallback;
+  EXPECT_EQ(native.y, interp.y);
+  EXPECT_EQ(native.u, interp.u);
+  EXPECT_EQ(native.cost, interp.cost);
+  EXPECT_GT(interp.act_latency.jitter, 0.0) << "no draw below WCET happened";
+}
+
 // ...and so is a faulted one: the fault gates are data, and the loss
 // accounting replays their decisions over the activation counts in the
 // trace. Every EXP-F1 cell (loss x delay on the bus) and a duplicate plan

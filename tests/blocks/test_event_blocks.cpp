@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "blocks/discrete.hpp"
 #include "blocks/sources.hpp"
+#include "blocks/to_model.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecsim::blocks {
@@ -17,7 +21,11 @@ TEST(DurationSpecs, Validation) {
   EXPECT_THROW(constant_duration(-1.0), std::invalid_argument);
   EXPECT_THROW(uniform_duration(-1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(uniform_duration(2.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(truncated_normal_duration(1.0, 0.1, 2.0, 1.0),
+  EXPECT_THROW(keyed_duration({}, 0.5, aaa::BranchChoice::kFirst, 0),
+               std::invalid_argument);
+  EXPECT_THROW(keyed_duration({-1.0}, 0.5, aaa::BranchChoice::kFirst, 0),
+               std::invalid_argument);
+  EXPECT_THROW(keyed_duration({1.0}, 1.5, aaa::BranchChoice::kFirst, 0),
                std::invalid_argument);
 }
 
@@ -25,24 +33,92 @@ TEST(DurationSpecs, UniformWithinBounds) {
   math::Rng rng(3);
   const auto spec = uniform_duration(0.5, 1.5);
   for (int i = 0; i < 1000; ++i) {
-    const double d = sample_duration(spec, rng);
+    const double d = sample_duration(spec, rng, 1, 0);
     EXPECT_GE(d, 0.5);
     EXPECT_LE(d, 1.5);
   }
 }
 
-TEST(DurationSpecs, TruncatedNormalStaysInBoundsWithSaneMean) {
-  math::Rng rng(77);
-  const auto spec = truncated_normal_duration(1.0, 0.3, 0.5, 1.5);
-  double sum = 0.0;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    const double d = sample_duration(spec, rng);
-    EXPECT_GE(d, 0.5);
-    EXPECT_LE(d, 1.5);
-    sum += d;
+TEST(DurationSpecs, ParamsRoundTripEveryKind) {
+  const DurationSpec specs[] = {
+      constant_duration(0.5), uniform_duration(0.25, 1.5),
+      shifted_uniform_duration(1.0, 0.2),
+      keyed_duration({1e-3, 4e-3}, 0.4, aaa::BranchChoice::kUniform,
+                     aaa::can_wait_key(7))};
+  std::vector<double> table;
+  for (const DurationSpec& s : specs) {
+    const std::vector<double> p = duration_params(s);
+    table.insert(table.end(), p.begin(), p.end());
   }
-  EXPECT_NEAR(sum / n, 1.0, 0.05);
+  std::size_t pos = 0;
+  for (const DurationSpec& s : specs) {
+    const DurationSpec r = duration_from_params(table, pos);
+    EXPECT_EQ(r.kind, s.kind);
+    EXPECT_EQ(r.value, s.value);
+    EXPECT_EQ(r.bcet, s.bcet);
+    EXPECT_EQ(r.wcet, s.wcet);
+    EXPECT_EQ(r.base, s.base);
+    EXPECT_EQ(r.jitter, s.jitter);
+    EXPECT_EQ(r.branch_wcets, s.branch_wcets);
+    EXPECT_EQ(r.bcet_fraction, s.bcet_fraction);
+    EXPECT_EQ(r.branch, s.branch);
+    EXPECT_EQ(r.key, s.key);
+  }
+  EXPECT_EQ(pos, table.size());
+  // A truncated table, an unknown tag and an oversized vector all throw.
+  const std::vector<double> keyed = duration_params(specs[3]);
+  std::size_t at = 0;
+  EXPECT_THROW(duration_from_params(
+                   std::span(keyed).first(keyed.size() - 1), at),
+               std::invalid_argument);
+  at = 0;
+  EXPECT_THROW(duration_from_params(std::vector<double>{2.0, 1.0}, at),
+               std::invalid_argument);
+  at = 0;
+  EXPECT_THROW(duration_from_params(std::vector<double>{5.0, 9.0, 1.0}, at),
+               std::invalid_argument);
+}
+
+TEST(DurationSpecs, KeyedSpecRoundTripsThroughTheIr) {
+  const EventDelay d("d", keyed_duration({2e-4, 7e-4}, 0.3,
+                                         aaa::BranchChoice::kWorstCase,
+                                         aaa::bound_branch_key(12, 1)));
+  ir::BlockIr b;
+  b.name = d.name();
+  d.describe(b);
+  const DurationSpec r = duration_from_attrs(b);
+  EXPECT_EQ(r.kind, DurationSpec::Kind::kKeyed);
+  EXPECT_EQ(r.branch_wcets, d.spec().branch_wcets);
+  EXPECT_EQ(r.bcet_fraction, 0.3);
+  EXPECT_EQ(r.branch, aaa::BranchChoice::kWorstCase);
+  EXPECT_EQ(r.key, aaa::bound_branch_key(12, 1));
+  // The surviving "dist" tags are pinned: IR files keep their meaning.
+  EXPECT_EQ(b.find("dist")->i, 5);
+  EXPECT_EQ(static_cast<int>(DurationSpec::Kind::kShiftedUniform), 3);
+}
+
+TEST(EventDelay, KeyedDelayDrawsTheExecutiveTimeOfEachActivation) {
+  // Activation k of a kKeyed delay takes aaa::draw_exec_time keyed by (run
+  // seed, key, k): the instants follow from the seed alone.
+  Model m;
+  auto& clk = m.add<Clock>("clk", 1.0);
+  auto& d = m.add<EventDelay>(
+      "d", keyed_duration({0.5}, 0.2, aaa::BranchChoice::kFirst, 3));
+  auto& n = m.add<EventCounter>("n");
+  m.connect_event(clk, 0, d, d.event_in());
+  m.connect_event(d, d.event_out(), n, 0);
+  Simulator s(m, SimOptions{.end_time = 3.9, .seed = 17});
+  s.run();
+  const auto times = s.trace().activation_times_by_name("n");
+  ASSERT_EQ(times.size(), 4u);
+  const std::vector<double> wcet{0.5};
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    EXPECT_NEAR(times[k] - static_cast<double>(k),
+                aaa::draw_exec_time(wcet, 0.2, aaa::BranchChoice::kFirst, 17,
+                                    3, k)
+                    .duration,
+                1e-12);
+  }
 }
 
 TEST(EventDelay, ConstantDelayShiftsEvents) {

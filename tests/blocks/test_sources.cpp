@@ -32,28 +32,6 @@ TEST(Clock, OffsetShiftsFirstTick) {
   EXPECT_NEAR(times[2], 2.4, 1e-12);
 }
 
-TEST(TimetableClock, ValidatesOffsets) {
-  EXPECT_THROW(TimetableClock("t", 1.0, {}), std::invalid_argument);
-  EXPECT_THROW(TimetableClock("t", 1.0, {0.5, 0.2}), std::invalid_argument);
-  EXPECT_THROW(TimetableClock("t", 1.0, {1.0}), std::invalid_argument);
-  EXPECT_THROW(TimetableClock("t", 1.0, {-0.1}), std::invalid_argument);
-  EXPECT_THROW(TimetableClock("t", 0.0, {0.0}), std::invalid_argument);
-}
-
-TEST(TimetableClock, EmitsAtOffsetsEveryPeriod) {
-  Model m;
-  auto& tt = m.add<TimetableClock>("tt", 1.0, std::vector<sim::Time>{0.2, 0.7});
-  (void)tt;
-  Simulator s(m, SimOptions{.end_time = 2.0});
-  s.run();
-  const auto times = s.trace().activation_times_by_name("tt");
-  ASSERT_EQ(times.size(), 4u);
-  EXPECT_NEAR(times[0], 0.2, 1e-12);
-  EXPECT_NEAR(times[1], 0.7, 1e-12);
-  EXPECT_NEAR(times[2], 1.2, 1e-12);
-  EXPECT_NEAR(times[3], 1.7, 1e-12);
-}
-
 TEST(Step, SwitchesAtStepTime) {
   Model m;
   auto& st = m.add<Step>("st", -1.0, 2.0, 0.5);

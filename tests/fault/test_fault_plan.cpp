@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "aaa/adequation.hpp"
+#include "fault/comm_gate.hpp"
 #include "fault/fault_plan.hpp"
 
 namespace ecsim::fault {
@@ -130,6 +131,36 @@ TEST(FaultPlan, DecisionsArePureFunctionsOfCoordinates) {
     bwd[2 * it] = b.comm_effect(0, it).lost;
   }
   EXPECT_EQ(fwd, bwd);
+}
+
+TEST(CommGate, DecisionsMatchCapturedBits) {
+  // One loss and one delay entry over 64 iterations. The bit masks were
+  // captured before the decision stream became math::keyed_rng; every
+  // engine replays them, so they must never move.
+  CommGate g;
+  g.seed = 0x9e3779b97f4a7c15ULL;
+  g.period = 0.01;
+  g.comm_index = 3;
+  g.transfer_duration = 1e-4;
+  CommGateEntry loss;
+  loss.fault = 0;
+  loss.kind = CommGateEntry::Kind::kLoss;
+  loss.probability = 0.3;
+  CommGateEntry delay;
+  delay.fault = 2;
+  delay.kind = CommGateEntry::Kind::kDelay;
+  delay.probability = 0.5;
+  delay.delay = 1e-3;
+  g.entries = {loss, delay};
+  std::uint64_t lost = 0;
+  std::uint64_t deferred = 0;
+  for (std::size_t k = 0; k < 64; ++k) {
+    const CommGateAction a = comm_gate_decide(g, k);
+    if (a.drop) lost |= std::uint64_t{1} << k;
+    if (a.defer > 0.0) deferred |= std::uint64_t{1} << k;
+  }
+  EXPECT_EQ(lost, 0x0400054620dc1026ull);
+  EXPECT_EQ(deferred, 0x52db6a1940234510ull);
 }
 
 TEST(FaultPlan, SubsetCouplingAcrossProbabilities) {

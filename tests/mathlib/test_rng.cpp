@@ -71,17 +71,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(s.stddev, 3.0, 0.1);
 }
 
-TEST(Rng, TruncatedNormalRespectsBounds) {
-  Rng rng(13);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.truncated_normal(0.0, 10.0, -1.0, 1.0);
-    EXPECT_GE(v, -1.0);
-    EXPECT_LE(v, 1.0);
-  }
-  EXPECT_THROW(rng.truncated_normal(0.0, 1.0, 1.0, -1.0),
-               std::invalid_argument);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(17);
   int hits = 0;
@@ -155,34 +144,14 @@ TEST(Rng, SplitStreamZeroEqualsRoot) {
   }
 }
 
-TEST(Rng, LaneInterleavedFillMatchesSequentialDrawsByteForByte) {
-  // Drawing one value from each of W split streams per round — the
-  // lane-interleaved order par/monte_carlo.cpp draws its seeds in — yields
-  // exactly the per-stream sequences a scalar loop over the same streams
-  // would draw. Lane l, round r of the interleaved fill must be
-  // byte-identical to draw r of stream l.
-  constexpr std::size_t kLanes = 8;
-  constexpr std::size_t kRounds = 256;
-
-  std::vector<Rng> interleaved = Rng(2024).split(kLanes);
-  std::vector<Rng> sequential = Rng(2024).split(kLanes);
-
-  std::vector<std::uint64_t> lane_u64(kLanes);
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    fill_lanes_u64(interleaved, lane_u64);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      EXPECT_EQ(lane_u64[l], sequential[l].next_u64())
-          << "round " << r << " lane " << l;
-    }
-  }
-}
-
-TEST(Rng, FillLanesRejectsSizeMismatch) {
-  std::vector<Rng> streams = Rng(1).split(4);
-  std::vector<std::uint64_t> short_out(3);
-  std::vector<std::uint64_t> long_out(5);
-  EXPECT_THROW(fill_lanes_u64(streams, short_out), std::invalid_argument);
-  EXPECT_THROW(fill_lanes_u64(streams, long_out), std::invalid_argument);
+TEST(Rng, KeyedStreamIsAPureFunctionOfItsKey) {
+  const std::uint64_t a = keyed_rng(7, 3, 2).next_u64();
+  EXPECT_EQ(keyed_rng(7, 3, 2).next_u64(), a);
+  EXPECT_NE(keyed_rng(8, 3, 2).next_u64(), a);
+  EXPECT_NE(keyed_rng(7, 4, 2).next_u64(), a);
+  EXPECT_NE(keyed_rng(7, 3, 3).next_u64(), a);
+  // Fault decisions and execution times rest on this construction.
+  EXPECT_EQ(a, Rng(mix64(7 ^ mix64(3) ^ mix64(2))).next_u64());
 }
 
 }  // namespace

@@ -81,8 +81,6 @@ TEST(ObsIntegration, ObservedRunIsBehaviorallyIdentical) {
   sim::SimOptions observed = plain;
   observed.tracer = &tracer;
   observed.metrics = &metrics;
-  observed.reserve_events = 256;
-  observed.reserve_signals = 16;
   sim::Simulator traced(sim::CompiledModel(m2), observed);
   EXPECT_TRUE(traced.run() == baseline);
 }

@@ -251,6 +251,34 @@ TEST(MonteCarlo, BatchWidthNeverChangesTheStatistics) {
   }
 }
 
+TEST(MonteCarlo, WorstCaseBranchesAtWcetHaveNoSpread) {
+  // At WCET with the branch the schedule reserves, every trial replays the
+  // schedule: a conditional controller shows no latency spread across
+  // trials. kUniform on the same loop does.
+  const translate::LoopSpec loop = servo_loop(0.01, 0.1);
+  translate::DistributedSpec dist;
+  dist.bind_ctrl = "P1";
+  dist.ctrl_branch_wcets = {2e-4, 1.2e-3};
+  const aaa::AlgorithmGraph alg = translate::make_loop_algorithm(loop, dist);
+  const aaa::Schedule sched = aaa::adequate(alg, dist.arch);
+  const aaa::GeneratedCode code =
+      aaa::generate_executives(alg, dist.arch, sched);
+  MonteCarloSpec spec;
+  spec.trials = 8;
+  spec.iterations = 6;
+  spec.bcet_fraction = 1.0;
+  spec.branch = aaa::BranchChoice::kWorstCase;
+  const MonteCarloResult worst =
+      run_monte_carlo(alg, dist.arch, sched, code, spec);
+  EXPECT_EQ(worst.deadlocks, 0u);
+  EXPECT_EQ(worst.makespan.min, worst.makespan.max);
+  EXPECT_LT(worst.io_ops[1].jitter.max, 1e-12);
+  spec.branch = aaa::BranchChoice::kUniform;
+  const MonteCarloResult uniform =
+      run_monte_carlo(alg, dist.arch, sched, code, spec);
+  EXPECT_GT(uniform.io_ops[1].jitter.max, 0.0);
+}
+
 TEST(MonteCarlo, DifferentSeedsDifferentDistributions) {
   const translate::LoopSpec loop = servo_loop(0.01, 0.1);
   translate::DistributedSpec dist;

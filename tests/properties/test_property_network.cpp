@@ -3,13 +3,18 @@
 // schedule's static order, so on random multi-processor DAGs the WCET
 // executive-VM run and the WCET graph of delays both reproduce the schedule
 // on the immediate, owner-slot TDMA and CAN buses, and a run below WCET
-// never ends an operation later than the WCET run. Under owner-slot TDMA
-// every transfer must start exactly on its owner's instant. Randomized over
-// graph sizes, message counts, sizes, priorities and execution-time draws.
+// never ends an operation later than the WCET run. Below WCET too, the
+// graph of delays and the VM draw every execution time, branch and CAN
+// blocking wait with the one keyed rule (aaa::draw_exec_time), so under the
+// same seed they complete every operation at the same instants. Under
+// owner-slot TDMA every transfer must start exactly on its owner's instant.
+// Randomized over graph sizes, message counts, sizes, priorities and
+// execution-time draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <random>
 #include <string>
@@ -20,6 +25,7 @@
 #include "blocks/discrete.hpp"
 #include "exec/conformance.hpp"
 #include "exec/executive_vm.hpp"
+#include "fault/fault_plan.hpp"
 #include "random_graphs.hpp"
 #include "sim/simulator.hpp"
 #include "translate/graph_of_delays.hpp"
@@ -109,9 +115,11 @@ constexpr double kPeriod = 12.0;
 constexpr std::size_t kIterations = 3;
 
 template <typename Check>
-void for_each_scenario(Check check) {
+void for_each_scenario(Check check,
+                       std::initializer_list<std::size_t> sizes = {
+                           8u, 16u, 32u, 64u, 150u, 400u}) {
   for (const Bus& bus : conformance_buses()) {
-    for (const std::size_t n : {8u, 16u, 32u, 64u, 150u, 400u}) {
+    for (const std::size_t n : sizes) {
       for (const std::uint64_t seed : {1u, 2u, 3u}) {
         math::Rng rng(1000 * seed + n);
         const AlgorithmGraph alg = testing::random_dag(rng, n, kPeriod);
@@ -177,27 +185,39 @@ TEST(CommunicatorOrderProperty, BelowWcetRunNeverEndsLater) {
   });
 }
 
+/// Completion instants of every op, per iteration, in the graph of delays
+/// built with `opts` and simulated over kIterations periods under `seed`.
+std::vector<std::vector<double>> god_completions(
+    const AlgorithmGraph& alg, const ArchitectureGraph& arch,
+    const Schedule& sched, const translate::GodOptions& opts,
+    std::uint64_t seed) {
+  sim::Model m;
+  const translate::GraphOfDelays god =
+      translate::build_graph_of_delays(m, alg, arch, sched, opts);
+  std::map<std::string, OpId, std::less<>> counter_op;
+  for (OpId op = 0; op < alg.num_operations(); ++op) {
+    const std::string name = "done/" + alg.op(op).name;
+    translate::wire_completion(m, god, op, m.add<blocks::EventCounter>(name),
+                               0);
+    counter_op.emplace(name, op);
+  }
+  sim::Simulator s(m, sim::SimOptions{.end_time = kIterations * kPeriod -
+                                                  kPeriod / 2,
+                                      .seed = seed});
+  s.run();
+  std::vector<std::vector<double>> done(alg.num_operations());
+  for (const sim::EventRecord& e : s.trace().events()) {
+    const auto it = counter_op.find(s.trace().block_name(e.block));
+    if (it != counter_op.end()) done[it->second].push_back(e.time);
+  }
+  return done;
+}
+
 TEST(CommunicatorOrderProperty, GraphOfDelaysEqualsScheduleUnderWcet) {
   for_each_scenario([](const AlgorithmGraph& alg,
                        const ArchitectureGraph& arch, const Schedule& sched) {
-    sim::Model m;
-    const translate::GraphOfDelays god =
-        translate::build_graph_of_delays(m, alg, arch, sched, {});
-    std::map<std::string, OpId, std::less<>> counter_op;
-    for (OpId op = 0; op < alg.num_operations(); ++op) {
-      const std::string name = "done/" + alg.op(op).name;
-      translate::wire_completion(m, god, op,
-                                 m.add<blocks::EventCounter>(name), 0);
-      counter_op.emplace(name, op);
-    }
-    sim::Simulator s(
-        m, sim::SimOptions{.end_time = kIterations * kPeriod - kPeriod / 2});
-    s.run();
-    std::vector<std::vector<double>> done(alg.num_operations());
-    for (const sim::EventRecord& e : s.trace().events()) {
-      const auto it = counter_op.find(s.trace().block_name(e.block));
-      if (it != counter_op.end()) done[it->second].push_back(e.time);
-    }
+    const std::vector<std::vector<double>> done =
+        god_completions(alg, arch, sched, {}, 1);
     for (OpId op = 0; op < alg.num_operations(); ++op) {
       ASSERT_EQ(done[op].size(), kIterations) << alg.op(op).name;
       for (std::size_t k = 0; k < kIterations; ++k) {
@@ -208,6 +228,72 @@ TEST(CommunicatorOrderProperty, GraphOfDelaysEqualsScheduleUnderWcet) {
       }
     }
   });
+}
+
+/// `alg` with every third compute op made conditional: two or three
+/// branches whose worst is neither always first nor always last.
+AlgorithmGraph with_branches(AlgorithmGraph alg) {
+  for (OpId op = 2; op + 1 < alg.num_operations(); op += 3) {
+    aaa::Operation& o = alg.op(op);
+    const double w = o.wcet.at("cpu");
+    o.branches = {aaa::Branch{"lo", {{"cpu", 0.4 * w}}},
+                  aaa::Branch{"hi", {{"cpu", w}}}};
+    if (op % 2 == 0) o.branches.push_back(aaa::Branch{"mid", {{"cpu", 0.7 * w}}});
+  }
+  return alg;
+}
+
+TEST(CommunicatorOrderProperty, GraphOfDelaysEqualsVmForEveryDraw) {
+  std::size_t conditional_runs = 0;
+  for_each_scenario(
+      [&](const AlgorithmGraph& plain, const ArchitectureGraph& arch,
+          const Schedule&) {
+        const AlgorithmGraph alg = with_branches(plain);
+        const Schedule sched = adequate(alg, arch);
+        const aaa::GeneratedCode code = generate_executives(alg, arch, sched);
+        fault::FaultPlan delays;
+        delays.seed = 3;
+        delays.message_delay("", 0.3, 2e-4);
+        for (const double f : {0.2, 0.6, 1.0}) {
+          for (const aaa::BranchChoice branch :
+               {aaa::BranchChoice::kFirst, aaa::BranchChoice::kWorstCase,
+                aaa::BranchChoice::kUniform}) {
+            for (const fault::FaultPlan& plan : {fault::FaultPlan{}, delays}) {
+              const std::uint64_t seed = 7 * alg.num_operations() + 1;
+              SCOPED_TRACE("bcet_fraction " + std::to_string(f) + ", branch " +
+                           std::to_string(static_cast<int>(branch)) +
+                           (plan.empty() ? ", fault-free" : ", delays"));
+              exec::VmOptions vm_opts;
+              vm_opts.iterations = kIterations;
+              vm_opts.period = kPeriod;
+              vm_opts.seed = seed;
+              vm_opts.bcet_fraction = f;
+              vm_opts.branch = branch;
+              vm_opts.fault_plan = plan;
+              const exec::VmResult vm =
+                  exec::run_executives(alg, arch, sched, code, vm_opts);
+              ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
+              translate::GodOptions god_opts;
+              god_opts.bcet_fraction = f;
+              god_opts.branch = branch;
+              god_opts.fault_plan = plan;
+              const std::vector<std::vector<double>> done =
+                  god_completions(alg, arch, sched, god_opts, seed);
+              for (OpId op = 0; op < alg.num_operations(); ++op) {
+                const std::vector<double> expect = vm.completions(op);
+                ASSERT_EQ(done[op].size(), expect.size()) << alg.op(op).name;
+                for (std::size_t k = 0; k < expect.size(); ++k) {
+                  ASSERT_NEAR(done[op][k], expect[k], 1e-12)
+                      << alg.op(op).name << " iteration " << k;
+                }
+              }
+              conditional_runs += vm.ops.size();
+            }
+          }
+        }
+      },
+      {8u, 16u, 32u, 64u, 150u});
+  EXPECT_GT(conditional_runs, 0u);
 }
 
 /// The same message set on an immediate bus vs a CAN bus with zero

@@ -47,8 +47,8 @@ TEST_P(SyncProperty, MatchesReferenceAndJoin) {
       }
     }
 
-    // Simulated: one TimetableClock-like EventDelay chain per input is
-    // overkill; use one Clock per event via per-input TimetableClock.
+    // Simulated: each input's train is replayed by a chain of EventDelays
+    // kicked off at t = 0.
     sim::Model m;
     auto& sync = m.add<Synchronization>("sync", n);
     auto& counter = m.add<EventCounter>("fires");

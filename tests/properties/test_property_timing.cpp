@@ -46,31 +46,6 @@ TEST_P(TimingProperty, EventChainExactUnderWcet) {
   }
 }
 
-TEST_P(TimingProperty, TimetableAgreesWithEventChain) {
-  math::Rng rng(GetParam() * 101);
-  const aaa::AlgorithmGraph alg = ecsim::testing::random_dag(rng, 6, 1.0);
-  const aaa::ArchitectureGraph arch = ecsim::testing::random_bus(rng);
-  const aaa::Schedule sched = aaa::adequate(alg, arch);
-
-  auto collect = [&](GodMode mode) {
-    sim::Model m;
-    GodOptions opts;
-    opts.mode = mode;
-    const GraphOfDelays god = build_graph_of_delays(m, alg, arch, sched, opts);
-    auto& n = m.add<blocks::EventCounter>("done");
-    wire_completion(m, god, alg.num_operations() - 1, n, 0);
-    sim::Simulator s(m, sim::SimOptions{.end_time = 1.999});
-    s.run();
-    return s.trace().activation_times_by_name("done");
-  };
-  const auto chain = collect(GodMode::kEventChain);
-  const auto table = collect(GodMode::kTimetable);
-  ASSERT_EQ(chain.size(), table.size());
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    EXPECT_NEAR(chain[i], table[i], 1e-9);
-  }
-}
-
 TEST_P(TimingProperty, StochasticTimesBoundedByWcetInstants) {
   math::Rng rng(GetParam() * 211);
   const aaa::AlgorithmGraph alg = ecsim::testing::random_dag(rng, 7, 1.0);

@@ -95,13 +95,5 @@ TEST(CosimFaults, SamePlanReplaysIdentically) {
   EXPECT_EQ(a.messages_lost, b.messages_lost);
 }
 
-TEST(CosimFaults, TimetableModeRejectsFaultPlans) {
-  const LoopSpec spec = servo_spec();
-  DistributedSpec dist = cross_bus_spec();
-  dist.god.mode = GodMode::kTimetable;
-  dist.god.fault_plan.message_loss("bus", 0.1);
-  EXPECT_THROW(run_distributed_loop(spec, dist), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ecsim::translate

@@ -9,6 +9,7 @@
 
 #include "aaa/adequation.hpp"
 #include "blocks/discrete.hpp"
+#include "exec/executive_vm.hpp"
 #include "mathlib/stats.hpp"
 #include "sim/simulator.hpp"
 
@@ -69,29 +70,6 @@ TEST(GraphOfDelays, AllOpsGetCompletionSources) {
   EXPECT_NE(god.clock, nullptr);
 }
 
-TEST(GraphOfDelays, TimetableModeMatchesEventChainUnderWcet) {
-  DistributedChain f;
-  sim::Model m1, m2;
-  auto& n1 = m1.add<blocks::EventCounter>("done");
-  auto& n2 = m2.add<blocks::EventCounter>("done");
-  GodOptions chain_opts;
-  chain_opts.mode = GodMode::kEventChain;
-  GodOptions tt_opts;
-  tt_opts.mode = GodMode::kTimetable;
-  const GraphOfDelays god1 =
-      build_graph_of_delays(m1, f.alg, f.arch, f.sched, chain_opts);
-  const GraphOfDelays god2 =
-      build_graph_of_delays(m2, f.alg, f.arch, f.sched, tt_opts);
-  wire_completion(m1, god1, f.alg.find("ctrl"), n1, 0);
-  wire_completion(m2, god2, f.alg.find("ctrl"), n2, 0);
-  const auto t1 = run_and_collect(m1, "done", 0.0399);
-  const auto t2 = run_and_collect(m2, "done", 0.0399);
-  ASSERT_EQ(t1.size(), t2.size());
-  for (std::size_t i = 0; i < t1.size(); ++i) {
-    EXPECT_NEAR(t1[i], t2[i], 1e-12);
-  }
-}
-
 TEST(GraphOfDelays, ExecutionTimeVariationOnlyEverEarlier) {
   DistributedChain f;
   sim::Model m;
@@ -133,7 +111,7 @@ TEST(GraphOfDelays, ConditioningProducesJitter) {
   sim::Model m;
   auto& n = m.add<blocks::EventCounter>("done");
   GodOptions opts;
-  opts.random_branches = true;
+  opts.branch = aaa::BranchChoice::kUniform;
   const GraphOfDelays god = build_graph_of_delays(m, alg, arch, sched, opts);
   wire_completion(m, god, a, n, 0);
   const auto times = run_and_collect(m, "done", 0.999, 7);
@@ -144,6 +122,44 @@ TEST(GraphOfDelays, ConditioningProducesJitter) {
   }
   const double jitter = math::peak_to_peak(offsets);
   EXPECT_NEAR(jitter, 4e-3 - 1e-4, 1e-9);  // branch asymmetry shows up fully
+}
+
+TEST(GraphOfDelays, BelowWcetInstantsAreTheExecutivesInstants) {
+  // A conditional controller across the bus, below WCET with random
+  // branches: the graph of delays and the executive VM draw the same keyed
+  // times, so the actuator completes at the same instants in both.
+  DistributedChain f;
+  aaa::Operation& ctrl = f.alg.op(f.alg.find("ctrl"));
+  ctrl.branches = {aaa::Branch{"fast", {{"cpu", 1e-4}}},
+                   aaa::Branch{"slow", {{"cpu", 2e-3}}}};
+  const aaa::Schedule sched = aaa::adequate(f.alg, f.arch);
+  exec::VmOptions vm_opts;
+  vm_opts.iterations = 20;
+  vm_opts.period = f.alg.period();
+  vm_opts.seed = 4;
+  vm_opts.bcet_fraction = 0.4;
+  vm_opts.branch = aaa::BranchChoice::kUniform;
+  const exec::VmResult vm = exec::run_executives(
+      f.alg, f.arch, sched, aaa::generate_executives(f.alg, f.arch, sched),
+      vm_opts);
+  ASSERT_FALSE(vm.deadlock) << vm.deadlock_info;
+
+  sim::Model m;
+  auto& n = m.add<blocks::EventCounter>("done");
+  GodOptions opts;
+  opts.bcet_fraction = 0.4;
+  opts.branch = aaa::BranchChoice::kUniform;
+  const GraphOfDelays god = build_graph_of_delays(m, f.alg, f.arch, sched, opts);
+  wire_completion(m, god, f.alg.find("act"), n, 0);
+  const auto times = run_and_collect(m, "done", 0.1995, 4);
+  const std::vector<double> expect = vm.completions(f.alg.find("act"));
+  ASSERT_EQ(times.size(), expect.size());
+  std::vector<double> offsets;
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    EXPECT_NEAR(times[k], expect[k], 1e-12) << "iteration " << k;
+    offsets.push_back(times[k] - 0.01 * static_cast<double>(k));
+  }
+  EXPECT_GT(math::peak_to_peak(offsets), 1e-3);  // both branches were taken
 }
 
 TEST(GraphOfDelays, OverloadedScheduleRejected) {
