@@ -153,7 +153,11 @@ REMOVED_FEATURES=("pooled adequation" "legacy cost model" "binary-heap mode"
                   "timetable mode" "random_branches" "random_branch"
                   "kBranches" "branch_duration" "kTruncatedNormal"
                   "truncated_normal" "fill_lanes_u64" "gate_mix"
-                  "reserve_events" "reserve_signals")
+                  "reserve_events" "reserve_signals" "Context::rng"
+                  "\`uniform_duration" "Rng::split" "Rng::jump"
+                  "Rng::categorical" "TaskContext::rng" "ziegler_nichols"
+                  "imc_pid" "pid_to_ss" "tf2ss" "observer_compensator"
+                  "series_csv" "latency_csv")
 for feature in "${REMOVED_FEATURES[@]}"; do
   stale=$(grep -inF -- "$feature" "${DOCS[@]}" DESIGN.md EXPERIMENTS.md |
     grep -viE "deleted|removed" || true)

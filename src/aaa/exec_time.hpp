@@ -32,9 +32,17 @@ enum class BranchChoice {
 inline constexpr std::uint64_t kCanWaitDomain = std::uint64_t{1} << 56;
 inline constexpr std::uint64_t kBoundBranchDomain = std::uint64_t{2} << 56;
 inline constexpr std::uint64_t kOpDomain = std::uint64_t{3} << 56;
+/// Random blocks of a co-simulation that model no operation (measurement
+/// noise, actuation jitter): blocks::NoiseHold and sampled EventDelay keys.
+inline constexpr std::uint64_t kBlockDomain = std::uint64_t{4} << 56;
+/// Monte Carlo trial seeds, drawn under the batch seed.
+inline constexpr std::uint64_t kTrialDomain = std::uint64_t{5} << 56;
 
 /// The execution time (and branch) of operation `op`.
 inline std::uint64_t op_key(std::size_t op) { return kOpDomain + op; }
+
+/// Random block number `i` of a co-simulation loop.
+inline std::uint64_t block_key(std::size_t i) { return kBlockDomain + i; }
 
 /// The CAN blocking wait before schedule comm `comm`.
 inline std::uint64_t can_wait_key(std::size_t comm) {

@@ -22,6 +22,12 @@
 //
 // ABI v5 drops NativeRunOptions' trace capacity hints: the trace grows as
 // the run records.
+//
+// ABI v6 drops the run RNG: a module holds no random stream. NoiseHold and
+// every sampled EventDelay draw activation k from math::keyed_rng(seed, key,
+// k), with the block's key read from the parameter table as two 32-bit
+// halves, so NativeRunOptions::seed is the only random state that crosses
+// the boundary.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +37,7 @@
 
 namespace ecsim::backend {
 
-inline constexpr int kNativeAbiVersion = 5;
+inline constexpr int kNativeAbiVersion = 6;
 
 /// POD mirror of the sim::SimOptions subset the native backend supports
 /// (observability rides along through `obs` since ABI v2).

@@ -123,6 +123,8 @@ class Emitter {
   std::string real_param(const std::string& name, double v);
   /// `std::size_t <name>`: one integral slot.
   std::string index_param(const std::string& name, std::size_t v);
+  /// `std::uint64_t <name>`: two exact 32-bit halves, high half first.
+  std::string u64_param(const std::string& name, std::uint64_t v);
   /// `std::array<double, N> <name>`: N slots, N being part of the shape.
   void fixed_param(const std::string& name, const BlockIr& b,
                    const std::vector<double>& v, std::size_t n);
@@ -169,6 +171,14 @@ std::string Emitter::index_param(const std::string& name, std::size_t v) {
   members_ += "  std::size_t " + name + " = 0;\n";
   load_ += "    " + name + " = rd.index();\n";
   params_.push_back(static_cast<double>(v));
+  return name;
+}
+
+std::string Emitter::u64_param(const std::string& name, std::uint64_t v) {
+  members_ += "  std::uint64_t " + name + " = 0;\n";
+  load_ += "    " + name + " = rd.u64();\n";
+  params_.push_back(static_cast<double>(v >> 32));
+  params_.push_back(static_cast<double>(v & 0xffffffffULL));
   return name;
 }
 
@@ -269,10 +279,14 @@ void Emitter::emit_block(std::size_t i) {
   if (k == "NoiseHold") {
     const std::string mean = real_param(id + "mean", real_of(b, "mean"));
     const std::string sd = real_param(id + "stddev", real_of(b, "stddev"));
+    const std::string key =
+        u64_param(id + "key", static_cast<std::uint64_t>(int_of(b, "key")));
+    members_ += "  std::size_t " + id + "count = 0;\n";
+    init_ += "    " + id + "count = 0;\n";
     init_ += "    a[" + out_off(0) + "] = " + mean + ";\n";
     case_open(event_);
-    event_ += "        a[" + out_off(0) + "] = e.rng().normal(" + mean + ", " +
-              sd + ");\n";
+    event_ += "        a[" + out_off(0) + "] = ma::keyed_rng(e.seed(), " + key +
+              ", " + id + "count++).normal(" + mean + ", " + sd + ");\n";
     event_ += "        e.emit(" + B + ", 0, 0.0);\n";
     case_close(event_);
     return;
@@ -560,7 +574,7 @@ void Emitter::emit_block(std::size_t i) {
     event_ += "        double start = now;\n";
     event_ += "        if (" + id + "busy > now) start = " + id + "busy;\n";
     if (spec.kind == blocks::DurationSpec::Kind::kConstant) {
-      // Constant samplers consume no RNG and were validated >= 0 at
+      // Constant samplers draw nothing and were validated >= 0 at
       // construction: a plain member, no sampler call.
       real_param(id + "d", spec.value);
       event_ += "        const double d = " + id + "d;\n";
@@ -575,7 +589,7 @@ void Emitter::emit_block(std::size_t i) {
       const std::vector<double> p = blocks::duration_params(spec);
       params_.insert(params_.end(), p.begin(), p.end());
       event_ += "        const double d = bl::sample_duration(" + id +
-                "spec, e.rng(), e.seed(), " + id + "count++);\n";
+                "spec, e.seed(), " + id + "count++);\n";
       event_ +=
           "        if (d < 0.0) throw std::runtime_error(\"EventDelay: "
           "sampler returned < 0\");\n";
@@ -706,8 +720,8 @@ NativeSource Emitter::generate() {
 
 )";
   // The runtime, from the one list the module cache stamps. The .cpp
-  // entries are unity-included so -O3 inlines trace recording, RNG and
-  // integrator straight into the generated engine loop — the main
+  // entries are unity-included so -O3 inlines trace recording, keyed draws
+  // and integrator straight into the generated engine loop — the main
   // throughput win over the interpreter, whose calls to the same kernels
   // stay behind a TU boundary. They are compiled from the same sources with
   // the same flags, and no FMA contraction is enabled, so the arithmetic

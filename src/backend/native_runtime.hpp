@@ -13,10 +13,10 @@
 // callback table into the driver's hooks, the same hooks an instrumented
 // interpreter run latches. Everything order-sensitive is therefore shared
 // code (the loop, the queue, the same-instant lane, sim::integrate()
-// stepping the same workspace, math::Rng and sim::Trace — unity-compiled
-// into the module from the interpreter's own sources), and a native run is
-// bit-identical to an interpreter run of the same IR (asserted by the
-// interp-vs-native property suite).
+// stepping the same workspace, math::keyed_rng and sim::Trace —
+// unity-compiled into the module from the interpreter's own sources), and a
+// native run is bit-identical to an interpreter run of the same IR
+// (asserted by the interp-vs-native property suite).
 #pragma once
 
 #include <algorithm>

@@ -5,18 +5,20 @@
 #include <stdexcept>
 #include <utility>
 
+#include "mathlib/rng.hpp"
+
 namespace ecsim::blocks {
 
-double sample_duration(const DurationSpec& spec, math::Rng& rng,
-                       std::uint64_t seed, std::uint64_t k) {
+double sample_duration(const DurationSpec& spec, std::uint64_t seed,
+                       std::uint64_t k) {
   switch (spec.kind) {
     case DurationSpec::Kind::kConstant:
       return spec.value;
-    case DurationSpec::Kind::kUniform:
-      return rng.uniform(spec.bcet, spec.wcet);
-    case DurationSpec::Kind::kShiftedUniform:
-      return std::max(
-          0.0, spec.base + rng.uniform(-spec.jitter / 2.0, spec.jitter / 2.0));
+    case DurationSpec::Kind::kShiftedUniform: {
+      const double half = spec.jitter / 2.0;
+      const double u = math::keyed_rng(seed, spec.key, k).uniform(-half, half);
+      return std::max(0.0, spec.base + u);
+    }
     case DurationSpec::Kind::kKeyed:
       return aaa::draw_exec_time(spec.branch_wcets, spec.bcet_fraction,
                                  spec.branch, seed, spec.key, k)
@@ -33,18 +35,8 @@ DurationSpec constant_duration(double d) {
   return s;
 }
 
-DurationSpec uniform_duration(double bcet, double wcet) {
-  if (bcet < 0.0 || wcet < bcet) {
-    throw std::invalid_argument("uniform_duration: need 0 <= bcet <= wcet");
-  }
-  DurationSpec s;
-  s.kind = DurationSpec::Kind::kUniform;
-  s.bcet = bcet;
-  s.wcet = wcet;
-  return s;
-}
-
-DurationSpec shifted_uniform_duration(double base, double jitter) {
+DurationSpec shifted_uniform_duration(double base, double jitter,
+                                      std::uint64_t key) {
   if (jitter < 0.0) {
     throw std::invalid_argument("shifted_uniform_duration: negative jitter");
   }
@@ -52,6 +44,7 @@ DurationSpec shifted_uniform_duration(double base, double jitter) {
   s.kind = DurationSpec::Kind::kShiftedUniform;
   s.base = base;
   s.jitter = jitter;
+  s.key = key;
   return s;
 }
 
@@ -83,9 +76,6 @@ std::vector<double> duration_params(const DurationSpec& s) {
     case DurationSpec::Kind::kConstant:
       out.push_back(s.value);
       break;
-    case DurationSpec::Kind::kUniform:
-      out.insert(out.end(), {s.bcet, s.wcet});
-      break;
     case DurationSpec::Kind::kShiftedUniform:
       out.insert(out.end(), {s.base, s.jitter});
       break;
@@ -94,9 +84,11 @@ std::vector<double> duration_params(const DurationSpec& s) {
       out.insert(out.end(), s.branch_wcets.begin(), s.branch_wcets.end());
       out.push_back(s.bcet_fraction);
       out.push_back(static_cast<double>(s.branch));
-      out.push_back(static_cast<double>(s.key >> 32));
-      out.push_back(static_cast<double>(s.key & 0xffffffffULL));
       break;
+  }
+  if (s.kind != DurationSpec::Kind::kConstant) {
+    out.push_back(static_cast<double>(s.key >> 32));
+    out.push_back(static_cast<double>(s.key & 0xffffffffULL));
   }
   return out;
 }
@@ -117,17 +109,18 @@ DurationSpec duration_from_params(std::span<const double> p,
     }
     return static_cast<std::size_t>(v);
   };
+  auto key = [&]() -> std::uint64_t {
+    const std::uint64_t hi = index(4294967296.0);
+    return (hi << 32) | index(4294967296.0);
+  };
   using K = DurationSpec::Kind;
   switch (static_cast<K>(index(8.0))) {
     case K::kConstant:
       return constant_duration(real());
-    case K::kUniform: {
-      const double bcet = real();
-      return uniform_duration(bcet, real());
-    }
     case K::kShiftedUniform: {
       const double base = real();
-      return shifted_uniform_duration(base, real());
+      const double jitter = real();
+      return shifted_uniform_duration(base, jitter, key());
     }
     case K::kKeyed: {
       const std::size_t n = index(9007199254740992.0);
@@ -139,9 +132,7 @@ DurationSpec duration_from_params(std::span<const double> p,
       pos += n;
       const double fraction = real();
       const auto branch = static_cast<aaa::BranchChoice>(index(3.0));
-      const std::uint64_t hi = index(4294967296.0);
-      const std::uint64_t key = (hi << 32) | index(4294967296.0);
-      return keyed_duration(std::move(wcets), fraction, branch, key);
+      return keyed_duration(std::move(wcets), fraction, branch, key());
     }
   }
   throw std::invalid_argument("duration_from_params: unknown distribution");

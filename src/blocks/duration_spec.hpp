@@ -2,9 +2,10 @@
 // — a tagged spec the IR can serialize and the native code generator can
 // re-emit, so every EventDelay is regenerable on any backend.
 //
-// Determinism contract: sample_duration() consumes the run RNG in one fixed
-// call sequence per kind, and kKeyed draws from its own keyed stream
-// (aaa::draw_exec_time), so traces are bit-identical across backends.
+// Determinism contract: every random kind draws activation k from the
+// stream keyed by (run seed, spec key, k) (math::keyed_rng), so a block's
+// durations depend on neither the event interleaving nor the other random
+// blocks in the model, and traces are bit-identical across backends.
 #pragma once
 
 #include <cstddef>
@@ -13,17 +14,16 @@
 #include <vector>
 
 #include "aaa/exec_time.hpp"
-#include "mathlib/rng.hpp"
 
 namespace ecsim::blocks {
 
 struct DurationSpec {
-  /// The values are the IR's "dist" tags; tags of deleted kinds (2, 4) are
-  /// never reused.
+  /// The values are the IR's "dist" tags; tags of deleted kinds (1, 2, 4)
+  /// are never reused.
   enum class Kind {
     kConstant = 0,        ///< always `value` (WCET mode)
-    kUniform = 1,         ///< uniform in [bcet, wcet], from the run RNG
-    kShiftedUniform = 3,  ///< max(0, base + uniform(-jitter/2, jitter/2))
+    kShiftedUniform = 3,  ///< max(0, base + uniform(-jitter/2, jitter/2)),
+                          ///< keyed by (run seed, key, activation index)
     kKeyed = 5,           ///< an operation's execution time: the draw of
                           ///< aaa::draw_exec_time keyed by (run seed, key,
                           ///< activation index)
@@ -31,30 +31,27 @@ struct DurationSpec {
 
   Kind kind = Kind::kConstant;
   double value = 0.0;                // kConstant
-  double bcet = 0.0;                 // kUniform
-  double wcet = 0.0;                 // kUniform
   double base = 0.0;                 // kShiftedUniform
   double jitter = 0.0;               // kShiftedUniform (peak-to-peak)
   std::vector<double> branch_wcets;  // kKeyed
   double bcet_fraction = 1.0;        // kKeyed
   aaa::BranchChoice branch = aaa::BranchChoice::kFirst;  // kKeyed
-  std::uint64_t key = 0;             // kKeyed
+  std::uint64_t key = 0;             // kShiftedUniform, kKeyed
 };
 
 /// Draws the duration of activation number `k` (0-based) of a block run
-/// with seed `seed`. kUniform and kShiftedUniform consume `rng`; kKeyed
-/// reads only (seed, key, k).
-double sample_duration(const DurationSpec& spec, math::Rng& rng,
-                       std::uint64_t seed, std::uint64_t k);
+/// with seed `seed`: a pure function of (spec, seed, k).
+double sample_duration(const DurationSpec& spec, std::uint64_t seed,
+                       std::uint64_t k);
 
 /// Constant-duration spec (WCET mode). Throws std::invalid_argument on a
 /// negative duration.
 DurationSpec constant_duration(double d);
-/// Uniform in [bcet, wcet]. Throws unless 0 <= bcet <= wcet.
-DurationSpec uniform_duration(double bcet, double wcet);
-/// max(0, base + uniform(-jitter/2, jitter/2)): a nominal latency with
-/// peak-to-peak jitter, clamped at zero. Throws on negative jitter.
-DurationSpec shifted_uniform_duration(double base, double jitter);
+/// max(0, base + uniform(-jitter/2, jitter/2)) keyed by `key`: a nominal
+/// latency with peak-to-peak jitter, clamped at zero. Throws on negative
+/// jitter.
+DurationSpec shifted_uniform_duration(double base, double jitter,
+                                      std::uint64_t key);
 /// An operation's execution time as the executive VM draws it: the branch
 /// by `branch`, then the WCET or uniform in [bcet_fraction * wcet, wcet],
 /// keyed by `key`. Throws on an empty branch list, a negative WCET or

@@ -17,13 +17,11 @@ void describe_duration(ir::BlockIr& out, const DurationSpec& s) {
     case DurationSpec::Kind::kConstant:
       out.attrs.push_back(ir::Attr::of_real("value", s.value));
       break;
-    case DurationSpec::Kind::kUniform:
-      out.attrs.push_back(ir::Attr::of_real("bcet", s.bcet));
-      out.attrs.push_back(ir::Attr::of_real("wcet", s.wcet));
-      break;
     case DurationSpec::Kind::kShiftedUniform:
       out.attrs.push_back(ir::Attr::of_real("base", s.base));
       out.attrs.push_back(ir::Attr::of_real("jitter", s.jitter));
+      out.attrs.push_back(
+          ir::Attr::of_int("key", static_cast<long long>(s.key)));
       break;
     case DurationSpec::Kind::kKeyed:
       out.attrs.push_back(ir::Attr::of_vec("branch_wcets", s.branch_wcets));
@@ -61,7 +59,7 @@ void EventDelay::on_event(Context& ctx, std::size_t) {
     start = busy_until_;
     ++busy_hits_;
   }
-  const Time d = sample_duration(spec_, ctx.rng(), ctx.seed(), count_++);
+  const Time d = sample_duration(spec_, ctx.seed(), count_++);
   if (d < 0.0) throw std::runtime_error("EventDelay: sampler returned < 0");
   busy_until_ = start + d;
   ctx.emit(0, busy_until_ - now);

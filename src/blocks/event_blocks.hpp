@@ -19,7 +19,6 @@
 
 #include "blocks/duration_spec.hpp"
 #include "fault/comm_gate.hpp"
-#include "mathlib/rng.hpp"
 #include "sim/block.hpp"
 
 namespace ecsim::blocks {
@@ -32,8 +31,8 @@ using sim::Time;
 /// Non-reentrant like a processor operation: if an event arrives while a
 /// previous one is still "executing", the new execution starts when the
 /// previous finishes (busy queueing), preserving operation order. Counts
-/// its activations since initialize: activation k of a kKeyed spec draws
-/// the execution time of iteration k (DESIGN.md §3.11).
+/// its activations since initialize: activation k of a random spec draws
+/// from the stream keyed by (run seed, spec key, k) (DESIGN.md §3.11).
 class EventDelay : public Block {
  public:
   EventDelay(std::string name, Time duration);

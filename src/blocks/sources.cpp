@@ -5,6 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "mathlib/rng.hpp"
+
 namespace ecsim::blocks {
 
 Clock::Clock(std::string name, Time period, Time offset)
@@ -73,17 +75,22 @@ void Pulse::compute_outputs(Context& ctx) {
   ctx.set_out1(0, phase < duty_ * period_ ? high_ : low_);
 }
 
-NoiseHold::NoiseHold(std::string name, double mean, double stddev)
-    : Block(std::move(name)), mean_(mean), stddev_(stddev) {
+NoiseHold::NoiseHold(std::string name, double mean, double stddev,
+                     std::uint64_t key)
+    : Block(std::move(name)), mean_(mean), stddev_(stddev), key_(key) {
   add_event_input();
   add_event_output();  // done
   add_output(1);
 }
 
-void NoiseHold::initialize(Context& ctx) { ctx.set_out1(0, mean_); }
+void NoiseHold::initialize(Context& ctx) {
+  count_ = 0;
+  ctx.set_out1(0, mean_);
+}
 
 void NoiseHold::on_event(Context& ctx, std::size_t) {
-  ctx.set_out1(0, ctx.rng().normal(mean_, stddev_));
+  ctx.set_out1(0, math::keyed_rng(ctx.seed(), key_, count_++)
+                      .normal(mean_, stddev_));
   ctx.emit(0, 0.0);
 }
 
@@ -126,6 +133,7 @@ void NoiseHold::describe(ir::BlockIr& out) const {
   out.kind = "NoiseHold";
   out.attrs.push_back(ir::Attr::of_real("mean", mean_));
   out.attrs.push_back(ir::Attr::of_real("stddev", stddev_));
+  out.attrs.push_back(ir::Attr::of_int("key", static_cast<long long>(key_)));
 }
 
 }  // namespace ecsim::blocks

@@ -2,6 +2,7 @@
 // of Fig. 2) and standard test signals.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/block.hpp"
@@ -92,10 +93,13 @@ class Pulse : public Block {
 /// Sampled Gaussian noise: on each activation event the held output is
 /// redrawn from N(mean, stddev). Models measurement noise / disturbances at
 /// the sampling instants. Emits a done event after redrawing, so a sampler
-/// chained behind it sees the fresh draw within the same instant.
+/// chained behind it sees the fresh draw within the same instant. Activation
+/// k (counted since initialize) draws from the stream keyed by (run seed,
+/// `key`, k), so the noise path depends on neither the event interleaving
+/// nor the other random blocks in the model.
 class NoiseHold : public Block {
  public:
-  NoiseHold(std::string name, double mean, double stddev);
+  NoiseHold(std::string name, double mean, double stddev, std::uint64_t key);
 
   void initialize(Context& ctx) override;
   void on_event(Context& ctx, std::size_t event_in) override;
@@ -106,6 +110,8 @@ class NoiseHold : public Block {
 
  private:
   double mean_, stddev_;
+  std::uint64_t key_;
+  std::size_t count_ = 0;
 };
 
 }  // namespace ecsim::blocks

@@ -64,11 +64,10 @@ DurationSpec duration_from_attrs(const ir::BlockIr& b) {
   switch (static_cast<DurationSpec::Kind>(tag)) {
     case DurationSpec::Kind::kConstant:
       return constant_duration(real_of(b, "value"));
-    case DurationSpec::Kind::kUniform:
-      return uniform_duration(real_of(b, "bcet"), real_of(b, "wcet"));
     case DurationSpec::Kind::kShiftedUniform:
-      return shifted_uniform_duration(real_of(b, "base"),
-                                      real_of(b, "jitter"));
+      return shifted_uniform_duration(
+          real_of(b, "base"), real_of(b, "jitter"),
+          static_cast<std::uint64_t>(int_of(b, "key")));
     case DurationSpec::Kind::kKeyed: {
       const long long branch = int_of(b, "branch");
       if (branch < 0 || branch > 2) bad(b, "unknown branch choice");
@@ -136,8 +135,9 @@ std::unique_ptr<sim::Block> make_block(const ir::BlockIr& b) {
                                    real_of(b, "duty"));
   }
   if (k == "NoiseHold") {
-    return std::make_unique<NoiseHold>(b.name, real_of(b, "mean"),
-                                       real_of(b, "stddev"));
+    return std::make_unique<NoiseHold>(
+        b.name, real_of(b, "mean"), real_of(b, "stddev"),
+        static_cast<std::uint64_t>(int_of(b, "key")));
   }
   if (k == "Integrator") {
     return std::make_unique<Integrator>(b.name, vec_of(b, "x0"));

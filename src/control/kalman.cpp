@@ -17,29 +17,6 @@ KalmanResult dkalman(const Matrix& a, const Matrix& c, const Matrix& qw,
   return KalmanResult{lt.transpose(), p};
 }
 
-StateSpace observer_compensator(const StateSpace& plant, const Matrix& k,
-                                const Matrix& l) {
-  plant.validate();
-  if (!plant.discrete) {
-    throw std::invalid_argument("observer_compensator: need a discrete plant");
-  }
-  const Matrix& a = plant.a;
-  const Matrix& b = plant.b;
-  const Matrix& c = plant.c;
-  // With u = -K xhat:
-  //   xhat+ = (A - B K - L C) xhat + L y
-  //   u = -K xhat
-  StateSpace comp;
-  comp.a = a - b * k - l * c;
-  comp.b = l;
-  comp.c = -k;
-  comp.d = Matrix::zeros(k.rows(), l.cols());
-  comp.discrete = true;
-  comp.ts = plant.ts;
-  comp.validate();
-  return comp;
-}
-
 StateSpace observer_tracking_compensator(const StateSpace& plant,
                                          const Matrix& k, const Matrix& l,
                                          double nbar) {

@@ -15,15 +15,8 @@ struct KalmanResult {
 KalmanResult dkalman(const Matrix& a, const Matrix& c, const Matrix& qw,
                      const Matrix& rv);
 
-/// Current-estimator observer-based compensator combining dlqr gain K and
-/// Kalman gain L into one discrete controller system (input: y, output: u).
-///   xhat+ = (A - BK - LC + ... ) standard predictor form:
-///   xhat_{k+1} = A xhat_k + B u_k + L (y_k - C xhat_k),  u_k = -K xhat_k
-/// Returned as a discrete StateSpace with input y and output u.
-StateSpace observer_compensator(const StateSpace& plant, const Matrix& k,
-                                const Matrix& l);
-
-/// Tracking variant for the co-simulation loop: input [y; r], output u with
+/// Observer-based tracking compensator for the co-simulation loop, combining
+/// dlqr gain K and Kalman gain L: input [y; r], output u with
 ///   xhat+ = (A - BK - LC) xhat + L y + B nbar r
 ///   u     = -K xhat + nbar r
 /// The nbar feedforward enters both the estimate propagation (through the

@@ -34,35 +34,6 @@ StateSpace make_state_system(Matrix a, Matrix b) {
   return sys;
 }
 
-StateSpace tf2ss(const std::vector<double>& num,
-                 const std::vector<double>& den) {
-  if (den.empty() || den.front() == 0.0) {
-    throw std::invalid_argument("tf2ss: bad denominator");
-  }
-  if (num.size() > den.size()) throw std::invalid_argument("tf2ss: improper");
-  const std::size_t n = den.size() - 1;
-  std::vector<double> a_coef(den.begin() + 1, den.end());
-  for (double& v : a_coef) v /= den.front();
-  std::vector<double> b_coef(den.size(), 0.0);
-  std::copy(num.begin(), num.end(),
-            b_coef.begin() + static_cast<long>(den.size() - num.size()));
-  for (double& v : b_coef) v /= den.front();
-
-  StateSpace sys;
-  sys.a = Matrix(n, n);
-  sys.b = Matrix(n, 1);
-  sys.c = Matrix(1, n);
-  sys.d = Matrix{{b_coef[0]}};
-  for (std::size_t i = 0; i + 1 < n; ++i) sys.a(i, i + 1) = 1.0;
-  for (std::size_t i = 0; i < n; ++i) sys.a(n - 1, i) = -a_coef[n - 1 - i];
-  if (n > 0) sys.b(n - 1, 0) = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sys.c(0, i) = b_coef[n - i] - a_coef[n - 1 - i] * b_coef[0];
-  }
-  sys.validate();
-  return sys;
-}
-
 Matrix controllability_matrix(const StateSpace& sys) {
   const std::size_t n = sys.order();
   Matrix result = sys.b;

@@ -29,10 +29,6 @@ struct StateSpace {
 /// Full-state-output helper: C = I, D = 0.
 StateSpace make_state_system(Matrix a, Matrix b);
 
-/// Continuous SISO transfer function -> controllable canonical state space.
-/// Coefficients highest power first.
-StateSpace tf2ss(const std::vector<double>& num, const std::vector<double>& den);
-
 /// Controllability matrix [B AB ... A^{n-1}B].
 Matrix controllability_matrix(const StateSpace& sys);
 /// Rank of a matrix by Gaussian elimination with pivot tolerance.

@@ -71,59 +71,6 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-void Rng::jump() {
-  // Jump polynomial from the xoshiro256** reference implementation
-  // (Blackman & Vigna): equivalent to 2^128 next_u64() calls.
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (const std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      next_u64();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-  have_spare_ = false;
-}
-
-std::vector<Rng> Rng::split(std::size_t n) const {
-  std::vector<Rng> out;
-  out.reserve(n);
-  Rng stream = *this;
-  stream.have_spare_ = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(stream);
-    stream.jump();
-  }
-  return out;
-}
-
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  if (weights.empty()) throw std::invalid_argument("categorical: empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("categorical: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument("categorical: zero total weight");
-  double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 std::uint64_t mix64(std::uint64_t z) { return splitmix64(z); }
 
 Rng keyed_rng(std::uint64_t seed, std::uint64_t key, std::uint64_t k) {

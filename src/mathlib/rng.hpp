@@ -1,10 +1,11 @@
 // Deterministic random number generation for reproducible experiments.
-// All stochastic components (execution-time models, workload generators)
-// take an explicit Rng so every run is seed-reproducible.
+// Every draw the engines make comes from a keyed stream (keyed_rng below):
+// a fresh Rng per (seed, key, k), so a draw depends on its coordinates
+// alone and never on how many draws other keys made. Workload generators
+// (random test graphs, bench inputs) seed an Rng directly.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace ecsim::math {
 
@@ -13,7 +14,7 @@ namespace ecsim::math {
 /// standard library implementations.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+  explicit Rng(std::uint64_t seed);
 
   std::uint64_t next_u64();
   /// Uniform in [0, 1).
@@ -27,21 +28,6 @@ class Rng {
   double normal(double mean, double stddev);
   /// Bernoulli with probability p of true.
   bool bernoulli(double p);
-  /// Pick an index in [0, weights.size()) with probability ~ weights[i].
-  std::size_t categorical(const std::vector<double>& weights);
-
-  /// Advance the state by 2^128 next_u64() calls (the xoshiro256** jump
-  /// polynomial). Partitions the generator's 2^256-1 period into
-  /// non-overlapping subsequences of length 2^128: streams separated by
-  /// jumps never collide for any realistic draw count. Discards a pending
-  /// Box-Muller spare so jumped streams start from a clean state.
-  void jump();
-
-  /// `n` decorrelated streams for parallel tasks: stream 0 is a copy of
-  /// *this, stream i is i jumps ahead. Pure function of the current state —
-  /// deterministic, does not advance *this — so a batch seeded once yields
-  /// the same per-task streams regardless of how tasks are scheduled.
-  std::vector<Rng> split(std::size_t n) const;
 
  private:
   std::uint64_t s_[4];
@@ -57,7 +43,8 @@ std::uint64_t mix64(std::uint64_t z);
 /// iteration (or activation) index. What a keyed stream yields depends on
 /// these coordinates alone, never on how many draws other keys made, so
 /// every engine asking the same key draws the same values whatever order it
-/// visits the keys in (fault decisions, execution times, branch choices).
+/// visits the keys in (fault decisions, execution times, branch choices,
+/// sampled noise, Monte Carlo trial seeds).
 Rng keyed_rng(std::uint64_t seed, std::uint64_t key, std::uint64_t k);
 
 }  // namespace ecsim::math

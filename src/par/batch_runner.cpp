@@ -22,9 +22,8 @@ BatchRunner::BatchRunner(BatchOptions opts) : opts_(std::move(opts)) {
 void BatchRunner::run(std::size_t n,
                       const std::function<void(TaskContext&)>& fn) {
   if (n == 0) return;
-  // Stream family and shard slots are indexed by task id, so everything
-  // after this point is insensitive to execution order.
-  const std::vector<math::Rng> streams = math::Rng(opts_.seed).split(n);
+  // Shard slots are indexed by task id, so everything after this point is
+  // insensitive to execution order.
   std::vector<std::unique_ptr<obs::MetricsRegistry>> metric_shards(
       opts_.metrics != nullptr ? n : 0);
   std::vector<std::unique_ptr<obs::Tracer>> tracer_shards(
@@ -34,7 +33,6 @@ void BatchRunner::run(std::size_t n,
     TaskContext ctx;
     ctx.index = i;
     ctx.worker = worker;
-    ctx.rng = streams[i];
     if (opts_.metrics != nullptr) {
       metric_shards[i] = std::make_unique<obs::MetricsRegistry>();
       ctx.metrics = metric_shards[i].get();

@@ -6,9 +6,9 @@
 // Monte Carlo trials, adequation candidate scoring):
 //  1. each task builds its own Model/Simulator/ExecutiveVm — no shared
 //     mutable state between tasks;
-//  2. each task draws from its own decorrelated math::Rng stream, derived
-//     from the batch seed by xoshiro256** jumps indexed by *task id*, never
-//     by worker or arrival order;
+//  2. every random draw is keyed by what it models (a trial, an op, a
+//     block: math::keyed_rng(seed, key, k)), never by task, worker or
+//     arrival order, so no task holds a random stream of its own;
 //  3. each task writes into a per-task obs::MetricsRegistry / obs::Tracer
 //     shard; the shards are merged into the caller's aggregates in
 //     task-index order after the batch drains;
@@ -25,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "mathlib/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "par/task_pool.hpp"
@@ -36,7 +35,6 @@ namespace ecsim::par {
 struct TaskContext {
   std::size_t index = 0;   // task id == result slot == reduction position
   std::size_t worker = 0;  // executing worker (scratch only — NOT for RNG!)
-  math::Rng rng;           // decorrelated stream for this task
   /// Per-task observability shards; null unless the batch has a merge
   /// destination attached in BatchOptions.
   obs::MetricsRegistry* metrics = nullptr;
@@ -47,7 +45,8 @@ struct BatchOptions {
   /// Worker threads; 0 = TaskPool::default_threads()
   /// (hardware_concurrency, ECSIM_THREADS env override), 1 = serial.
   std::size_t threads = 0;
-  /// Root seed for the per-task stream family.
+  /// Root seed of the batch's keyed draws (run_monte_carlo's trial seeds
+  /// are keyed_rng(seed, aaa::kTrialDomain, trial)).
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   /// Merge destinations (borrowed, may be null). When set, every task gets
   /// a private shard and the shards are merged here in task-index order.

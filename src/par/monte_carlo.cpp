@@ -6,6 +6,7 @@
 
 #include "exec/executive_vm.hpp"
 #include "latency/latency.hpp"
+#include "mathlib/rng.hpp"
 
 namespace ecsim::sweep {
 
@@ -38,17 +39,6 @@ MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
           ? spec.period
           : (alg.period() > 0.0 ? alg.period() : sched.makespan());
 
-  // Per-trial seeds drawn up front from the same stream family the runner
-  // would hand a one-trial-per-task batch: seeds[i] is bit-identical to the
-  // pre-batching `ctx.rng.next_u64()` of trial i, so any batch width (and
-  // any thread count) reproduces the same trial realizations.
-  std::vector<std::uint64_t> seeds(spec.trials);
-  {
-    std::vector<math::Rng> streams = math::Rng(batch.seed).split(spec.trials);
-    for (std::size_t i = 0; i < spec.trials; ++i) {
-      seeds[i] = streams[i].next_u64();
-    }
-  }
   const std::size_t width =
       spec.batch_width > 0 ? spec.batch_width : kDefaultBatchWidth;
   const std::size_t tasks = (spec.trials + width - 1) / width;
@@ -65,9 +55,10 @@ MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
           exec::VmOptions vm;
           vm.iterations = spec.iterations;
           vm.period = period;
-          // Decorrelated per-trial stream: the trial's draw sequence
-          // depends only on (batch.seed, trial index).
-          vm.seed = seeds[trial];
+          // Keyed by (batch.seed, trial index) alone, so any batch width
+          // and any thread count reproduce the same trial realizations.
+          vm.seed = math::keyed_rng(batch.seed, aaa::kTrialDomain, trial)
+                        .next_u64();
           vm.bcet_fraction = spec.bcet_fraction;
           vm.branch = spec.branch;
           vm.tracer = ctx.tracer;

@@ -1,9 +1,8 @@
 // Monte Carlo execution-time analysis over the executive VM (DESIGN.md
 // §3.3): many VM runs of one static schedule, each drawing actual execution
-// times (and optionally branches) under its own seed from a decorrelated
-// stream family, and
-// the per-trial latency/jitter statistics reduced across trials in trial
-// order. This turns the single "actual times" run of EXP-F1 into a
+// times (and optionally branches) under its own seed, keyed by (batch seed,
+// trial index), and the per-trial latency/jitter statistics reduced across
+// trials in trial order. This turns the single "actual times" run of EXP-F1 into a
 // distributional statement — how much latency/jitter does the
 // implementation *typically* exhibit, not just in one draw — and it is
 // embarrassingly parallel.
@@ -60,8 +59,9 @@ struct MonteCarloResult {
   double trials_per_s = 0.0;       // throughput over the whole batch
 };
 
-/// Run the trials on a BatchRunner (batch.seed roots the per-trial stream
-/// family). Results are bit-identical for any thread count.
+/// Run the trials on a BatchRunner (trial i runs under the seed
+/// keyed_rng(batch.seed, aaa::kTrialDomain, i).next_u64()). Results are
+/// bit-identical for any thread count.
 MonteCarloResult run_monte_carlo(const aaa::AlgorithmGraph& alg,
                                  const aaa::ArchitectureGraph& arch,
                                  const aaa::Schedule& sched,

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ir/ir.hpp"
-#include "mathlib/rng.hpp"
 #include "sim/port.hpp"
 #include "sim/trace.hpp"
 
@@ -54,9 +53,8 @@ class Context {
   /// after `delay` time units (self-clocking, e.g. periodic sources).
   void schedule_self(std::size_t event_in, Time delay);
 
-  math::Rng& rng();
-  /// Seed of the current run (SimOptions::seed): the key root of draws that
-  /// must not depend on the order blocks consume the run RNG in.
+  /// Seed of the current run (SimOptions::seed): a random block draws
+  /// activation k from math::keyed_rng(seed(), its key, k).
   std::uint64_t seed() const;
   Trace& trace();
   std::size_t block_index() const { return block_; }

@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "mathlib/rng.hpp"
 #include "obs/obs_table.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/integrator.hpp"
@@ -56,8 +55,9 @@ struct SimOptions {
   /// Continuous-state integration (method, tolerances, step bounds) applied
   /// between event instants; see sim/integrator.hpp.
   IntegratorOptions integrator;
-  /// Seed of the run's math::Rng (noise sources and other stochastic
-  /// blocks). Identical seeds give bit-identical runs.
+  /// Root of every random block's keyed draws (math::keyed_rng(seed, key,
+  /// k)): noise sources and sampled durations. Identical seeds give
+  /// bit-identical runs.
   std::uint64_t seed = 1;
   /// Hard cap on dispatched events; exceeding it aborts the run with an
   /// exception (guards against runaway zero-delay loops).
@@ -140,9 +140,8 @@ class Driver {
       }
     } run_span{obs_, obs_.tracing ? tab->now_us(tab->tracer) : 0.0};
 
-    // Reset run state (including the RNG: same seed => same realization).
+    // Reset run state (same seed => same realization).
     seed_ = o.seed;
-    rng_ = math::Rng(o.seed);
     time_ = 0.0;
     x_.assign(lay.total_state(), 0.0);
     active_x_ = x_.data();
@@ -237,7 +236,6 @@ class Driver {
   const double* arena() const { return arena_.data(); }
   /// Time of the evaluation in progress (the kernels' "now").
   Time time() const { return eval_time_; }
-  math::Rng& rng() { return rng_; }
   /// The run's seed (SimOptions::seed).
   std::uint64_t seed() const { return seed_; }
   Trace& trace() { return *trace_; }
@@ -386,7 +384,6 @@ class Driver {
   std::vector<ScheduledEvent> lane_;
   Trace* trace_ = nullptr;
   EventQueue queue_;
-  math::Rng rng_{1};
   std::uint64_t seed_ = 1;
   IntegratorWorkspace iws_;
 };

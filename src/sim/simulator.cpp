@@ -56,8 +56,6 @@ void Context::schedule_self(std::size_t event_in, Time delay) {
   sim_->driver_.schedule_at(block_, event_in, time_ + delay);
 }
 
-math::Rng& Context::rng() { return sim_->driver_.rng(); }
-
 std::uint64_t Context::seed() const { return sim_->driver_.seed(); }
 
 Trace& Context::trace() { return sim_->trace_; }

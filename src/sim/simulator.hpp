@@ -64,7 +64,7 @@ class Simulator {
   /// sim.events_dispatched counter when a MetricsRegistry is attached).
   std::size_t events_dispatched() const { return driver_.events_dispatched(); }
 
-  /// Reseed the run Rng for the next run() without rebuilding the simulator
+  /// Set the seed of the next run() without rebuilding the simulator
   /// (Monte Carlo drivers reuse one compiled engine across trials).
   void set_seed(std::uint64_t seed) { opts_.seed = seed; }
 

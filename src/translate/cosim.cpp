@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "aaa/exec_time.hpp"
 #include "backend/backend.hpp"
 #include "blocks/continuous.hpp"
 #include "fault/fault_plan.hpp"
@@ -20,6 +21,12 @@
 namespace ecsim::translate {
 
 namespace {
+
+/// Keys of the loop's random blocks (aaa::block_key): the same noise key in
+/// every loop, so the ideal and the distributed co-simulations of one design
+/// sample the same noise sequence (common random numbers).
+constexpr std::size_t kNoiseBlock = 0;
+constexpr std::size_t kActJitterBlock = 1;
 
 /// The assembled loop: the model plus handles on the blocks whose events
 /// define the timing regime.
@@ -81,7 +88,8 @@ LoopModel assemble_loop(const LoopSpec& spec) {
   blocks::NoiseHold* noise = nullptr;
   if (spec.measurement_noise_std > 0.0) {
     noise = &m.add<blocks::NoiseHold>("mnoise", 0.0,
-                                      spec.measurement_noise_std);
+                                      spec.measurement_noise_std,
+                                      aaa::block_key(kNoiseBlock));
     noise_out = noise;
   }
   // Measured signal fed to the sampler: y (or the full output vector),
@@ -295,7 +303,8 @@ CosimOutcome run_latency_loop(const LoopSpec& spec, double ls, double la,
   const blocks::DurationSpec act_delay =
       jitter_p2p <= 0.0
           ? blocks::constant_duration(base)
-          : blocks::shifted_uniform_duration(base, jitter_p2p);
+          : blocks::shifted_uniform_duration(
+                base, jitter_p2p, aaa::block_key(kActJitterBlock));
   auto& d_act = m.add<blocks::EventDelay>("lat/act", act_delay);
   m.connect_event(*lm.controller, lm.controller->done_event_out(), d_act,
                   d_act.event_in());

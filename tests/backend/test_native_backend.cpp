@@ -1,6 +1,6 @@
 // Native backend guards (DESIGN.md §3.6): the generated-code path must be
 // bit-identical to the interpreter — same trace events, same signal doubles,
-// same RNG consumption — on the canonical examples, on random hybrid
+// same keyed draws — on the canonical examples, on random hybrid
 // diagrams, and with a fault gate armed; and a native request must degrade
 // to the interpreter with a recorded reason (never an abort) when the
 // toolchain or the model can't take the codegen path.

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "blocks/discrete.hpp"
 #include "blocks/sources.hpp"
 #include "blocks/to_model.hpp"
+#include "mathlib/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecsim::blocks {
@@ -19,8 +22,7 @@ using sim::Simulator;
 
 TEST(DurationSpecs, Validation) {
   EXPECT_THROW(constant_duration(-1.0), std::invalid_argument);
-  EXPECT_THROW(uniform_duration(-1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(uniform_duration(2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(shifted_uniform_duration(1.0, -0.1, 0), std::invalid_argument);
   EXPECT_THROW(keyed_duration({}, 0.5, aaa::BranchChoice::kFirst, 0),
                std::invalid_argument);
   EXPECT_THROW(keyed_duration({-1.0}, 0.5, aaa::BranchChoice::kFirst, 0),
@@ -30,19 +32,24 @@ TEST(DurationSpecs, Validation) {
 }
 
 TEST(DurationSpecs, UniformWithinBounds) {
-  math::Rng rng(3);
-  const auto spec = uniform_duration(0.5, 1.5);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = sample_duration(spec, rng, 1, 0);
+  // Shifted uniform: base +- jitter/2, clamped at zero, activation k drawn
+  // from the stream keyed by (seed, key, k).
+  const auto spec = shifted_uniform_duration(1.0, 1.0, 7);
+  const auto clamped = shifted_uniform_duration(0.1, 1.0, 7);
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    const double d = sample_duration(spec, 1, k);
     EXPECT_GE(d, 0.5);
     EXPECT_LE(d, 1.5);
+    const double u = math::keyed_rng(1, 7, k).uniform(-0.5, 0.5);
+    EXPECT_EQ(d, 1.0 + u);
+    EXPECT_EQ(sample_duration(clamped, 1, k), std::max(0.0, 0.1 + u));
   }
 }
 
 TEST(DurationSpecs, ParamsRoundTripEveryKind) {
   const DurationSpec specs[] = {
-      constant_duration(0.5), uniform_duration(0.25, 1.5),
-      shifted_uniform_duration(1.0, 0.2),
+      constant_duration(0.5),
+      shifted_uniform_duration(1.0, 0.2, aaa::block_key(3)),
       keyed_duration({1e-3, 4e-3}, 0.4, aaa::BranchChoice::kUniform,
                      aaa::can_wait_key(7))};
   std::vector<double> table;
@@ -55,8 +62,6 @@ TEST(DurationSpecs, ParamsRoundTripEveryKind) {
     const DurationSpec r = duration_from_params(table, pos);
     EXPECT_EQ(r.kind, s.kind);
     EXPECT_EQ(r.value, s.value);
-    EXPECT_EQ(r.bcet, s.bcet);
-    EXPECT_EQ(r.wcet, s.wcet);
     EXPECT_EQ(r.base, s.base);
     EXPECT_EQ(r.jitter, s.jitter);
     EXPECT_EQ(r.branch_wcets, s.branch_wcets);
@@ -65,14 +70,18 @@ TEST(DurationSpecs, ParamsRoundTripEveryKind) {
     EXPECT_EQ(r.key, s.key);
   }
   EXPECT_EQ(pos, table.size());
-  // A truncated table, an unknown tag and an oversized vector all throw.
-  const std::vector<double> keyed = duration_params(specs[3]);
+  // A truncated table, an unknown tag, a deleted kind's tag (1) and an
+  // oversized vector all throw.
+  const std::vector<double> keyed = duration_params(specs[2]);
   std::size_t at = 0;
   EXPECT_THROW(duration_from_params(
                    std::span(keyed).first(keyed.size() - 1), at),
                std::invalid_argument);
   at = 0;
   EXPECT_THROW(duration_from_params(std::vector<double>{2.0, 1.0}, at),
+               std::invalid_argument);
+  at = 0;
+  EXPECT_THROW(duration_from_params(std::vector<double>{1.0, 0.25, 1.5}, at),
                std::invalid_argument);
   at = 0;
   EXPECT_THROW(duration_from_params(std::vector<double>{5.0, 9.0, 1.0}, at),
@@ -94,7 +103,23 @@ TEST(DurationSpecs, KeyedSpecRoundTripsThroughTheIr) {
   EXPECT_EQ(r.key, aaa::bound_branch_key(12, 1));
   // The surviving "dist" tags are pinned: IR files keep their meaning.
   EXPECT_EQ(b.find("dist")->i, 5);
-  EXPECT_EQ(static_cast<int>(DurationSpec::Kind::kShiftedUniform), 3);
+
+  const EventDelay j("j", shifted_uniform_duration(2e-3, 5e-4,
+                                                   aaa::block_key(1)));
+  ir::BlockIr jb;
+  jb.name = j.name();
+  j.describe(jb);
+  const DurationSpec jr = duration_from_attrs(jb);
+  EXPECT_EQ(jb.find("dist")->i, 3);
+  EXPECT_EQ(jr.kind, DurationSpec::Kind::kShiftedUniform);
+  EXPECT_EQ(jr.base, 2e-3);
+  EXPECT_EQ(jr.jitter, 5e-4);
+  EXPECT_EQ(jr.key, aaa::block_key(1));
+  // Tag 1 belongs to a deleted kind and is never reused.
+  for (ir::Attr& a : jb.attrs) {
+    if (a.key == "dist") a.i = 1;
+  }
+  EXPECT_THROW(duration_from_attrs(jb), std::invalid_argument);
 }
 
 TEST(EventDelay, KeyedDelayDrawsTheExecutiveTimeOfEachActivation) {
@@ -171,7 +196,7 @@ TEST(EventDelay, StochasticDurationsAreSeedStable) {
   auto run = [](std::uint64_t seed) {
     Model m;
     auto& clk = m.add<Clock>("clk", 1.0);
-    auto& d = m.add<EventDelay>("d", uniform_duration(0.1, 0.4));
+    auto& d = m.add<EventDelay>("d", shifted_uniform_duration(0.25, 0.3, 2));
     auto& n = m.add<EventCounter>("n");
     m.connect_event(clk, 0, d, d.event_in());
     m.connect_event(d, d.event_out(), n, 0);

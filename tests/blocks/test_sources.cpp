@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "mathlib/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecsim::blocks {
@@ -79,7 +80,7 @@ TEST(Pulse, DutyCycle) {
 TEST(NoiseHold, HoldsBetweenEventsAndIsSeeded) {
   Model m;
   auto& clk = m.add<Clock>("clk", 0.5);
-  auto& n = m.add<NoiseHold>("n", 10.0, 2.0);
+  auto& n = m.add<NoiseHold>("n", 10.0, 2.0, 4);
   m.connect_event(clk, 0, n, 0);
   Simulator s(m, SimOptions{.end_time = 10.0, .seed = 5});
   s.run();
@@ -87,6 +88,9 @@ TEST(NoiseHold, HoldsBetweenEventsAndIsSeeded) {
   s.run();
   EXPECT_DOUBLE_EQ(s.output_value(n, 0), v1);
   EXPECT_NEAR(v1, 10.0, 12.0);  // plausible draw around the mean
+  // Activation k (ticks at 0, 0.5, ..., 10: k = 20 last) draws from the
+  // stream keyed by (run seed, key, k).
+  EXPECT_EQ(v1, math::keyed_rng(5, 4, 20).normal(10.0, 2.0));
 }
 
 }  // namespace

@@ -44,32 +44,6 @@ TEST(Kalman, CovarianceIsSymmetricPsd) {
   EXPECT_GE(math::quad_form(r.p, {0.5, -0.5}), 0.0);
 }
 
-TEST(ObserverCompensator, ClosedLoopStable) {
-  const StateSpace dt = servo_dt();
-  const LqrResult lqr = dlqr(dt, Matrix::diag({100.0, 1.0}), Matrix{{1.0}});
-  const KalmanResult kal = dkalman(dt.a, dt.c, 0.1 * Matrix::identity(2),
-                                   Matrix{{0.01}});
-  const StateSpace comp = observer_compensator(dt, lqr.k, kal.l);
-  EXPECT_TRUE(comp.discrete);
-  EXPECT_EQ(comp.order(), 2u);
-  // Separation principle: closed loop spectrum = controller ∪ observer;
-  // assemble the 4-state closed loop and verify stability.
-  //   x+    = A x + B (-K xh)
-  //   xh+   = (A - BK - LC) xh + L C x
-  Matrix acl = Matrix::zeros(4, 4);
-  acl.set_block(0, 0, dt.a);
-  acl.set_block(0, 2, -(dt.b * lqr.k));
-  acl.set_block(2, 0, kal.l * dt.c);
-  acl.set_block(2, 2, dt.a - dt.b * lqr.k - kal.l * dt.c);
-  EXPECT_LT(math::spectral_radius(acl), 1.0);
-}
-
-TEST(ObserverCompensator, RejectsContinuousPlant) {
-  StateSpace ct = make_state_system(Matrix{{0.0}}, Matrix{{1.0}});
-  EXPECT_THROW(observer_compensator(ct, Matrix{{1.0}}, Matrix{{1.0}}),
-               std::invalid_argument);
-}
-
 TEST(ObserverTrackingCompensator, TracksConstantReference) {
   const StateSpace dt = servo_dt();
   const LqrResult lqr = dlqr(dt, Matrix::diag({100.0, 0.01}), Matrix{{1e-3}});

@@ -56,19 +56,6 @@ TEST(StateSpace, MakeStateSystem) {
   EXPECT_TRUE(math::approx_equal(s.c, Matrix::identity(2)));
 }
 
-TEST(Tf2Ss, SecondOrderMatchesCanonicalForm) {
-  // G(s) = 1000 / (s^2 + s)
-  const StateSpace s = tf2ss({1000.0}, {1.0, 1.0, 0.0});
-  EXPECT_EQ(s.order(), 2u);
-  // DC behaviour encoded: A has a zero eigenvalue (integrator).
-  EXPECT_NEAR(math::determinant(s.a), 0.0, 1e-12);
-}
-
-TEST(Tf2Ss, Validation) {
-  EXPECT_THROW(tf2ss({1.0, 0.0, 0.0}, {1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(tf2ss({1.0}, {0.0, 1.0}), std::invalid_argument);
-}
-
 TEST(Rank, DetectsDeficiency) {
   EXPECT_EQ(rank(Matrix::identity(3)), 3u);
   EXPECT_EQ(rank(Matrix{{1.0, 2.0}, {2.0, 4.0}}), 1u);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,26 +17,6 @@ TEST(BatchRunner, MapReturnsResultsInSubmissionOrder) {
       100, [](TaskContext& ctx) { return ctx.index * 2; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 2 * i);
-}
-
-TEST(BatchRunner, PerTaskRngStreamsAreDecorrelatedAndSchedulingIndependent) {
-  auto draws_with_threads = [](std::size_t threads) {
-    BatchOptions opts;
-    opts.threads = threads;
-    opts.seed = 42;
-    BatchRunner runner(opts);
-    return runner.map<std::uint64_t>(
-        64, [](TaskContext& ctx) { return ctx.rng.next_u64(); });
-  };
-  const auto serial = draws_with_threads(1);
-  const auto par2 = draws_with_threads(2);
-  const auto par7 = draws_with_threads(7);
-  EXPECT_EQ(serial, par2);
-  EXPECT_EQ(serial, par7);
-  // All first draws distinct: streams are decorrelated, not reseeded copies.
-  for (std::size_t i = 1; i < serial.size(); ++i) {
-    EXPECT_NE(serial[i], serial[0]) << "stream " << i;
-  }
 }
 
 TEST(BatchRunner, MergedMetricsSnapshotIndependentOfThreadCount) {

@@ -3,12 +3,14 @@
 // diagrams for the simulation engine.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "aaa/algorithm_graph.hpp"
 #include "aaa/architecture_graph.hpp"
+#include "aaa/exec_time.hpp"
 #include "blocks/continuous.hpp"
 #include "blocks/discrete.hpp"
 #include "blocks/event_blocks.hpp"
@@ -172,15 +174,21 @@ inline sim::Model random_block_model(math::Rng& rng) {
   const std::size_t n_delays =
       1 + static_cast<std::size_t>(rng.uniform_int(0, 2));
   for (std::size_t i = 0; i < n_delays; ++i) {
-    auto& d = rng.uniform(0.0, 1.0) < 0.5
-                  ? m.add<bl::EventDelay>(name("delay"),
-                                          rng.uniform(0.001, 0.02))
-                  : m.add<bl::EventDelay>(
-                        name("jdelay"),
-                        bl::uniform_duration(0.001, rng.uniform(0.005, 0.03)));
+    // A jittered delay is uniform in [0.001, w]: a one-branch keyed
+    // duration, keyed by the block's id.
+    const std::uint64_t key = aaa::block_key(id);
+    bl::EventDelay* d = nullptr;
+    if (rng.uniform(0.0, 1.0) < 0.5) {
+      d = &m.add<bl::EventDelay>(name("delay"), rng.uniform(0.001, 0.02));
+    } else {
+      const double w = rng.uniform(0.005, 0.03);
+      d = &m.add<bl::EventDelay>(
+          name("jdelay"),
+          bl::keyed_duration({w}, 0.001 / w, aaa::BranchChoice::kFirst, key));
+    }
     const auto [src, port] = any_event();
-    m.connect_event(*src, port, d, d.event_in());
-    event_outs.emplace_back(&d, d.event_out());
+    m.connect_event(*src, port, *d, d->event_in());
+    event_outs.emplace_back(d, d->event_out());
   }
   if (rng.uniform(0.0, 1.0) < 0.5) {
     auto& div = m.add<bl::EventDivider>(
@@ -192,7 +200,8 @@ inline sim::Model random_block_model(math::Rng& rng) {
 
   // --- sampled noise feeding a discrete path -------------------------------
   {
-    auto& noise = m.add<bl::NoiseHold>(name("noise"), 0.0, 0.3);
+    const std::uint64_t key = aaa::block_key(id);
+    auto& noise = m.add<bl::NoiseHold>(name("noise"), 0.0, 0.3, key);
     const auto [src, port] = any_event();
     m.connect_event(*src, port, noise, 0);
     event_outs.emplace_back(&noise, noise.done_event_out());

@@ -159,7 +159,7 @@ TEST(PropertyShapes, StructuralEditsChangeTheShape) {
     }
     EXPECT_NE(shape_of(gated), shape);
 
-    // A constant event delay turned into a uniformly sampled one.
+    // A constant event delay turned into a sampled one.
     for (const ir::BlockIr& b : irm.blocks) {
       if (b.kind != "EventDelay" ||
           b.find("dist")->i !=
@@ -169,7 +169,8 @@ TEST(PropertyShapes, StructuralEditsChangeTheShape) {
       const double d = b.find("value")->r;
       ir::Model edited = irm;
       sim::Model tiny;
-      tiny.add<blocks::EventDelay>(b.name, blocks::uniform_duration(d, 2 * d));
+      tiny.add<blocks::EventDelay>(
+          b.name, blocks::shifted_uniform_duration(d, d, aaa::block_key(0)));
       for (ir::BlockIr& e : edited.blocks) {
         if (e.name == b.name) e.attrs = sim::build_ir(tiny).blocks[0].attrs;
       }

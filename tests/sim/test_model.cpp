@@ -65,8 +65,8 @@ TEST(Model, ConnectEventValidatesPorts) {
 TEST(Model, EventFanOutAllowed) {
   Model m;
   auto& clk = m.add<blocks::Clock>("clk", 1.0);
-  auto& n1 = m.add<blocks::NoiseHold>("n1", 0.0, 1.0);
-  auto& n2 = m.add<blocks::NoiseHold>("n2", 0.0, 1.0);
+  auto& n1 = m.add<blocks::NoiseHold>("n1", 0.0, 1.0, 1);
+  auto& n2 = m.add<blocks::NoiseHold>("n2", 0.0, 1.0, 2);
   m.connect_event(clk, 0, n1, 0);
   m.connect_event(clk, 0, n2, 0);
   EXPECT_EQ(m.event_wires().size(), 2u);

@@ -162,14 +162,14 @@ TEST(Simulator, ZeroDelayEventChainSameInstantCausalOrder) {
 TEST(Simulator, RunIsRepeatable) {
   Model m;
   auto& clk = m.add<Clock>("clk", 0.1);
-  auto& noise = m.add<NoiseHold>("noise", 0.0, 1.0);
+  auto& noise = m.add<NoiseHold>("noise", 0.0, 1.0, 1);
   m.connect_event(clk, 0, noise, 0);
   Simulator s(m, SimOptions{.end_time = 1.0, .seed = 77});
   s.run();
   const double v1 = s.output_value(noise, 0);
   s.run();
   const double v2 = s.output_value(noise, 0);
-  EXPECT_DOUBLE_EQ(v1, v2);  // same seed, same stream
+  EXPECT_DOUBLE_EQ(v1, v2);  // same seed, same draws
 }
 
 TEST(Simulator, EventDelayShiftsActivation) {

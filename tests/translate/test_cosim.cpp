@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "control/c2d.hpp"
 #include "control/delay_compensation.hpp"
 #include "control/kalman.hpp"
@@ -155,6 +158,52 @@ TEST(CosimOutputFeedback, ObserverCompensatorClosesTheLoop) {
   LoopSpec bad = spec;
   bad.controller = servo_spec().controller;  // expects [x; r] (width 3)
   EXPECT_THROW(run_ideal_loop(bad), std::invalid_argument);
+}
+
+TEST(CosimNoise, IdealAndDistributedLoopsSampleTheSameNoise) {
+  // A plant whose output stays 0 and a pass-through controller: every
+  // actuation holds u = ref - n_k, so the sequence of held values is the
+  // sampled noise sequence. The noise is keyed by (seed, noise key, k), so
+  // the ideal loop, the distributed loop (jittered execution times) and the
+  // jittered-latency loop all see the same n_k: common random numbers.
+  LoopSpec spec;
+  spec.plant.a = math::Matrix{{-1.0}};
+  spec.plant.b = math::Matrix{{0.0}};
+  spec.plant.c = math::Matrix{{1.0}};
+  spec.plant.d = math::Matrix{{0.0}};
+  spec.controller.a = math::Matrix{{0.0}};
+  spec.controller.b = math::Matrix{{0.0}};
+  spec.controller.c = math::Matrix{{0.0}};
+  spec.controller.d = math::Matrix{{1.0}};
+  spec.controller.discrete = true;
+  spec.controller.ts = 0.01;
+  spec.ts = 0.01;
+  spec.t_end = 0.5;
+  spec.ref = 1.0;
+  spec.measurement_noise_std = 0.2;
+  spec.seed = 11;
+  auto held = [](const control::Series& u) {
+    std::vector<double> out;
+    for (const auto& [t, v] : u) {
+      if (out.empty() || v != out.back()) out.push_back(v);
+    }
+    return out;
+  };
+  DistributedSpec dist;
+  dist.god.bcet_fraction = 0.5;
+  const std::vector<double> ideal = held(run_ideal_loop(spec).u);
+  const std::vector<double> distributed =
+      held(run_distributed_loop(spec, dist).u);
+  const std::vector<double> jittered =
+      held(run_latency_loop(spec, 0.0, 0.004, 0.004).u);
+  ASSERT_GT(ideal.size(), 40u);
+  for (const std::vector<double>* other : {&distributed, &jittered}) {
+    const std::size_t n = std::min(ideal.size(), other->size());
+    ASSERT_GT(n, 40u);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ((*other)[k], ideal[k]) << "held value " << k;
+    }
+  }
 }
 
 TEST(CosimM1, DelayAwareRedesignRecoversPerformance) {
